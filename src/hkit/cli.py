@@ -44,6 +44,13 @@ class ConfigError(ValueError):
     """Invalid scenario configuration (maps to exit code 2)."""
 
 
+def _parse_int(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {value!r} is not an integer") from exc
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -76,18 +83,24 @@ class ScenarioConfig:
         grid = None
         if raw.get("grid") is not None:
             g = raw["grid"]
+            if not isinstance(g, dict):
+                raise ConfigError("invalid grid: expected an object with 't1' and 'n_steps'")
             try:
                 grid = TimeGrid(
                     float(g.get("t0", 0.0)), float(g["t1"]), int(g["n_steps"])
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid grid: {exc}") from exc
-        seed = int(raw.get("seed", 0))
+        seed = _parse_int("seed", raw.get("seed", 0))
         if "HKIT_SEED" in os.environ:
-            seed = int(os.environ["HKIT_SEED"])
+            seed = _parse_int("HKIT_SEED", os.environ["HKIT_SEED"])
+        try:
+            params = {str(k): float(v) for k, v in (raw.get("params") or {}).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid params: {exc}") from exc
         return cls(
             scenario=raw["scenario"],
-            params={str(k): float(v) for k, v in (raw.get("params") or {}).items()},
+            params=params,
             grid=grid,
             case_tag=raw.get("case_tag"),
             frame_source=raw.get("frame_source", "continuity"),
@@ -167,7 +180,10 @@ def _build_decay(cfg: ScenarioConfig):
     rho0 = 0.5 * (np.eye(2) + chi0)
     rho_traj = dynamics.propagate(model, rho0, grid, kind="density")
     if cfg.frame_source == "analytic":
-        frame_traj = models.analytic_frames(p, grid)
+        try:
+            frame_traj = models.analytic_frames(p, grid)
+        except ValueError as exc:
+            raise ConfigError(f"analytic frames undefined: {exc}") from exc
     else:
         frame_traj = frames.eigenframes(I_traj)
     case = cfg.case_tag or ("t_nd" if p.gamma > 0.0 else "nt_nd")
@@ -239,10 +255,8 @@ def execute(cfg: ScenarioConfig) -> RunResult:
     witness = holonomy.nonabelian_witness(frame_traj, case)
     residual = holonomy.parallel_residual(frame_traj, holonomy.transporter(conn))
     expectation = dynamics.invariant_expectation(I_traj, rho_traj)
-    flags = (
-        list(I_traj.flags) + list(rho_traj.flags) + list(frame_traj.flags)
-        + list(conn.flags) + list(holo.flags)
-    )
+    # holo.flags already carries the connection's flags
+    flags = list(I_traj.flags) + list(rho_traj.flags) + list(frame_traj.flags) + list(holo.flags)
     return RunResult(
         config=cfg, grid=grid, model=model, rho_traj=rho_traj, I_traj=I_traj,
         frames=frame_traj, conn=conn, holo=holo, witness=witness, residual=residual,
@@ -479,7 +493,8 @@ def check_invariant_oracle() -> CheckResult:
                     w * models.chi_closed_form(p, t + o)
                     for w, o in zip(stencil, offsets)
                 )
-                rhs = dynamics.invariant_rhs(model, t, chi)
+                L = dynamics.liouvillian(*model.operators(t))[0]
+                rhs = (-L.conj().T @ chi.reshape(-1)).reshape(chi.shape)
                 scale = max(1e-30, float(np.max(np.abs(chi))))
                 worst = max(worst, float(np.max(np.abs(dchi - rhs))) / scale)
     return CheckResult(

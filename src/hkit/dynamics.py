@@ -5,14 +5,27 @@ The master equation used throughout is
 
     d(rho)/dt = -i [H0, rho] + sum_ij g_ij ( [G_i, rho G_j^dag] + [G_i rho, G_j^dag] )
 
-with real symmetric coupling rates g_ij(t) and jump operators G_i(t).  A
-dynamical invariant I(t) satisfies the companion equation
+with real symmetric coupling rates g_ij(t) and jump operators G_i(t).  On
+the row-major vectorization vec(X)[a d + b] = X[a, b], for which
+vec(A X B) = (A kron B^T) vec(X), it reads d vec(rho)/dt = L vec(rho) with
+the d^2 x d^2 superoperator (`liouvillian`; Havel, J. Math. Phys. 44, 534
+(2003))
 
-    dI/dt = -i [H0, I] + sum_ij g_ij ( G_j^dag [G_i, I] + [I, G_j^dag] G_i )
+    L = -i (H0 kron 1 - 1 kron H0^T)
+        + sum_ij g_ij ( 2 G_i kron conj(G_j) - D_ij kron 1 - 1 kron D_ij^T ),
+    D_ij = G_j^dag G_i.
 
-which guarantees that Tr[I(t) rho(t)] is constant along any solution of the
-master equation.  Both right-hand sides are integrated with fixed-step RK4
-and re-Hermitized after every step.
+A dynamical invariant I(t) obeys the Heisenberg adjoint: its generator is
+-L^dag (conjugate transpose), i.e.
+
+    dI/dt = -i [H0, I] + sum_ij g_ij ( G_j^dag [G_i, I] + [I, G_j^dag] G_i ),
+
+which keeps Tr[I(t) rho(t)] constant along any solution of the master
+equation.  The coefficients c = V^dag rho V in a moving orthonormal basis
+V(t) obey the master equation again, with H0 -> V^dag H0 V - A,
+A = i V^dag dV/dt, and G_i -> V^dag G_i V.  All three are integrated by one
+fixed-step RK4 stepper for dx/dt = L(t) x and re-Hermitized after every
+step.
 """
 from __future__ import annotations
 
@@ -28,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TRACE_RTOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
+# RK4 step matrices are formed this many steps at a time, which bounds the
+# memory they take on long grids
+_CHUNK_STEPS = 128
 
 
 @dataclass
@@ -57,6 +73,17 @@ class LindbladModel:
         if g.shape != (len(self.jump_ops), len(self.jump_ops)):
             raise ValueError("coupling matrix shape does not match jump operators")
         return g
+
+    def operators(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(H, G, g) sampled at `times`, with shapes (n, dim, dim),
+        (n, n_jump, dim, dim) and (n, n_jump, n_jump): the arguments of
+        `liouvillian`."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        n, m, d = len(times), len(self.jump_ops), self.dim
+        H = np.array([self.hamiltonian(t) for t in times], dtype=complex)
+        G = np.array([[op(t) for op in self.jump_ops] for t in times], dtype=complex)
+        g = np.array([self.rates(t) for t in times], dtype=float)
+        return H, G.reshape(n, m, d, d), g.reshape(n, m, m)
 
     def is_closed(self, times: np.ndarray) -> bool:
         """True if all coupling rates vanish on the sampled times."""
@@ -116,37 +143,24 @@ class OperatorTrajectory:
         return self.samples.shape[1]
 
 
-def lindblad_rhs(model: LindbladModel, t: float, rho: CMatrix) -> CMatrix:
-    """Master-equation right-hand side; traceless by construction."""
-    H = np.asarray(model.hamiltonian(t), dtype=complex)
-    out = -1j * (H @ rho - rho @ H)
-    if model.jump_ops:
-        g = model.rates(t)
-        ops = [np.asarray(G(t), dtype=complex) for G in model.jump_ops]
-        for i, Gi in enumerate(ops):
-            for j, Gj in enumerate(ops):
-                if g[i, j] == 0.0:
-                    continue
-                Gjd = Gj.conj().T
-                sand = Gi @ rho @ Gjd
-                out += g[i, j] * (2.0 * sand - Gjd @ Gi @ rho - rho @ Gjd @ Gi)
-    return out
+def liouvillian(H: np.ndarray, G: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Master-equation superoperator L on row-major vec(rho).
 
-
-def invariant_rhs(model: LindbladModel, t: float, I: CMatrix) -> CMatrix:
-    """Right-hand side of the dynamical-invariant equation (not trace-free)."""
-    H = np.asarray(model.hamiltonian(t), dtype=complex)
-    out = -1j * (H @ I - I @ H)
-    if model.jump_ops:
-        g = model.rates(t)
-        ops = [np.asarray(G(t), dtype=complex) for G in model.jump_ops]
-        for i, Gi in enumerate(ops):
-            for j, Gj in enumerate(ops):
-                if g[i, j] == 0.0:
-                    continue
-                Gjd = Gj.conj().T
-                out += g[i, j] * (Gjd @ (Gi @ I - I @ Gi) + (I @ Gjd - Gjd @ I) @ Gi)
-    return out
+    H (..., d, d), jump operators G (..., m, d, d) and rates g (..., m, m)
+    share their leading (time) axes; returns L (..., d^2, d^2).  The
+    invariant generator is -L^dag.
+    """
+    H = np.asarray(H, dtype=complex)
+    G = np.asarray(G, dtype=complex)
+    d = H.shape[-1]
+    D = np.einsum("...ij,...jba,...ibc->...ac", g, G.conj(), G)
+    eye = np.eye(d)
+    L = (
+        np.einsum("...ac,bd->...abcd", -1j * H - D, eye)
+        + np.einsum("ac,...db->...abcd", eye, 1j * H - D)
+        + 2.0 * np.einsum("...ij,...iac,...jbd->...abcd", g, G, G.conj())
+    )
+    return L.reshape(H.shape[:-2] + (d * d, d * d))
 
 
 def _validate_initial(X0: CMatrix, dim: int, kind: str) -> CMatrix:
@@ -160,12 +174,52 @@ def _validate_initial(X0: CMatrix, dim: int, kind: str) -> CMatrix:
     return 0.5 * (X0 + X0.conj().T)
 
 
-def _rk4_step(rhs, t: float, dt: float, X: CMatrix) -> CMatrix:
-    k1 = rhs(t, X)
-    k2 = rhs(t + 0.5 * dt, X + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, X + 0.5 * dt * k2)
-    k4 = rhs(t + dt, X + dt * k3)
-    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step matrices P_k = 1 + dt/6 (K1 + 2 K2 + 2 K3 + K4) for
+    dx/dt = L(t) x, from generators at the 2n + 1 stage times of n steps."""
+    eye = np.eye(L.shape[-1])
+    K1 = L[:-1:2]
+    K2 = L[1::2] @ (eye + 0.5 * dt * K1)
+    K3 = L[1::2] @ (eye + 0.5 * dt * K2)
+    K4 = L[2::2] @ (eye + dt * K3)
+    return eye + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _integrate(generator, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
+    """Step vec(X) with RK4 on `grid`; generator(stages) returns L at the
+    grid.refined() points selected by the slice `stages`.
+
+    Every step is re-Hermitized.  A density trace drifting by more than
+    TRACE_RTOL is renormalized and flagged; NaN/Inf aborts with the last
+    valid time in the message.
+    """
+    d = X0.shape[0]
+    times = grid.times
+    samples = np.empty((grid.n_steps, d, d), dtype=complex)
+    samples[0] = X = X0
+    max_drift = 0.0
+    for lo in range(0, grid.n_steps - 1, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, grid.n_steps - 1)
+        P = _rk4_matrices(generator(slice(2 * lo, 2 * hi + 1)), grid.dt)
+        for k in range(lo, hi):
+            X = (P[k - lo] @ X.reshape(-1)).reshape(d, d)
+            X = 0.5 * (X + X.conj().T)
+            if not np.all(np.isfinite(X)):
+                raise NumericalError(
+                    f"{kind} propagation produced non-finite values; "
+                    f"last valid time t={times[k]:.6g}"
+                )
+            if kind == "density":
+                tr = np.trace(X).real
+                drift = abs(tr - 1.0)
+                if drift > TRACE_RTOL:
+                    X = X / tr
+                    max_drift = max(max_drift, drift)
+            samples[k + 1] = X
+    flags: list[str] = []
+    if max_drift > 0.0:
+        flags.append(f"density trace renormalized (max drift {max_drift:.3e})")
+    return OperatorTrajectory(grid, samples, kind, flags)
 
 
 def propagate(
@@ -174,43 +228,19 @@ def propagate(
     grid: TimeGrid,
     kind: str = "density",
 ) -> OperatorTrajectory:
-    """Integrate the master equation (kind='density') or the invariant
-    equation (kind='invariant') with fixed-step RK4.
-
-    Every step is re-Hermitized.  A density trace drifting by more than
-    TRACE_RTOL is renormalized and flagged; NaN/Inf aborts with the last
-    valid time in the message.
-    """
+    """Integrate the master equation (kind='density', generator L) or the
+    invariant equation (kind='invariant', generator -L^dag) with fixed-step
+    RK4; see `_integrate` for the per-step checks."""
     if kind not in ("density", "invariant"):
         raise ValueError("propagate handles 'density' or 'invariant' trajectories")
-    rhs = lindblad_rhs if kind == "density" else invariant_rhs
-
     X = _validate_initial(X0, model.dim, kind)
-    times = grid.times
-    dt = grid.dt
-    samples = np.empty((grid.n_steps, model.dim, model.dim), dtype=complex)
-    samples[0] = X
-    flags: list[str] = []
-    max_drift = 0.0
+    stage_times = grid.refined().times
 
-    for k in range(grid.n_steps - 1):
-        X = _rk4_step(lambda t, Y: rhs(model, t, Y), times[k], dt, X)
-        X = 0.5 * (X + X.conj().T)
-        if not np.all(np.isfinite(X)):
-            raise NumericalError(
-                f"propagation produced non-finite values; last valid time t={times[k]:.6g}"
-            )
-        if kind == "density":
-            tr = np.trace(X).real
-            drift = abs(tr - 1.0)
-            if drift > TRACE_RTOL:
-                X = X / tr
-                max_drift = max(max_drift, drift)
-        samples[k + 1] = X
+    def generator(stages: slice) -> np.ndarray:
+        L = liouvillian(*model.operators(stage_times[stages]))
+        return L if kind == "density" else -np.conj(np.swapaxes(L, -1, -2))
 
-    if max_drift > 0.0:
-        flags.append(f"density trace renormalized (max drift {max_drift:.3e})")
-    return OperatorTrajectory(grid, samples, kind, flags)
+    return _integrate(generator, X, grid, kind)
 
 
 def invariant_expectation(
@@ -231,98 +261,6 @@ def invariant_expectation(
     return vals.real
 
 
-@dataclass
-class BasisMatrices:
-    """Generator data of the coefficient equation at one grid time.
-
-    With frame columns V(t) and the model operators H0, G_i, g_ij:
-
-        H      = -V^dag H0 V
-        A      = i V^dag dV/dt   (Hermitized finite difference)
-        D      = sum_ij g_ij V^dag G_j^dag G_i V
-        Lambda = [V^dag G_i V]
-
-    The coefficient matrix c = V^dag rho V then obeys
-
-        dc/dt = i[H + A, c] + sum_ij g_ij 2 Lambda_i c Lambda_j^dag - (D c + c D)
-    """
-
-    H: CMatrix
-    A: CMatrix
-    D: CMatrix
-    Lambda: list[CMatrix]
-
-
-def basis_matrices(model: LindbladModel, frames: "FrameTrajectory", k: int) -> BasisMatrices:
-    """Evaluate the coefficient-equation matrices at grid index k."""
-    V = frames.vectors
-    n = V.shape[0]
-    if not -n <= k < n:
-        raise ValueError(f"grid index {k} out of range for {n} samples")
-    k = k % n
-    t = frames.grid.times[k]
-    Vk = V[k]
-    dV = series_derivative(V, frames.grid.dt)[k] if n >= 3 else None
-    if dV is None:
-        raise ValueError("need at least 3 frame samples to form the connection")
-    A = 1j * Vk.conj().T @ dV
-    A = 0.5 * (A + A.conj().T)
-    H0 = np.asarray(model.hamiltonian(t), dtype=complex)
-    H = -Vk.conj().T @ H0 @ Vk
-    ops = [np.asarray(G(t), dtype=complex) for G in model.jump_ops]
-    Lam = [Vk.conj().T @ G @ Vk for G in ops]
-    D = np.zeros((model.dim, model.dim), dtype=complex)
-    if ops:
-        g = model.rates(t)
-        for i, Gi in enumerate(ops):
-            for j, Gj in enumerate(ops):
-                if g[i, j] != 0.0:
-                    D += g[i, j] * (Vk.conj().T @ Gj.conj().T @ Gi @ Vk)
-    return BasisMatrices(H=H, A=A, D=D, Lambda=Lam)
-
-
-def _coefficient_rhs_tables(
-    model: LindbladModel, frames: "FrameTrajectory"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute (H+A, D, Lambda, rates) on every frame sample."""
-    V = frames.vectors
-    n, dim = V.shape[0], V.shape[1]
-    dV = series_derivative(V, frames.grid.dt)
-    A = 1j * np.einsum("kji,kjl->kil", V.conj(), dV)
-    A = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
-    times = frames.grid.times
-    m = len(model.jump_ops)
-    HA = np.empty((n, dim, dim), dtype=complex)
-    D = np.zeros((n, dim, dim), dtype=complex)
-    Lam = np.zeros((n, m, dim, dim), dtype=complex)
-    g_tab = np.zeros((n, m, m))
-    for k in range(n):
-        Vk = V[k]
-        H0 = np.asarray(model.hamiltonian(times[k]), dtype=complex)
-        HA[k] = -Vk.conj().T @ H0 @ Vk + A[k]
-        if m:
-            g = model.rates(times[k])
-            g_tab[k] = g
-            ops = [np.asarray(G(times[k]), dtype=complex) for G in model.jump_ops]
-            for i, Gi in enumerate(ops):
-                Lam[k, i] = Vk.conj().T @ Gi @ Vk
-                for j, Gj in enumerate(ops):
-                    if g[i, j] != 0.0:
-                        D[k] += g[i, j] * (Vk.conj().T @ Gj.conj().T @ Gi @ Vk)
-    return HA, D, Lam, g_tab
-
-
-def _coefficient_rhs(HA, D, Lam, g, c):
-    out = 1j * (HA @ c - c @ HA)
-    m = Lam.shape[0]
-    for i in range(m):
-        for j in range(m):
-            if g[i, j] != 0.0:
-                out += 2.0 * g[i, j] * (Lam[i] @ c @ Lam[j].conj().T)
-    out -= D @ c + c @ D
-    return out
-
-
 def propagate_coefficients(
     model: LindbladModel,
     frames: "FrameTrajectory",
@@ -331,6 +269,8 @@ def propagate_coefficients(
 ) -> OperatorTrajectory:
     """Integrate the coefficient matrix c = V^dag rho V on `grid`.
 
+    Its generator is `liouvillian` with H0 -> V^dag H0 V - A, where
+    A = i V^dag dV/dt (Hermitized finite difference), and G_i -> V^dag G_i V.
     The frames must be sampled on grid.refined() (a point at every RK4
     half-step), so the moving-basis matrices are available at the stage
     times without interpolation.
@@ -339,23 +279,15 @@ def propagate_coefficients(
     if fine.n_steps != 2 * grid.n_steps - 1 or fine.t0 != grid.t0 or fine.t1 != grid.t1:
         raise ValueError("frames must be sampled on grid.refined()")
     c = _validate_initial(c0, model.dim, "coefficient")
-    HA, D, Lam, g = _coefficient_rhs_tables(model, frames)
+    V = frames.vectors
+    Vh = np.conj(np.swapaxes(V, -1, -2))
+    A = 1j * Vh @ series_derivative(V, fine.dt)
+    A = 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
+    stage_times = fine.times
 
-    dt = grid.dt
-    samples = np.empty((grid.n_steps, model.dim, model.dim), dtype=complex)
-    samples[0] = c
-    for k in range(grid.n_steps - 1):
-        a, mid, b = 2 * k, 2 * k + 1, 2 * k + 2
-        k1 = _coefficient_rhs(HA[a], D[a], Lam[a], g[a], c)
-        k2 = _coefficient_rhs(HA[mid], D[mid], Lam[mid], g[mid], c + 0.5 * dt * k1)
-        k3 = _coefficient_rhs(HA[mid], D[mid], Lam[mid], g[mid], c + 0.5 * dt * k2)
-        k4 = _coefficient_rhs(HA[b], D[b], Lam[b], g[b], c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        c = 0.5 * (c + c.conj().T)
-        if not np.all(np.isfinite(c)):
-            raise NumericalError(
-                f"coefficient propagation produced non-finite values; "
-                f"last valid time t={grid.times[k]:.6g}"
-            )
-        samples[k + 1] = c
-    return OperatorTrajectory(grid, samples, "coefficient", [])
+    def generator(stages: slice) -> np.ndarray:
+        H, G, g = model.operators(stage_times[stages])
+        Vs, Vhs = V[stages], Vh[stages]
+        return liouvillian(Vhs @ H @ Vs - A[stages], Vhs[:, None] @ G @ Vs[:, None], g)
+
+    return _integrate(generator, c, grid, "coefficient")

@@ -140,16 +140,16 @@ def eigen_closed_form(params: TwoLevelDecayParams, grid: TimeGrid) -> TwoLevelEi
             f"normalization denominator {np.min(denom):.3e} "
             "(basis ill-defined near theta0 = 0)"
         )
-    with np.errstate(divide="ignore"):
-        norm = 1.0 / np.sqrt(denom)
-
     w = w0 * t + params.phi0
     off = params.r0 * s * np.exp(-1j * w)
     vectors = np.empty((grid.n_steps, 2, 2), dtype=complex)
-    vectors[:, 0, 0] = norm * f
-    vectors[:, 1, 0] = norm * off
-    vectors[:, 0, 1] = norm * np.conj(off)
-    vectors[:, 1, 1] = -norm * f
+    # a vanishing denominator is reported through `flags`, not as warnings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = 1.0 / np.sqrt(denom)
+        vectors[:, 0, 0] = norm * f
+        vectors[:, 1, 0] = norm * off
+        vectors[:, 0, 1] = norm * np.conj(off)
+        vectors[:, 1, 1] = -norm * f
     return TwoLevelEigenData(grid, lam, f, norm, vectors, flags)
 
 

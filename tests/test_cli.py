@@ -61,7 +61,7 @@ def test_scenario_param_errors_exit_with_config_code(tmp_path, capsys):
     assert "tempo" in capsys.readouterr().err
 
 
-def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys):
+def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nope.json"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -69,6 +69,29 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys)
     garbled.write_text("{scenario:")
     assert cli.main(["run", "--config", str(garbled), "--out", str(tmp_path / "o")]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+    def exits_with_one_line(path, needle):
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert needle in err
+
+    malformed = [
+        ({"seed": "abc"}, "invalid seed"),
+        ({"params": {"theta0": "x"}}, "invalid params"),
+        ({"grid": [0, 6.28, 200]}, "invalid grid"),
+        (
+            {
+                "scenario": "two_level_decay", "params": {"theta0": 0.0},
+                "frame_source": "analytic", "grid": _grid(101),
+            },
+            "normalization denominator",
+        ),
+    ]
+    for i, (overrides, needle) in enumerate(malformed):
+        exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
+    monkeypatch.setenv("HKIT_SEED", "seven")
+    exits_with_one_line(_write_config(tmp_path), "invalid HKIT_SEED")
 
 
 def test_numerical_failures_exit_with_their_own_code(tmp_path, capsys, monkeypatch):
@@ -192,6 +215,15 @@ def test_synthetic_rotation_run_uses_the_complete_frame(tmp_path):
     assert payload["case_tag"] == "general"
     # a complete frame transports trivially (up to discretization)
     assert np.max(np.abs(np.array(payload["eigenphases"]))) < 1e-4
+
+
+def test_each_flag_is_reported_once(tmp_path):
+    cfg = _write_config(tmp_path, scenario="synthetic_rotation", params={}, grid=_grid(40))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    flags = json.loads((out / "holonomy.json").read_text())["metadata"]["flags"]
+    assert sum("connection hermiticity deviation" in f for f in flags) == 1
+    assert (out / "report.txt").read_text().count("connection hermiticity deviation") == 1
 
 
 def test_sweep_traces_the_adiabatic_phase_curve(tmp_path):

@@ -70,23 +70,66 @@ def test_operator_trajectory_validation():
         OperatorTrajectory(grid, samples[:3], "density")
 
 
-def test_lindblad_rhs_is_traceless_and_hermiticity_preserving():
+def _apply(L, X):
+    return (L @ X.reshape(-1)).reshape(X.shape)
+
+
+def test_liouvillian_is_traceless_and_hermiticity_preserving():
     rng = np.random.default_rng(3)
-    model = models.two_level_model(_decay(gamma=0.4, theta0=1.0))
-    for _ in range(20):
-        G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = 0.5 * (G + G.conj().T)
-        out = dynamics.lindblad_rhs(model, rng.uniform(0.0, 3.0), rho)
-        assert abs(np.trace(out)) < 1e-14
-        assert herm_defect(out) < 1e-14
+    for gamma in (0.0, 0.4):  # without and with the jump operator
+        model = models.two_level_model(_decay(gamma=gamma, theta0=1.0))
+        for _ in range(20):
+            G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = 0.5 * (G + G.conj().T)
+            L = dynamics.liouvillian(*model.operators(rng.uniform(0.0, 3.0)))[0]
+            out = _apply(L, rho)
+            assert abs(np.trace(out)) < 1e-14
+            assert herm_defect(out) < 1e-14
 
 
-def test_invariant_rhs_reduces_to_commutator_when_closed():
+def test_liouvillian_matches_the_master_and_invariant_equations():
+    """Batched L on row-major vec(rho) reproduces the commutator forms of
+    both equations for several jump operators and off-diagonal rates, and
+    d/dt Tr[I rho] vanishes."""
+    rng = np.random.default_rng(11)
+    d, m, n = 3, 2, 4
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    H = cplx(n, d, d)
+    H = H + np.conj(np.swapaxes(H, -1, -2))
+    G = cplx(n, m, d, d)
+    g = rng.uniform(0.0, 1.0, size=(n, m, m))
+    g = g + np.swapaxes(g, -1, -2)
+    L = dynamics.liouvillian(H, G, g)
+    assert L.shape == (n, d * d, d * d)
+    rho, I = H[0] / 7.0, H[1] / 5.0
+    for k in range(n):
+        Gd = [Gi.conj().T for Gi in G[k]]
+        drho = -1j * (H[k] @ rho - rho @ H[k])
+        dI = -1j * (H[k] @ I - I @ H[k])
+        for i in range(m):
+            for j in range(m):
+                drho += g[k, i, j] * (
+                    2.0 * G[k, i] @ rho @ Gd[j] - Gd[j] @ G[k, i] @ rho - rho @ Gd[j] @ G[k, i]
+                )
+                dI += g[k, i, j] * (
+                    Gd[j] @ (G[k, i] @ I - I @ G[k, i]) + (I @ Gd[j] - Gd[j] @ I) @ G[k, i]
+                )
+        assert np.max(np.abs(_apply(L[k], rho) - drho)) < 1e-12
+        assert np.max(np.abs(_apply(-L[k].conj().T, I) - dI)) < 1e-12
+        rate = np.trace(_apply(-L[k].conj().T, I) @ rho) + np.trace(I @ _apply(L[k], rho))
+        assert abs(rate) < 1e-12
+
+
+def test_invariant_generator_reduces_to_commutator_when_closed():
     model = models.two_level_model(_decay(gamma=0.0))
     I = np.array([[0.2, 0.3 - 0.1j], [0.3 + 0.1j, -0.2]])
     H = model.hamiltonian(0.0)
     expect = -1j * (H @ I - I @ H)
-    got = dynamics.invariant_rhs(model, 0.7, I)
+    L = dynamics.liouvillian(*model.operators(0.7))[0]
+    got = _apply(-L.conj().T, I)
     assert np.max(np.abs(got - expect)) < 1e-15
 
 
@@ -142,9 +185,11 @@ def test_propagate_aborts_on_overflow_with_last_valid_time():
 
 def test_trace_drift_is_renormalized_and_flagged(monkeypatch):
     model = models.two_level_model(_decay())
-    orig = dynamics.lindblad_rhs
-    leak = lambda m, t, rho: orig(m, t, rho) + 1e-6 * np.eye(2)
-    monkeypatch.setattr(dynamics, "lindblad_rhs", leak)
+    orig = dynamics.liouvillian
+    # rho -> 1e-6 Tr(rho) 1: a constant 1e-6 * identity leak on unit-trace states
+    vec_one = np.eye(2).reshape(-1)
+    leak = lambda H, G, g: orig(H, G, g) + 1e-6 * np.outer(vec_one, vec_one)
+    monkeypatch.setattr(dynamics, "liouvillian", leak)
     traj = dynamics.propagate(model, np.diag([1.0, 0.0]), TimeGrid(0.0, 1.0, 51))
     assert any("renormalized" in f for f in traj.flags)
     assert abs(np.trace(traj.samples[-1]).real - 1.0) < 1e-12
@@ -173,29 +218,20 @@ def test_invariant_expectation_rejects_imaginary_parts():
         dynamics.invariant_expectation(other, rho)
 
 
-def test_basis_matrices_closed_system_has_pure_diagonal_generator():
-    """With gamma = 0 the moving-basis generator H + A collapses to
-    (omega0/2) diag(1, -1): no off-diagonal coupling, no dissipator."""
+def test_closed_coefficient_propagation_keeps_the_populations():
+    """With gamma = 0 the moving-basis generator H + A on analytic frames is
+    (omega0/2) diag(1, -1) and no dissipator acts: the populations of c stay
+    put and the coherence only turns, c_01(t) = c_01(0) e^{i omega0 t}."""
     params = _decay(gamma=0.0, theta0=2 * np.pi / 3)
     model = models.two_level_model(params)
-    grid = TimeGrid(0.0, 2.0 * np.pi, 4001)
-    fr = models.analytic_frames(params, grid)
-    for k in (0, 1000, 2500, 4000):
-        B = dynamics.basis_matrices(model, fr, k)
-        HA = B.H + B.A
-        assert abs(HA[0, 1]) < 5e-6  # finite-difference error in A only
-        assert HA[0, 0].real == pytest.approx(0.5 * params.omega0, abs=5e-6)
-        assert HA[1, 1].real == pytest.approx(-0.5 * params.omega0, abs=5e-6)
-        assert np.max(np.abs(B.D)) == 0.0
-        assert B.Lambda == []
-
-
-def test_basis_matrices_index_bounds():
-    params = _decay()
-    model = models.two_level_model(params)
-    fr = models.analytic_frames(params, TimeGrid(0.0, 1.0, 5))
-    with pytest.raises(ValueError):
-        dynamics.basis_matrices(model, fr, 7)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 2001)
+    fr = models.analytic_frames(params, grid.refined())
+    c0 = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+    c = dynamics.propagate_coefficients(model, fr, c0, grid).samples
+    pops = np.stack([c[:, 0, 0].real, c[:, 1, 1].real], axis=1)
+    assert np.max(np.abs(pops - [0.7, 0.3])) < 5e-6
+    turned = c0[0, 1] * np.exp(1j * params.omega0 * grid.times)
+    assert np.max(np.abs(c[:, 0, 1] - turned)) < 5e-6
 
 
 def test_coefficient_propagation_requires_refined_frames():
