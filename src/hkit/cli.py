@@ -11,7 +11,7 @@ Subcommands:
   re-run a scenario along one parameter axis, one CSV row per value.
 
 Exit codes: run 0/2/3 (ok / config error / numerical failure),
-verify 0/1, sweep 0/2.  Identical config + seed produce byte-identical
+verify 0/1/2, sweep 0/2.  Identical config + seed produce byte-identical
 CSV/JSON output; the env var HKIT_SEED overrides the config seed.
 """
 from __future__ import annotations
@@ -45,7 +45,11 @@ class ConfigError(ValueError):
 
 
 def _parse_int(name: str, value) -> int:
+    """An integer from a number or a decimal string; bools and non-integral
+    numbers are rejected rather than truncated."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name}: {value!r} is not an integer") from exc
@@ -87,7 +91,7 @@ class ScenarioConfig:
                 raise ConfigError("invalid grid: expected an object with 't1' and 'n_steps'")
             try:
                 grid = TimeGrid(
-                    float(g.get("t0", 0.0)), float(g["t1"]), int(g["n_steps"])
+                    float(g.get("t0", 0.0)), float(g["t1"]), _parse_int("n_steps", g["n_steps"])
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid grid: {exc}") from exc
@@ -251,12 +255,12 @@ def execute(cfg: ScenarioConfig) -> RunResult:
     model, grid, I_traj, rho_traj, frame_traj, case, warnings = builders[cfg.scenario](cfg)
 
     conn = frames.connection(frame_traj)
-    holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case)
-    witness = holonomy.nonabelian_witness(frame_traj, case)
+    holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case, conn)
+    witness = holonomy.nonabelian_witness(holo)
     residual = holonomy.parallel_residual(frame_traj, holonomy.transporter(conn))
     expectation = dynamics.invariant_expectation(I_traj, rho_traj)
     # holo.flags already carries the connection's flags
-    flags = list(I_traj.flags) + list(rho_traj.flags) + list(frame_traj.flags) + list(holo.flags)
+    flags = list(I_traj.flags) + list(rho_traj.flags) + list(holo.flags)
     return RunResult(
         config=cfg, grid=grid, model=model, rho_traj=rho_traj, I_traj=I_traj,
         frames=frame_traj, conn=conn, holo=holo, witness=witness, residual=residual,
@@ -274,17 +278,19 @@ def _write_trajectory(path: Path, res: RunResult) -> None:
         for j in range(dim):
             cols += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
     cols += [f"lam_{i}" for i in range(dim)] + ["expect_I"]
-    lines = [",".join(cols)]
-    times = res.grid.times
-    for k in range(res.grid.n_steps):
-        vals = [times[k]]
-        for i in range(dim):
-            for j in range(dim):
-                z = res.rho_traj.samples[k, i, j]
-                vals += [z.real, z.imag]
-        vals += list(res.frames.eigenvalues[k]) + [res.expectation[k]]
-        lines.append(",".join(FLOAT_FMT % v for v in vals))
-    path.write_text("\n".join(lines) + "\n")
+    n = res.grid.n_steps
+    rho = res.rho_traj.samples.reshape(n, -1)
+    table = np.column_stack([
+        res.grid.times,
+        np.stack([rho.real, rho.imag], axis=-1).reshape(n, -1),
+        res.frames.eigenvalues,
+        res.expectation,
+    ])
+    # one row at a time, so the text of the whole file is never held at once
+    with path.open("w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in table:
+            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
 def _matrix_payload(M: np.ndarray) -> dict:
@@ -551,7 +557,7 @@ def check_gauge_invariance(seed: int | None = None) -> CheckResult:
     from the identity, so covariance is tested on a nontrivial matrix.
     """
     if seed is None:
-        seed = int(os.environ.get("HKIT_SEED", "2024"))
+        seed = _parse_int("HKIT_SEED", os.environ.get("HKIT_SEED", "2024"))
     p = models.TwoLevelDecayParams(omega0=1.0, gamma=1e-3, theta0=2 * np.pi / 3, phi0=0.3)
     grid = TimeGrid(0.0, 2.0 * np.pi, 20001)
     model = models.two_level_model(p)
@@ -800,7 +806,11 @@ def cmd_verify(suite: str) -> int:
     if suite not in SUITES:
         print(f"config error: unknown suite {suite!r}", file=sys.stderr)
         return 2
-    results = [check() for check in SUITES[suite]]
+    try:
+        results = [check() for check in SUITES[suite]]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

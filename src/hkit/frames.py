@@ -6,9 +6,8 @@ together with a fixed degeneracy block structure.  Two gauges appear:
 
 * ``analytic``   - closed-form frames supplied by a model,
 * ``continuity`` - numerically diagonalized frames, with the residual
-  gauge freedom fixed by aligning each sample to its predecessor (phase
-  fixing on nondegenerate levels, polar alignment inside degenerate
-  blocks).
+  gauge freedom fixed by polar-aligning each eigenblock to its predecessor
+  (a phase fix on a nondegenerate level), i.e. discrete parallel transport.
 
 The connection series A(t) = i V^dag dV/dt is the central object consumed
 by the holonomy layer.
@@ -24,8 +23,11 @@ from .matlib import (
     CMatrix,
     NumericalError,
     degeneracy_blocks,
+    degeneracy_joins,
+    ordered_product,
     polar_unitary,
     series_derivative,
+    unitary_exp,
 )
 
 GAUGE_TAGS = ("analytic", "continuity")
@@ -48,7 +50,6 @@ class FrameTrajectory:
     blocks: list[list[int]]
     vectors: np.ndarray  # (n_steps, dim, dim) complex
     gauge_tag: str
-    flags: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.gauge_tag not in GAUGE_TAGS:
@@ -86,81 +87,81 @@ class ConnectionSeries:
     flags: list[str] = field(default_factory=list)
 
 
-def _align_block(prev: CMatrix, new: CMatrix) -> CMatrix:
-    """Rotate the columns of `new` to lie closest to `prev` (polar alignment)."""
-    B = new.conj().T @ prev
-    if B.shape == (1, 1):  # nondegenerate level: pure phase fix
-        mod = abs(B[0, 0])
-        if mod < BLOCK_OVERLAP_MIN:
-            raise NumericalError(
-                f"frame continuity lost: level overlap {mod:.3e} "
-                "(grid too coarse or level crossing)"
-            )
-        return new * (B[0, 0] / mod)
-    sig = np.linalg.svd(B, compute_uv=False)
-    if sig[-1] < BLOCK_OVERLAP_MIN:
+def _check_continuity(overlaps: list[np.ndarray], times: np.ndarray) -> None:
+    """Abort at the first time where a block's neighbour overlap is too small.
+
+    overlaps[b][k - 1] is block b's overlap between samples k and k - 1.  Two
+    rules apply per block: the subspace rule mean(sigma^2) and the smallest
+    singular value sigma_min, both against BLOCK_OVERLAP_MIN.
+    """
+    measures = []
+    for B in overlaps:
+        sig = np.linalg.svd(B, compute_uv=False)
+        measures.append(("subspace overlap mean(sigma^2)", np.mean(sig**2, axis=-1)))
+        measures.append(("block overlap sigma_min", sig[:, -1]))
+    lost = np.array([m < BLOCK_OVERLAP_MIN for _, m in measures])
+    if lost.any():
+        k = int(np.argmax(lost.any(axis=0)))
+        name, m = measures[int(np.argmax(lost[:, k]))]
         raise NumericalError(
-            f"frame continuity lost: block overlap {sig[-1]:.3e} "
+            f"frame continuity lost at t={times[k + 1]:.6g}: {name} {m[k]:.3e} "
             "(grid too coarse or level crossing)"
         )
-    M, _ = polar_unitary(B)
-    return new @ M
 
 
 def eigenframes(I_traj: OperatorTrajectory, deg_tol: float = 1e-8) -> FrameTrajectory:
     """Continuity-gauged eigenframes of a Hermitian operator trajectory.
 
-    Per time: diagonalize (ascending).  Across time, three fixes make the
-    frames smooth: blocks are matched to the previous sample by largest
-    subspace overlap, nondegenerate phases are fixed so successive overlaps
-    are real positive, and degenerate blocks are polar-aligned to their
-    predecessors.  A change in degeneracy block structure aborts and
-    reports the crossing time.
+    All samples are diagonalized (ascending) in one batched call, and each
+    must keep the degeneracy block structure of the first; a change aborts
+    and reports the crossing time.  The residual gauge freedom is fixed by
+    discrete parallel transport: each block is polar-aligned to its
+    predecessor, V_k = R_k polar(R_k^dag V_{k-1}), which makes V_k^dag V_{k-1}
+    Hermitian positive (real positive for a nondegenerate level).  Because
+    polar(X M) = polar(X) M for unitary M, that chain is one ordered product
+    of the raw neighbour overlaps B_k = R_k^dag R_{k-1} of the diagonalizer's
+    vectors R_k:
+
+        V_k = R_k M_k,   M_k = polar(B_k) ... polar(B_1),   M_0 = 1.
+
+    Continuity is lost, and reported with the failing time, where a block's
+    B_k has mean(sigma^2) or sigma_min below BLOCK_OVERLAP_MIN.
     """
     if I_traj.kind not in ("invariant", "density"):
         raise ValueError("eigenframes expects an operator trajectory (invariant/density)")
-    n = I_traj.grid.n_steps
-    dim = I_traj.dim
+    times = I_traj.grid.times
     devs = np.max(np.abs(I_traj.samples - I_traj.samples.conj().transpose(0, 2, 1)), axis=(1, 2))
     if np.max(devs) > 1e-10:
         k = int(np.argmax(devs))
         raise ValueError(f"trajectory sample {k} is not Hermitian ({devs[k]:.3e})")
-    sym = 0.5 * (I_traj.samples + I_traj.samples.conj().transpose(0, 2, 1))
-    eigenvalues, vectors = np.linalg.eigh(sym)
-    blocks_ref: list[list[int]] | None = None
-    flags: list[str] = []
+    eigenvalues, vectors = np.linalg.eigh(
+        0.5 * (I_traj.samples + I_traj.samples.conj().transpose(0, 2, 1))
+    )
 
-    for k in range(n):
-        blocks = degeneracy_blocks(eigenvalues[k], deg_tol)
-        if blocks_ref is None:
-            blocks_ref = blocks
-        elif [len(b) for b in blocks] != [len(b) for b in blocks_ref]:
-            raise NumericalError(
-                f"degeneracy block structure changed at t={I_traj.grid.times[k]:.6g}: "
-                f"{[len(b) for b in blocks_ref]} -> {[len(b) for b in blocks]}"
-            )
-        if k > 0:
-            # Match current blocks to the previous sample's by subspace overlap,
-            # then align within each matched block.
-            prev = vectors[k - 1]
-            V = vectors[k]
-            for prev_b, cur_b in zip(blocks_ref, blocks):
-                ov = np.linalg.norm(prev[:, prev_b].conj().T @ V[:, cur_b])
-                if ov**2 / len(prev_b) < BLOCK_OVERLAP_MIN:
-                    raise NumericalError(
-                        f"frame continuity lost at t={I_traj.grid.times[k]:.6g}: "
-                        f"subspace overlap {ov:.3e}"
-                    )
-                V[:, cur_b] = _align_block(prev[:, prev_b], V[:, cur_b])
+    joins = degeneracy_joins(eigenvalues, deg_tol)
+    changed = np.any(joins != joins[0], axis=1)
+    blocks = degeneracy_blocks(eigenvalues[0], deg_tol)
+    if changed.any():
+        k = int(np.argmax(changed))
+        raise NumericalError(
+            f"degeneracy block structure changed at t={times[k]:.6g}: "
+            f"{[len(b) for b in blocks]} -> "
+            f"{[len(b) for b in degeneracy_blocks(eigenvalues[k], deg_tol)]}"
+        )
 
-    assert blocks_ref is not None
+    # vectors holds the raw R_k until each block is replaced by R_k M_k
+    cols = [slice(b[0], b[-1] + 1) for b in blocks]  # blocks are contiguous runs
+    overlaps = [vectors[1:, :, c].conj().swapaxes(1, 2) @ vectors[:-1, :, c] for c in cols]
+    _check_continuity(overlaps, times)
+    for c, B in zip(cols, overlaps):
+        M, _ = polar_unitary(B)
+        vectors[:, :, c] = vectors[:, :, c] @ ordered_product(M)
     return FrameTrajectory(
         grid=I_traj.grid,
         eigenvalues=eigenvalues,
-        blocks=blocks_ref,
+        blocks=blocks,
         vectors=vectors,
         gauge_tag="continuity",
-        flags=flags,
     )
 
 
@@ -236,7 +237,6 @@ def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
         blocks=[list(b) for b in frames.blocks],
         vectors=np.einsum("kij,kjl->kil", frames.vectors, M),
         gauge_tag=frames.gauge_tag,
-        flags=list(frames.flags),
     )
 
 
@@ -265,8 +265,5 @@ def smooth_random_gauge(
                 G = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
                 G = 0.5 * (G + G.conj().T)
                 theta += (amplitude / m) * wave(2.0 * np.pi * m * s)[:, None, None] * G
-        lam, Q = np.linalg.eigh(theta)
-        M[(slice(None),) + np.ix_(b, b)] = np.einsum(
-            "kij,kj,klj->kil", Q, np.exp(1j * lam), Q.conj()
-        )
+        M[(slice(None),) + np.ix_(b, b)] = unitary_exp(theta)
     return M

@@ -30,10 +30,12 @@ from .frames import ConnectionSeries, FrameTrajectory, connection, overlap
 from .matlib import (
     CMatrix,
     NumericalError,
+    ordered_product,
     polar_unitary,
     principal_phase,
     series_derivative,
     unitary_eigenphases,
+    unitary_exp,
 )
 
 CASE_TAGS = ("general", "t_d", "t_nd", "nt_nd")
@@ -42,7 +44,12 @@ OVERLAP_MODULUS_MIN = 1e-12
 
 @dataclass
 class HolonomyResult:
-    """Phase data of one transport problem at a fixed final time."""
+    """Phase data of one transport problem at a fixed final time.
+
+    ``connection`` holds the case-restricted connection samples and
+    ``factors`` its interval factors exp(i dt (A_k + A_{k+1})/2), the
+    transport data the non-Abelian witness reads.
+    """
 
     O: CMatrix
     U: CMatrix
@@ -51,6 +58,8 @@ class HolonomyResult:
     trace_O: complex
     eigenphases: np.ndarray
     case_tag: str
+    connection: np.ndarray  # (n_steps, dim, dim)
+    factors: np.ndarray  # (n_steps - 1, dim, dim)
     flags: list[str] = field(default_factory=list)
 
 
@@ -83,25 +92,19 @@ def _check_case(blocks: list[list[int]], case_tag: str) -> None:
         raise ValueError("case 'nt_nd' requires a fully nondegenerate spectrum")
 
 
+def interval_factors(A: np.ndarray, dt: float) -> np.ndarray:
+    """Midpoint-rule transport factors exp(i dt (A_k + A_{k+1})/2), one per interval."""
+    return unitary_exp(0.5 * (A[:-1] + A[1:]), dt)
+
+
 def transporter(A_series: ConnectionSeries) -> np.ndarray:
     """Cumulative time-ordered exponential of the connection.
 
-    Per interval the midpoint rule exp(i dt (A_k + A_{k+1})/2) is used and
-    later factors multiply from the left; the result is unitary to machine
-    precision by construction.  Returns the full series, identity first.
+    The ordered product of the interval factors, later factors on the left;
+    the result is unitary to machine precision by construction.  Returns
+    the full series, identity first.
     """
-    A = A_series.samples
-    n, dim = A.shape[0], A.shape[1]
-    dt = A_series.grid.dt
-    mid = 0.5 * (A[:-1] + A[1:])
-    lam, V = np.linalg.eigh(mid)
-    phase = np.exp(1j * dt * lam)
-    factors = np.einsum("kij,kj,klj->kil", V, phase, V.conj())
-    out = np.empty((n, dim, dim), dtype=complex)
-    out[0] = np.eye(dim)
-    for k in range(n - 1):
-        out[k + 1] = factors[k] @ out[k]
-    return out
+    return ordered_product(interval_factors(A_series.samples, A_series.grid.dt))
 
 
 def _restricted_polar(
@@ -138,13 +141,17 @@ def _restricted_polar(
 
 
 def geometric_phase(
-    frames: FrameTrajectory, k: int, case_tag: str = "general"
+    frames: FrameTrajectory,
+    k: int,
+    case_tag: str = "general",
+    conn: ConnectionSeries | None = None,
 ) -> HolonomyResult:
     """Holonomy data O(t_k, 0) = U(t_k, 0) @ Vpar(t_k) for one case.
 
-    The connection is case-restricted before building the transporter and
-    the overlap is case-restricted before its polar split, so U and Vpar
-    belong to the same reduced problem and O is unitary.
+    The connection (``conn``, or computed from the frames when omitted) is
+    case-restricted before building the transporter and the overlap is
+    case-restricted before its polar split, so U and Vpar belong to the
+    same reduced problem and O is unitary.
     """
     _check_case(frames.blocks, case_tag)
     n = frames.n_steps
@@ -152,13 +159,11 @@ def geometric_phase(
         raise ValueError(f"grid index {k} out of range for {n} samples")
     k = k % n
 
-    conn = connection(frames)
+    if conn is None:
+        conn = connection(frames)
     A_r = case_restrict(conn.samples, frames.blocks, case_tag)
-    restricted = ConnectionSeries(
-        grid=conn.grid, samples=A_r, herm_deviation=conn.herm_deviation,
-        flags=list(conn.flags),
-    )
-    Vpar = transporter(restricted)[k]
+    factors = interval_factors(A_r, conn.grid.dt)
+    Vpar = ordered_product(factors[:k])[-1]
     W = case_restrict(overlap(frames, k), frames.blocks, case_tag)
     U, R, polar_flags = _restricted_polar(W, frames.blocks, case_tag)
     O = U @ Vpar
@@ -170,6 +175,8 @@ def geometric_phase(
         trace_O=complex(np.trace(O)),
         eigenphases=unitary_eigenphases(O),
         case_tag=case_tag,
+        connection=A_r,
+        factors=factors,
         flags=list(conn.flags) + polar_flags,
     )
 
@@ -211,34 +218,24 @@ def parallel_residual(frames: FrameTrajectory, Vpar_series: np.ndarray) -> float
     return float(np.max(np.abs(res)))
 
 
-def nonabelian_witness(
-    frames: FrameTrajectory, case_tag: str = "general", n_probe: int = 64
-) -> dict[str, float]:
+def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, float]:
     """Two scalar diagnostics of path-ordering sensitivity.
 
     commutator_max: largest ||[A(t_i), A(t_j)]||_max over a probe subsample
-    of the case-restricted connection.  reversal_gap: max-norm difference
-    between the transporter and its reversed-order counterpart at the final
-    time.  Both vanish for Abelian (commuting-connection) transport.
+    of the holonomy's case-restricted connection.  reversal_gap: max-norm
+    difference between the ordered product of its interval factors and the
+    product of the same factors in reversed order, over the whole grid.
+    Both vanish for Abelian (commuting-connection) transport.
     """
-    _check_case(frames.blocks, case_tag)
-    conn = connection(frames)
-    A = case_restrict(conn.samples, frames.blocks, case_tag)
+    A, F = holo.connection, holo.factors
     n = A.shape[0]
-    probe = np.linspace(0, n - 1, min(n, n_probe)).astype(int)
-    comm = 0.0
-    for a in range(len(probe)):
-        Ai = A[probe[a]]
-        for b in range(a + 1, len(probe)):
-            Aj = A[probe[b]]
-            comm = max(comm, float(np.max(np.abs(Ai @ Aj - Aj @ Ai))))
+    P = A[np.linspace(0, n - 1, min(n, n_probe)).astype(int)]
+    AB = np.einsum("aij,bjl->abil", P, P)
+    comm = float(np.max(np.abs(AB - AB.swapaxes(0, 1))))
 
-    restricted = ConnectionSeries(grid=conn.grid, samples=A)
-    forward = transporter(restricted)[-1]
-    # Feeding the time-reversed samples yields the same interval factors
-    # multiplied earliest-leftmost: the opposite ordering convention.
-    reversed_conn = ConnectionSeries(grid=conn.grid, samples=A[::-1].copy())
-    backward = transporter(reversed_conn)[-1]
+    forward = ordered_product(F)[-1]
+    # the same factors multiplied earliest-leftmost: the opposite ordering
+    backward = ordered_product(F[::-1])[-1]
     gap = float(np.max(np.abs(forward - backward)))
     return {"commutator_max": comm, "reversal_gap": gap}
 

@@ -11,8 +11,6 @@ ordering, and branch-cut conventions are decided in exactly one place:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -26,9 +24,14 @@ class NumericalError(RuntimeError):
     """A computation left its domain of validity (NaN, lost rank, ...)."""
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def herm_defect(m: CMatrix) -> float:
-    """Max-norm distance from m to its own Hermitian part."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Max-norm distance from m (or a stack) to its own Hermitian part."""
+    return float(np.max(np.abs(m - _dagger(m))))
 
 
 def unitary_defect(m: CMatrix) -> float:
@@ -39,11 +42,6 @@ def principal_phase(x):
     """Wrap angles to (-pi, pi]; -pi lands on +pi."""
     y = np.mod(np.asarray(x, dtype=float), 2.0 * np.pi)
     return np.where(y > np.pi, y - 2.0 * np.pi, y)
-
-
-def phase_distance(a, b) -> float:
-    """Largest circular distance between paired phase arrays a and b."""
-    return float(np.max(np.abs(principal_phase(np.asarray(a) - np.asarray(b)))))
 
 
 def match_phase_sets(a, b) -> float:
@@ -61,22 +59,15 @@ def match_phase_sets(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
-@dataclass
-class EigenDecomposition:
-    """Ascending eigensystem of a Hermitian matrix with degeneracy blocks.
+def degeneracy_joins(eigenvalues: np.ndarray, deg_tol: float) -> np.ndarray:
+    """The relative gap rule on ascending eigenvalues (or a stack of them).
 
-    ``blocks`` partitions ``range(dim)`` into runs of (near-)degenerate
-    eigenvalues: indices i and i+1 share a block iff
-    ``eigenvalues[i+1] - eigenvalues[i] <= deg_tol * max(1, spectral range)``.
+    Entry i is True where levels i and i+1 share a block:
+    ``lam[i+1] - lam[i] <= deg_tol * max(1, lam[-1] - lam[0])``.
     """
-
-    eigenvalues: np.ndarray
-    vectors: CMatrix
-    blocks: list[list[int]] = field(default_factory=list)
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
+    lam = np.asarray(eigenvalues, dtype=float)
+    scale = np.maximum(1.0, lam[..., -1] - lam[..., 0])
+    return np.diff(lam, axis=-1) <= deg_tol * scale[..., None]
 
 
 def degeneracy_blocks(eigenvalues: np.ndarray, deg_tol: float) -> list[list[int]]:
@@ -84,53 +75,58 @@ def degeneracy_blocks(eigenvalues: np.ndarray, deg_tol: float) -> list[list[int]
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0:
         return []
-    scale = max(1.0, float(lam[-1] - lam[0]))
     blocks: list[list[int]] = [[0]]
-    for i in range(1, lam.size):
-        if lam[i] - lam[i - 1] <= deg_tol * scale:
+    for i, joined in enumerate(degeneracy_joins(lam, deg_tol), start=1):
+        if joined:
             blocks[-1].append(i)
         else:
             blocks.append([i])
     return blocks
 
 
-def hermitian_eig(H: CMatrix, deg_tol: float = 1e-8) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, ascending, with blocks."""
-    H = np.asarray(H, dtype=complex)
-    dev = herm_defect(H)
-    if dev > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
-    return EigenDecomposition(lam, V, degeneracy_blocks(lam, deg_tol))
-
-
 def polar_unitary(W: CMatrix, rank_tol: float = 1e-12) -> tuple[CMatrix, CMatrix]:
-    """Left polar decomposition W = R @ U via SVD.
+    """Left polar decomposition W = R @ U via SVD, of one matrix or a stack.
 
     Returns (U, R) with U = P Q^dag unitary and R = sqrt(W W^dag) Hermitian
-    PSD.  The SVD route stays unitary for rank-deficient input -- the
-    pseudoinverse completion happens automatically; singular values below
-    rank_tol times the largest mark directions where U follows the SVD
-    column convention rather than the data.  Non-finite entries abort.
+    PSD, with the leading axes of W.  The SVD route stays unitary for
+    rank-deficient input -- the pseudoinverse completion happens
+    automatically; singular values below rank_tol times the largest mark
+    directions where U follows the SVD column convention rather than the
+    data.  Non-finite entries abort.
     """
     W = np.asarray(W, dtype=complex)
     if not np.all(np.isfinite(W)):
         raise NumericalError("polar decomposition of non-finite input")
     P, sig, Qh = np.linalg.svd(W)
     U = P @ Qh
-    R = (P * sig) @ P.conj().T
-    R = 0.5 * (R + R.conj().T)
+    R = (P * sig[..., None, :]) @ _dagger(P)
+    R = 0.5 * (R + _dagger(R))
     return U, R
 
 
 def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
-    """exp(i s A) for Hermitian A, via the eigensystem (exactly unitary)."""
+    """exp(i s A) for Hermitian A (or a stack), via the eigensystem (exactly unitary)."""
     A = np.asarray(A, dtype=complex)
     dev = herm_defect(A)
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
-    lam, V = np.linalg.eigh(0.5 * (A + A.conj().T))
-    return (V * np.exp(1j * s * lam)) @ V.conj().T
+    lam, V = np.linalg.eigh(0.5 * (A + _dagger(A)))
+    return (V * np.exp(1j * s * lam)[..., None, :]) @ _dagger(V)
+
+
+def ordered_product(F: np.ndarray) -> np.ndarray:
+    """Cumulative time-ordered product [1, F0, F1 F0, F2 F1 F0, ...].
+
+    Later factors multiply from the left; for n factors of shape (d, d)
+    the result has n + 1 entries, identity first.
+    """
+    F = np.asarray(F)
+    n, dim = F.shape[0], F.shape[-1]
+    out = np.empty((n + 1, dim, dim), dtype=complex)
+    out[0] = np.eye(dim)
+    for k in range(n):
+        out[k + 1] = F[k] @ out[k]
+    return out
 
 
 def series_derivative(samples: np.ndarray, dt: float) -> np.ndarray:

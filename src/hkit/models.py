@@ -164,7 +164,6 @@ def analytic_frames(params: TwoLevelDecayParams, grid: TimeGrid) -> FrameTraject
         blocks=[[0], [1]],
         vectors=data.vectors,
         gauge_tag="analytic",
-        flags=list(data.flags),
     )
 
 

@@ -80,6 +80,10 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         ({"seed": "abc"}, "invalid seed"),
         ({"params": {"theta0": "x"}}, "invalid params"),
         ({"grid": [0, 6.28, 200]}, "invalid grid"),
+        ({"seed": 1.7}, "invalid seed"),
+        ({"seed": True}, "invalid seed"),
+        ({"grid": {"t1": 6.28, "n_steps": 30.9}}, "invalid n_steps"),
+        ({"grid": {"t1": 6.28, "n_steps": True}}, "invalid n_steps"),
         (
             {
                 "scenario": "two_level_decay", "params": {"theta0": 0.0},
@@ -92,6 +96,22 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
     monkeypatch.setenv("HKIT_SEED", "seven")
     exits_with_one_line(_write_config(tmp_path), "invalid HKIT_SEED")
+
+
+def test_integral_numbers_are_accepted_for_integer_fields():
+    cfg = ScenarioConfig.from_dict(
+        {"scenario": "berry_closed", "seed": 5.0, "grid": {"t1": 1.0, "n_steps": 31.0}}
+    )
+    assert (cfg.seed, cfg.grid.n_steps) == (5, 31)
+    assert ScenarioConfig.from_dict({"scenario": "berry_closed", "seed": "12"}).seed == 12
+
+
+def test_verify_maps_a_malformed_seed_to_the_config_code(monkeypatch, capsys):
+    monkeypatch.setenv("HKIT_SEED", "x")
+    assert cli.main(["verify", "--suite", "gauge"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "invalid HKIT_SEED" in captured.err and captured.out == ""
 
 
 def test_numerical_failures_exit_with_their_own_code(tmp_path, capsys, monkeypatch):

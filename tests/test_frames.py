@@ -7,7 +7,7 @@ import pytest
 from hkit import dynamics, frames, models
 from hkit.dynamics import OperatorTrajectory, TimeGrid
 from hkit.frames import FrameTrajectory, eigenframes, gauge_transform
-from hkit.matlib import NumericalError
+from hkit.matlib import NumericalError, polar_unitary
 
 
 def _decay_invariant_traj(params, grid):
@@ -75,17 +75,78 @@ def test_eigenframes_abort_at_a_level_crossing():
         eigenframes(OperatorTrajectory(grid, samples, "invariant"))
 
 
+def _rotated(eigenvalues, plane, angles):
+    """Samples Q(a) diag(eigenvalues) Q(a)^T, Q a rotation by a in `plane`."""
+    i, j = plane
+    out = []
+    for a in angles:
+        Q = np.eye(len(eigenvalues))
+        Q[i, i] = Q[j, j] = np.cos(a)
+        Q[i, j], Q[j, i] = -np.sin(a), np.sin(a)
+        out.append((Q @ np.diag(eigenvalues) @ Q.T).astype(complex))
+    return np.array(out)
+
+
 def test_eigenframes_abort_when_the_grid_is_too_coarse():
-    # quarter-turn per step: successive eigenvectors nearly orthogonal
     grid = TimeGrid(0.0, 1.0, 3)
-    samples = np.array(
-        [
-            models.synthetic_rotation_invariant(np.pi, 1.0, 2.0, t)
-            for t in grid.times
-        ]
-    )
-    with pytest.raises(NumericalError, match="continuity lost"):
-        eigenframes(OperatorTrajectory(grid, samples, "invariant"))
+    coarse = [
+        # quarter-turn per step: successive eigenvectors nearly orthogonal
+        np.array(
+            [models.synthetic_rotation_invariant(np.pi, 1.0, 2.0, t) for t in grid.times]
+        ),
+        # nondegenerate levels with per-step overlap 0.2: only the subspace
+        # rule mean(sigma^2) < BLOCK_OVERLAP_MIN catches it
+        _rotated([1.0, 2.0], (0, 1), [0.0, np.arccos(0.2), 2.0 * np.arccos(0.2)]),
+        # a 2-fold block rotated out of itself (sigma = 1, cos 1.5): only the
+        # sigma_min rule catches it
+        _rotated([1.0, 1.0, 3.0, 3.0], (1, 2), [0.0, 1.5, 3.0]),
+    ]
+    for samples in coarse:
+        with pytest.raises(NumericalError, match="continuity lost"):
+            eigenframes(OperatorTrajectory(grid, samples, "invariant"))
+
+
+def test_continuity_loss_reports_the_first_failing_time():
+    grid = TimeGrid(0.0, 5.0, 6)
+    for eigenvalues, plane, jump in (
+        ([1.0, 2.0], (0, 1), np.arccos(0.2)),
+        ([1.0, 1.0, 3.0, 3.0], (1, 2), 1.5),
+    ):
+        angles = [0.0, 0.01, 0.02, 0.02 + jump, 0.02 + 2.0 * jump, 0.03 + 2.0 * jump]
+        samples = _rotated(eigenvalues, plane, angles)
+        with pytest.raises(NumericalError, match=r"continuity lost at t=3:"):
+            eigenframes(OperatorTrajectory(grid, samples, "invariant"))
+
+
+def test_tripod_continuity_gauge_makes_neighbour_overlaps_hermitian_positive():
+    """Polar alignment leaves V_k^dag V_{k-1} Hermitian positive inside each
+    block, the discrete parallel-transport condition."""
+    model = models.wilczek_zee_demo(rabi=1.3, duration=1500.0)
+    grid = TimeGrid(0.0, 1500.0, 2001)
+    fr = eigenframes(models.adiabatic_invariant_trajectory(model, grid))
+    assert [len(b) for b in fr.blocks] == [1, 2, 1]
+    for b in fr.blocks:
+        V = fr.vectors[:, :, b]
+        B = V[1:].conj().swapaxes(1, 2) @ V[:-1]
+        assert np.max(np.abs(B - B.conj().swapaxes(1, 2))) < 1e-12
+        assert np.min(np.linalg.eigvalsh(0.5 * (B + B.conj().swapaxes(1, 2)))) > 0.0
+
+
+def test_continuity_gauge_matches_sample_by_sample_polar_alignment():
+    """Reference loop: align each block of the diagonalizer's vectors to the
+    already aligned predecessor, V_k = R_k polar(R_k^dag V_{k-1})."""
+    model = models.wilczek_zee_demo(rabi=1.3, duration=1500.0)
+    tripod = models.adiabatic_invariant_trajectory(model, TimeGrid(0.0, 1500.0, 2001))
+    decay = _decay_invariant_traj(_params(), TimeGrid(0.0, 2.0 * np.pi, 801))
+    for traj in (tripod, decay):
+        fr = eigenframes(traj)
+        _, R = np.linalg.eigh(traj.samples)
+        V = R.copy()
+        for k in range(1, traj.grid.n_steps):
+            for b in fr.blocks:
+                U, _ = polar_unitary(R[k][:, b].conj().T @ V[k - 1][:, b])
+                V[k][:, b] = R[k][:, b] @ U
+        assert np.max(np.abs(fr.vectors - V)) < 1e-12
 
 
 def test_continuity_gauge_jumps_shrink_linearly_with_the_step():

@@ -173,13 +173,37 @@ def test_parallel_residual_flags_untransported_frames():
 def test_witness_vanishes_for_diagonal_transport():
     params = _params(gamma=0.0)
     fr = models.analytic_frames(params, TimeGrid(0.0, 2.0 * np.pi, 1001))
-    w = holonomy.nonabelian_witness(fr, "nt_nd")
+    w = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "nt_nd"))
     assert w["commutator_max"] < 1e-12
     assert w["reversal_gap"] < 1e-12
     # keeping the off-diagonal connection turns both diagnostics on
-    full = holonomy.nonabelian_witness(fr, "t_nd")
+    full = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "t_nd"))
     assert full["commutator_max"] > 1e-3
     assert full["reversal_gap"] > 1e-6
+
+
+def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
+    """Reference loops: commutators over every probe pair, and the reversed
+    ordering as the transporter of the time-reversed samples."""
+    rng = np.random.default_rng(5)
+    n = 40
+    grid = TimeGrid(0.0, 1.0, n)
+    G = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    A = 0.5 * (G + G.conj().swapaxes(1, 2))
+    fr = FrameTrajectory(
+        grid, np.tile([0.0, 1.0, 2.0], (n, 1)), [[0], [1], [2]],
+        np.stack([np.eye(3, dtype=complex)] * n), "analytic",
+    )
+    holo = holonomy.geometric_phase(fr, -1, "general", ConnectionSeries(grid, A))
+    w = holonomy.nonabelian_witness(holo, n_probe=n)
+    comm = max(
+        np.max(np.abs(A[i] @ A[j] - A[j] @ A[i])) for i in range(n) for j in range(i + 1, n)
+    )
+    assert abs(w["commutator_max"] - comm) < 1e-13
+    forward = holonomy.transporter(ConnectionSeries(grid, A))[-1]
+    backward = holonomy.transporter(ConnectionSeries(grid, A[::-1].copy()))[-1]
+    assert w["reversal_gap"] == np.max(np.abs(forward - backward))
+    assert np.array_equal(holo.Vpar, forward)
 
 
 def test_block_solution_matches_the_scalar_closed_form():

@@ -32,12 +32,6 @@ def test_principal_phase_wraps_into_half_open_interval():
     assert np.allclose(np.exp(1j * w), np.exp(1j * x), atol=1e-12)
 
 
-def test_phase_distance_is_circular():
-    assert matlib.phase_distance(np.pi - 0.01, -np.pi + 0.01) == pytest.approx(0.02)
-    assert matlib.phase_distance(0.3, 0.3) == 0.0
-    assert matlib.phase_distance(0.0, np.pi) == pytest.approx(np.pi)
-
-
 def test_match_phase_sets_handles_the_branch_seam():
     a = np.array([-np.pi + 1e-9, 0.5])
     b = np.array([np.pi, 0.5])
@@ -58,18 +52,6 @@ def test_degeneracy_blocks_groups_close_eigenvalues():
     assert matlib.degeneracy_blocks(np.array([0.0, 1.0]), 1e-8) == [[0], [1]]
 
 
-def test_hermitian_eig_reconstructs_and_validates():
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 5):
-        H = _random_hermitian(rng, n)
-        dec = matlib.hermitian_eig(H)
-        recon = dec.vectors @ np.diag(dec.eigenvalues) @ dec.vectors.conj().T
-        assert np.max(np.abs(recon - H)) < 1e-12
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-    with pytest.raises(ValueError):
-        matlib.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_polar_unitary_factors_random_matrices():
     rng = np.random.default_rng(11)
     for n in (1, 2, 4):
@@ -80,6 +62,18 @@ def test_polar_unitary_factors_random_matrices():
             assert matlib.herm_defect(R) < 1e-12
             assert np.min(np.linalg.eigvalsh(0.5 * (R + R.conj().T))) > 0
             assert np.max(np.abs(R @ U - W)) < 1e-12
+
+
+def test_polar_unitary_of_a_stack_matches_the_loop():
+    rng = np.random.default_rng(12)
+    for n in (1, 3):
+        W = np.stack([_random_complex(rng, n) + 3.0 * np.eye(n) for _ in range(6)])
+        U, R = matlib.polar_unitary(W.reshape(2, 3, n, n))
+        assert U.shape == R.shape == (2, 3, n, n)
+        for i, Wi in enumerate(W):
+            Ui, Ri = matlib.polar_unitary(Wi)
+            assert np.max(np.abs(U.reshape(W.shape)[i] - Ui)) < 1e-14
+            assert np.max(np.abs(R.reshape(W.shape)[i] - Ri)) < 1e-14
 
 
 def test_polar_unitary_of_a_unitary_is_itself():
@@ -110,6 +104,29 @@ def test_unitary_exp_matches_dense_expm():
     A = _random_hermitian(rng, 4)
     for s in (1.0, -0.25, 0.001):
         assert np.max(np.abs(matlib.unitary_exp(A, s) - expm(1j * s * A))) < 1e-12
+
+
+def test_unitary_exp_of_a_stack_matches_the_loop():
+    rng = np.random.default_rng(19)
+    A = np.stack([_random_hermitian(rng, 3) for _ in range(5)])
+    E = matlib.unitary_exp(A, 0.7)
+    assert E.shape == A.shape
+    for Ai, Ei in zip(A, E):
+        assert np.max(np.abs(Ei - matlib.unitary_exp(Ai, 0.7))) < 1e-14
+    bad = A.copy()
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matlib.unitary_exp(bad)
+
+
+def test_ordered_product_puts_later_factors_on_the_left():
+    rng = np.random.default_rng(29)
+    F = np.stack([_random_unitary(rng, 2) for _ in range(4)])
+    P = matlib.ordered_product(F)
+    assert P.shape == (5, 2, 2)
+    assert np.array_equal(P[0], np.eye(2))
+    assert np.max(np.abs(P[-1] - F[3] @ F[2] @ F[1] @ F[0])) < 1e-14
+    assert np.array_equal(matlib.ordered_product(F[:0]), np.eye(2)[None])
 
 
 def test_series_derivative_exact_on_quadratics():
