@@ -755,9 +755,10 @@ def check_noncyclic_consistency() -> CheckResult:
     model = models.two_level_model(p)
     I_traj = dynamics.propagate(model, models.chi_closed_form(p, 0.0), grid, kind="invariant")
     fr = frames.eigenframes(I_traj)
-    res = holonomy.geometric_phase(fr, grid.n_steps - 1, "nt_nd")
+    conn = frames.connection(fr)
+    res = holonomy.geometric_phase(fr, grid.n_steps - 1, "nt_nd", conn)
     phis = np.array(
-        [holonomy.noncyclic_abelian_gp(fr, lvl, grid.n_steps - 1) for lvl in range(2)]
+        [holonomy.noncyclic_abelian_gp(fr, lvl, grid.n_steps - 1, conn) for lvl in range(2)]
     )
     err = matlib.match_phase_sets(np.sort(phis), res.eigenphases)
     return CheckResult(

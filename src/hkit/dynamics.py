@@ -24,8 +24,10 @@ which keeps Tr[I(t) rho(t)] constant along any solution of the master
 equation.  The coefficients c = V^dag rho V in a moving orthonormal basis
 V(t) obey the master equation again, with H0 -> V^dag H0 V - A,
 A = i V^dag dV/dt, and G_i -> V^dag G_i V.  All three are integrated by one
-fixed-step RK4 stepper for dx/dt = L(t) x and re-Hermitized after every
-step.
+fixed-step RK4 stepper for dx/dt = L(t) x, whose stored samples are
+Hermitized chunk by chunk: L, -L^dag and the RK4 step polynomial all commute
+with the adjoint, so the anti-Hermitian rounding never feeds the Hermitian
+part.
 """
 from __future__ import annotations
 
@@ -66,14 +68,6 @@ class LindbladModel:
         if self.jump_ops and self.couplings is None:
             raise ValueError("jump operators given without coupling rates")
 
-    def rates(self, t: float) -> np.ndarray:
-        if self.couplings is None:
-            return np.zeros((0, 0))
-        g = np.asarray(self.couplings(t), dtype=float)
-        if g.shape != (len(self.jump_ops), len(self.jump_ops)):
-            raise ValueError("coupling matrix shape does not match jump operators")
-        return g
-
     def operators(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, G, g) sampled at `times`, with shapes (n, dim, dim),
         (n, n_jump, dim, dim) and (n, n_jump, n_jump): the arguments of
@@ -81,15 +75,18 @@ class LindbladModel:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         n, m, d = len(times), len(self.jump_ops), self.dim
         H = np.array([self.hamiltonian(t) for t in times], dtype=complex)
-        G = np.array([[op(t) for op in self.jump_ops] for t in times], dtype=complex)
-        g = np.array([self.rates(t) for t in times], dtype=float)
-        return H, G.reshape(n, m, d, d), g.reshape(n, m, m)
+        G = np.array([op(t) for t in times for op in self.jump_ops], dtype=complex)
+        if self.couplings is None:
+            g = np.zeros((n, 0, 0))
+        else:
+            g = np.array([self.couplings(t) for t in times], dtype=float)
+        if g.shape != (n, m, m):
+            raise ValueError("coupling matrix shape does not match jump operators")
+        return H, G.reshape(n, m, d, d), g
 
     def is_closed(self, times: np.ndarray) -> bool:
         """True if all coupling rates vanish on the sampled times."""
-        if not self.jump_ops:
-            return True
-        return all(np.max(np.abs(self.rates(t))) == 0.0 for t in times)
+        return not self.jump_ops or not np.any(self.operators(times)[2])
 
 
 @dataclass
@@ -185,37 +182,77 @@ def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def _integrate(generator, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
-    """Step vec(X) with RK4 on `grid`; generator(stages) returns L at the
-    grid.refined() points selected by the slice `stages`.
+def _renormalize_traces(block: np.ndarray, max_drift: float) -> float:
+    """Renormalize a chunk of raw density samples, stepped without
+    renormalization from a unit-trace start, as if each step had been
+    renormalized whenever its trace drifted by more than TRACE_RTOL.
 
-    Every step is re-Hermitized.  A density trace drifting by more than
-    TRACE_RTOL is renormalized and flagged; NaN/Inf aborts with the last
-    valid time in the message.
+    By linearity the renormalized sample is the raw sample over the raw
+    trace at the last renormalization; the scalar scan runs only when some
+    drift exceeds TRACE_RTOL.  Returns the updated max drift.
+    """
+    tr = np.trace(block, axis1=-2, axis2=-1).real
+    if not np.max(np.abs(tr - 1.0)) > TRACE_RTOL:
+        return max_drift
+    scale = np.empty_like(tr)
+    s = 1.0
+    for j, t in enumerate(tr):
+        drift = abs(t / s - 1.0)
+        if drift > TRACE_RTOL:
+            s = t
+            max_drift = max(max_drift, drift)
+        scale[j] = s
+    block /= scale[:, None, None]
+    return max_drift
+
+
+def _integrate(inputs, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
+    """Step vec(X) with RK4 on `grid`; inputs(stages) returns the
+    `liouvillian` arguments (H, G, g) at the grid.refined() points selected
+    by the slice `stages`.  The generator is L, or -L^dag for an invariant.
+
+    Step matrices are formed _CHUNK_STEPS steps at a time, and a chunk whose
+    inputs all equal the first sample's reuses one step matrix.  The inner
+    loop only applies x <- P_k x; each chunk's stored samples are then
+    Hermitized in one pass, which is exact because the step map commutes
+    with the adjoint.  A density trace drifting by more than TRACE_RTOL is
+    renormalized and flagged, as if checked after every step; the first
+    NaN/Inf sample aborts with the last valid time in the message.
     """
     d = X0.shape[0]
     times = grid.times
     samples = np.empty((grid.n_steps, d, d), dtype=complex)
-    samples[0] = X = X0
+    samples[0] = X0
+    flat = samples.reshape(grid.n_steps, d * d)
+
+    def generator(H, G, g):
+        L = liouvillian(H, G, g)
+        return -np.conj(np.swapaxes(L, -1, -2)) if kind == "invariant" else L
+
+    first = inputs(slice(0, 1))
+    P_const = None
     max_drift = 0.0
     for lo in range(0, grid.n_steps - 1, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, grid.n_steps - 1)
-        P = _rk4_matrices(generator(slice(2 * lo, 2 * hi + 1)), grid.dt)
+        chunk = inputs(slice(2 * lo, 2 * hi + 1))
+        if all(np.all(a == a0) for a, a0 in zip(chunk, first)):
+            if P_const is None:
+                P_const = _rk4_matrices(np.repeat(generator(*first), 3, axis=0), grid.dt)
+            P = np.broadcast_to(P_const, (hi - lo,) + P_const.shape[1:])
+        else:
+            P = _rk4_matrices(generator(*chunk), grid.dt)
         for k in range(lo, hi):
-            X = (P[k - lo] @ X.reshape(-1)).reshape(d, d)
-            X = 0.5 * (X + X.conj().T)
-            if not np.all(np.isfinite(X)):
-                raise NumericalError(
-                    f"{kind} propagation produced non-finite values; "
-                    f"last valid time t={times[k]:.6g}"
-                )
-            if kind == "density":
-                tr = np.trace(X).real
-                drift = abs(tr - 1.0)
-                if drift > TRACE_RTOL:
-                    X = X / tr
-                    max_drift = max(max_drift, drift)
-            samples[k + 1] = X
+            np.dot(P[k - lo], flat[k], out=flat[k + 1])
+        block = samples[lo + 1 : hi + 1]
+        block[...] = 0.5 * (block + np.conj(np.swapaxes(block, -1, -2)))
+        if kind == "density":
+            max_drift = _renormalize_traces(block, max_drift)
+        bad = ~np.all(np.isfinite(flat[lo + 1 : hi + 1]), axis=1)
+        if np.any(bad):
+            raise NumericalError(
+                f"{kind} propagation produced non-finite values; "
+                f"last valid time t={times[lo + int(np.argmax(bad))]:.6g}"
+            )
     flags: list[str] = []
     if max_drift > 0.0:
         flags.append(f"density trace renormalized (max drift {max_drift:.3e})")
@@ -230,17 +267,12 @@ def propagate(
 ) -> OperatorTrajectory:
     """Integrate the master equation (kind='density', generator L) or the
     invariant equation (kind='invariant', generator -L^dag) with fixed-step
-    RK4; see `_integrate` for the per-step checks."""
+    RK4; see `_integrate` for the checks on the samples."""
     if kind not in ("density", "invariant"):
         raise ValueError("propagate handles 'density' or 'invariant' trajectories")
     X = _validate_initial(X0, model.dim, kind)
     stage_times = grid.refined().times
-
-    def generator(stages: slice) -> np.ndarray:
-        L = liouvillian(*model.operators(stage_times[stages]))
-        return L if kind == "density" else -np.conj(np.swapaxes(L, -1, -2))
-
-    return _integrate(generator, X, grid, kind)
+    return _integrate(lambda stages: model.operators(stage_times[stages]), X, grid, kind)
 
 
 def invariant_expectation(
@@ -285,9 +317,9 @@ def propagate_coefficients(
     A = 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
     stage_times = fine.times
 
-    def generator(stages: slice) -> np.ndarray:
+    def inputs(stages: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         H, G, g = model.operators(stage_times[stages])
         Vs, Vhs = V[stages], Vh[stages]
-        return liouvillian(Vhs @ H @ Vs - A[stages], Vhs[:, None] @ G @ Vs[:, None], g)
+        return Vhs @ H @ Vs - A[stages], Vhs[:, None] @ G @ Vs[:, None], g
 
-    return _integrate(generator, c, grid, "coefficient")
+    return _integrate(inputs, c, grid, "coefficient")

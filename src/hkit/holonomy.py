@@ -181,12 +181,15 @@ def geometric_phase(
     )
 
 
-def noncyclic_abelian_gp(frames: FrameTrajectory, level: int, k: int) -> float:
+def noncyclic_abelian_gp(
+    frames: FrameTrajectory, level: int, k: int, conn: ConnectionSeries | None = None
+) -> float:
     """Noncyclic geometric phase of one nondegenerate level up to t_k.
 
     arg <level;0|level;t_k> plus the integrated diagonal connection
-    (trapezoid rule), wrapped to (-pi, pi].  For a cyclic trajectory the
-    overlap phase drops out and the pure holonomy integral remains.
+    (``conn``, or computed from the frames when omitted; trapezoid rule),
+    wrapped to (-pi, pi].  For a cyclic trajectory the overlap phase drops
+    out and the pure holonomy integral remains.
     """
     n = frames.n_steps
     if not 0 <= level < frames.dim:
@@ -197,7 +200,9 @@ def noncyclic_abelian_gp(frames: FrameTrajectory, level: int, k: int) -> float:
     w = overlap(frames, k)[level, level]
     if abs(w) < OVERLAP_MODULUS_MIN:
         raise NumericalError(f"overlap modulus {abs(w):.3e}: noncyclic phase undefined")
-    diag = connection(frames).samples[: k + 1, level, level].real
+    if conn is None:
+        conn = connection(frames)
+    diag = conn.samples[: k + 1, level, level].real
     integral = float(np.trapezoid(diag, dx=frames.grid.dt)) if k > 0 else 0.0
     total = float(np.angle(w)) + integral
     return float(principal_phase(total))
@@ -269,22 +274,17 @@ def dissipative_free_block_solution(
     if c0_block.shape != (len(bl), len(br)):
         raise ValueError(f"initial block must be {len(bl)}x{len(br)}")
 
-    conn = connection(frames)
-    times = frames.grid.times
     V = frames.vectors
-    n = frames.n_steps
+    Vh = np.conj(np.swapaxes(V, -1, -2))
+    H0 = model.operators(frames.grid.times)[0]
+    gen = connection(frames).samples - Vh @ H0 @ V
+    gen = 0.5 * (gen + np.conj(np.swapaxes(gen, -1, -2)))
 
-    def block_generator(idx):
-        sub = np.ix_(idx, idx)
-        gen = np.empty((n, len(idx), len(idx)), dtype=complex)
-        for j in range(n):
-            H0 = np.asarray(model.hamiltonian(times[j]), dtype=complex)
-            Hm = -V[j].conj().T @ H0 @ V[j]
-            gen[j] = Hm[sub] + conn.samples[j][sub]
-            gen[j] = 0.5 * (gen[j] + gen[j].conj().T)
-        return gen
+    def block_transporter(idx):
+        block = gen[(slice(None),) + np.ix_(idx, idx)]
+        return transporter(ConnectionSeries(grid=frames.grid, samples=block))
 
-    E_left = transporter(ConnectionSeries(grid=frames.grid, samples=block_generator(bl)))
-    E_right = transporter(ConnectionSeries(grid=frames.grid, samples=block_generator(br)))
+    E_left = block_transporter(bl)
+    E_right = block_transporter(br)
     out = np.einsum("kij,jl,kml->kim", E_left, c0_block, E_right.conj())
     return out

@@ -3,12 +3,15 @@ codes, artifact formats, and the sweep/verify protocols."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hkit
 from hkit import cli, matlib, models
 from hkit.cli import CheckResult, ConfigError, ScenarioConfig
 from hkit.matlib import NumericalError
@@ -337,10 +340,13 @@ def test_verify_prints_one_line_per_check(monkeypatch, capsys):
 def test_console_entry_point_smoke(tmp_path):
     cfg = _write_config(tmp_path, grid=_grid(301))
     out = tmp_path / "out"
+    # the child imports the same hkit as this test, installed or not
+    path = [str(Path(hkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "hkit.cli", "run", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0, proc.stderr
     for name in ("trajectory.csv", "holonomy.json", "report.txt"):

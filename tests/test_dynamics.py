@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hkit import dynamics, frames, models
+from hkit.cli import WZ_LOOPS
 from hkit.dynamics import LindbladModel, OperatorTrajectory, TimeGrid
 from hkit.matlib import NumericalError, herm_defect
 
@@ -50,8 +51,8 @@ def test_model_validation():
         jump_ops=[lambda t: np.eye(2)],
         couplings=lambda t: np.zeros((2, 2)),
     )
-    with pytest.raises(ValueError):
-        bad.rates(0.0)
+    with pytest.raises(ValueError, match="coupling matrix shape"):
+        bad.operators([0.0, 0.5])
 
 
 def test_is_closed_tracks_the_rates():
@@ -173,23 +174,130 @@ def test_propagate_rejects_bad_initial_operators():
         dynamics.propagate(model, np.eye(2) / 2.0, grid, kind="coefficient")
 
 
+def _stepwise_propagate(model, X0, grid, kind="density"):
+    """Reference stepper: L at every stage time, and every step Hermitized,
+    checked for finiteness and, for a density, renormalized when its trace
+    drifts by more than TRACE_RTOL.  Returns (samples, max drift)."""
+    d = model.dim
+    L = dynamics.liouvillian(*model.operators(grid.refined().times))
+    if kind == "invariant":
+        L = -np.conj(np.swapaxes(L, -1, -2))
+    X = np.asarray(X0, dtype=complex)
+    samples, max_drift = [X], 0.0
+    for k, P in enumerate(dynamics._rk4_matrices(L, grid.dt)):
+        X = (P @ X.reshape(-1)).reshape(d, d)
+        X = 0.5 * (X + X.conj().T)
+        if not np.all(np.isfinite(X)):
+            raise NumericalError(
+                f"{kind} propagation produced non-finite values; "
+                f"last valid time t={grid.times[k]:.6g}"
+            )
+        if kind == "density":
+            tr = np.trace(X).real
+            drift = abs(tr - 1.0)
+            if drift > dynamics.TRACE_RTOL:
+                X = X / tr
+                max_drift = max(max_drift, drift)
+        samples.append(X)
+    return np.array(samples), max_drift
+
+
+def _switched_model(switch_t, which):
+    """Decay model whose H, jump operator or rate (`which` is "H", "G" or
+    "g") changes at t >= switch_t."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    on = lambda t, name: float(which == name and t >= switch_t)
+    return LindbladModel(
+        dim=2,
+        hamiltonian=lambda t: 0.5 * models.SIGMA_Z + 0.3 * on(t, "H") * sx,
+        jump_ops=[lambda t: models.SIGMA_MINUS + 0.2 * on(t, "G") * sx],
+        couplings=lambda t: np.array([[0.1 + 0.3 * on(t, "g")]]),
+    )
+
+
+def test_tripod_density_matches_the_stepwise_reference():
+    """Time-dependent H: a fresh step matrix per step, per-chunk checks."""
+    duration = 1500.0
+    model = models.wilczek_zee_demo(rabi=1.3, loop=WZ_LOOPS["b"], duration=duration)
+    grid = TimeGrid(0.0, duration, 2001)
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = M @ M.conj().T
+    rho0 /= np.trace(rho0).real
+    ref, _ = _stepwise_propagate(model, rho0, grid)
+    got = dynamics.propagate(model, rho0, grid).samples
+    assert np.max(np.abs(got - ref)) < 1e-12
+    assert max(herm_defect(x) for x in got) == 0.0
+
+
+@pytest.mark.parametrize("which", ["H", "G", "g"])
+def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
+    """Each input in turn is constant for the first 200 steps and changes
+    afterwards, inside the second chunk: only the constant steps may share
+    the first sample's step matrix."""
+    grid = TimeGrid(0.0, 4.0, 401)
+    assert dynamics._CHUNK_STEPS < 200 < 2 * dynamics._CHUNK_STEPS
+    model = _switched_model(grid.times[200], which)
+    rho0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+    I0 = np.array([[0.5, 0.1j], [-0.1j, -0.5]])
+    for kind, X0 in (("density", rho0), ("invariant", I0)):
+        ref, _ = _stepwise_propagate(model, X0, grid, kind)
+        got = dynamics.propagate(model, X0, grid, kind).samples
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_propagate_aborts_on_overflow_with_last_valid_time():
-    blowup = LindbladModel(
-        dim=2, hamiltonian=lambda t: 1e200 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
-    grid = TimeGrid(0.0, 1.0, 11)
-    with pytest.raises(NumericalError, match="last valid time"):
-        dynamics.propagate(blowup, np.diag([1.0, 0.0]), grid)
+    """The 301-step grid overflows from t = 0.7 on, in its second chunk."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rho0 = np.diag([1.0, 0.0])
+    for n_steps, onset in ((11, 0.0), (301, 0.7)):
+        blowup = LindbladModel(dim=2, hamiltonian=lambda t: (1e200 if t >= onset else 1.0) * sx)
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        with pytest.raises(NumericalError, match="last valid time") as ref:
+            _stepwise_propagate(blowup, rho0, grid)
+        with pytest.raises(NumericalError, match="last valid time") as got:
+            dynamics.propagate(blowup, rho0, grid)
+        assert str(got.value) == str(ref.value)
+
+
+def _leak(monkeypatch, rate):
+    """Add rho -> rate Tr(rho) 1 to the Liouvillian: a constant rate * identity
+    leak on unit-trace states."""
+    orig = dynamics.liouvillian
+    vec_one = np.eye(2).reshape(-1)
+    leak = lambda H, G, g: orig(H, G, g) + rate * np.outer(vec_one, vec_one)
+    monkeypatch.setattr(dynamics, "liouvillian", leak)
+
+
+@pytest.mark.parametrize("rate", [1e-6, 7e-8])
+def test_trace_renormalization_matches_the_stepwise_reference(monkeypatch, rate):
+    """Over four chunks, renormalizing every step (1e-6, drift 5e-9 a step)
+    or every third step (7e-8, drift 3.5e-10 a step, so 1.05e-9 after three,
+    clear of TRACE_RTOL where rounding would decide) gives the reference's
+    samples and max drift."""
+    _leak(monkeypatch, rate)
+    drifts = []
+    renormalize = dynamics._renormalize_traces
+
+    def recorded(block, max_drift):
+        drifts.append(renormalize(block, max_drift))
+        return drifts[-1]
+    monkeypatch.setattr(dynamics, "_renormalize_traces", recorded)
+    model = models.two_level_model(_decay(gamma=0.2, theta0=1.0))
+    grid = TimeGrid(0.0, 1.0, 401)
+    rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+    ref, ref_drift = _stepwise_propagate(model, rho0, grid)
+    traj = dynamics.propagate(model, rho0, grid)
+    assert np.max(np.abs(traj.samples - ref)) < 1e-12
+    assert len(drifts) == 4 and ref_drift > dynamics.TRACE_RTOL
+    assert abs(drifts[-1] - ref_drift) <= 1e-12 * ref_drift
+    assert traj.flags == [f"density trace renormalized (max drift {ref_drift:.3e})"]
 
 
 def test_trace_drift_is_renormalized_and_flagged(monkeypatch):
     model = models.two_level_model(_decay())
-    orig = dynamics.liouvillian
-    # rho -> 1e-6 Tr(rho) 1: a constant 1e-6 * identity leak on unit-trace states
-    vec_one = np.eye(2).reshape(-1)
-    leak = lambda H, G, g: orig(H, G, g) + 1e-6 * np.outer(vec_one, vec_one)
-    monkeypatch.setattr(dynamics, "liouvillian", leak)
+    _leak(monkeypatch, 1e-6)
     traj = dynamics.propagate(model, np.diag([1.0, 0.0]), TimeGrid(0.0, 1.0, 51))
     assert any("renormalized" in f for f in traj.flags)
     assert abs(np.trace(traj.samples[-1]).real - 1.0) < 1e-12

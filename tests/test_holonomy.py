@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from hkit import dynamics, frames, holonomy, models
+from hkit.cli import WZ_LOOPS
 from hkit.dynamics import TimeGrid
 from hkit.frames import ConnectionSeries, FrameTrajectory
 from hkit.matlib import NumericalError, match_phase_sets
@@ -142,10 +143,13 @@ def test_noncyclic_phase_agrees_with_the_cyclic_limit():
     fr = models.analytic_frames(params, grid)
     got = sorted(holonomy.noncyclic_abelian_gp(fr, lv, 4000) for lv in (0, 1))
     assert match_phase_sets(np.array(got), models.berry_reference(params)) < 1e-5
-    # and mid-path it tracks the diagonal-case eigenphases
-    res = holonomy.geometric_phase(fr, 2400, "nt_nd")
-    mid = sorted(holonomy.noncyclic_abelian_gp(fr, lv, 2400) for lv in (0, 1))
+    # and mid-path it tracks the diagonal-case eigenphases, with the
+    # connection built once or per call
+    conn = frames.connection(fr)
+    res = holonomy.geometric_phase(fr, 2400, "nt_nd", conn)
+    mid = sorted(holonomy.noncyclic_abelian_gp(fr, lv, 2400, conn) for lv in (0, 1))
     assert match_phase_sets(np.array(mid), res.eigenphases) < 1e-8
+    assert mid == sorted(holonomy.noncyclic_abelian_gp(fr, lv, 2400) for lv in (0, 1))
 
 
 def test_noncyclic_phase_validation():
@@ -219,6 +223,29 @@ def test_block_solution_matches_the_scalar_closed_form():
     cross = holonomy.dissipative_free_block_solution(model, fr, 0, 1, c0)
     expect = c0[0, 0] * np.exp(1j * params.omega0 * grid.times)
     assert np.max(np.abs(cross[:, 0, 0] - expect)) < 1e-4
+
+
+def test_block_solution_matches_its_per_sample_generator():
+    """The batched block generators equal the per-sample loop
+    (A - V^dag H0 V)_mumu, Hermitized, on the tripod's degenerate dark block."""
+    model = models.wilczek_zee_demo(loop=WZ_LOOPS["b"], duration=1500.0)
+    grid = TimeGrid(0.0, 1500.0, 2001)
+    fr = frames.eigenframes(models.adiabatic_invariant_trajectory(model, grid))
+    conn = frames.connection(fr).samples
+    blocks = {}
+    for mu in (0, 1):
+        idx = np.ix_(fr.blocks[mu], fr.blocks[mu])
+        gen = np.empty((grid.n_steps,) + conn[0][idx].shape, dtype=complex)
+        for j, t in enumerate(grid.times):
+            V = fr.vectors[j]
+            Hm = -V.conj().T @ model.hamiltonian(t) @ V
+            gen[j] = Hm[idx] + conn[j][idx]
+            gen[j] = 0.5 * (gen[j] + gen[j].conj().T)
+        blocks[mu] = holonomy.transporter(ConnectionSeries(grid, gen))
+    c0 = np.array([[0.4 - 0.1j, 0.3j]])
+    expect = np.einsum("kij,jl,kml->kim", blocks[0], c0, blocks[1].conj())
+    got = holonomy.dissipative_free_block_solution(model, fr, 0, 1, c0)
+    assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_block_solution_validation():
