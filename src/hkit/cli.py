@@ -38,6 +38,9 @@ ARTIFACTS = ("trajectory", "holonomy", "report")
 VERIFY_MIN_STEPS = 100
 
 FLOAT_FMT = "%.17e"
+# values per formatted block of trajectory.csv: about 100 kB of text, so the
+# block's transient floats and strings do not raise the peak memory of a run
+_WRITE_CHUNK_VALUES = 4096
 
 
 class ConfigError(ValueError):
@@ -257,7 +260,12 @@ def execute(cfg: ScenarioConfig) -> RunResult:
     conn = frames.connection(frame_traj)
     holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case, conn)
     witness = holonomy.nonabelian_witness(holo)
-    residual = holonomy.parallel_residual(frame_traj, holonomy.transporter(conn))
+    # a full-connection case has already formed the transporter of conn
+    if case in holonomy.FULL_CONNECTION_CASES:
+        transport = holo.transport
+    else:
+        transport = holonomy.transporter(conn)
+    residual = holonomy.parallel_residual(frame_traj, transport)
     expectation = dynamics.invariant_expectation(I_traj, rho_traj)
     # holo.flags already carries the connection's flags
     flags = list(I_traj.flags) + list(rho_traj.flags) + list(holo.flags)
@@ -286,11 +294,15 @@ def _write_trajectory(path: Path, res: RunResult) -> None:
         res.frames.eigenvalues,
         res.expectation,
     ])
-    # one row at a time, so the text of the whole file is never held at once
+    # whole rows, one chunk at a time, so the text of the whole file is never
+    # held at once
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    rows = max(1, _WRITE_CHUNK_VALUES // table.shape[1])
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        for lo in range(0, n, rows):
+            chunk = table[lo : lo + rows]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _matrix_payload(M: np.ndarray) -> dict:

@@ -241,12 +241,16 @@ def _integrate(inputs, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajec
             P = np.broadcast_to(P_const, (hi - lo,) + P_const.shape[1:])
         else:
             P = _rk4_matrices(generator(*chunk), grid.dt)
-        for k in range(lo, hi):
-            np.dot(P[k - lo], flat[k], out=flat[k + 1])
-        block = samples[lo + 1 : hi + 1]
-        block[...] = 0.5 * (block + np.conj(np.swapaxes(block, -1, -2)))
-        if kind == "density":
-            max_drift = _renormalize_traces(block, max_drift)
+        # an unstable step overflows, and a density whose trace has lost
+        # every digit renormalizes by zero; the check below reports the first
+        # such sample, so numpy's own warnings about them are silenced
+        with np.errstate(all="ignore"):
+            for k in range(lo, hi):
+                np.dot(P[k - lo], flat[k], out=flat[k + 1])
+            block = samples[lo + 1 : hi + 1]
+            block[...] = 0.5 * (block + np.conj(np.swapaxes(block, -1, -2)))
+            if kind == "density":
+                max_drift = _renormalize_traces(block, max_drift)
         bad = ~np.all(np.isfinite(flat[lo + 1 : hi + 1]), axis=1)
         if np.any(bad):
             raise NumericalError(

@@ -25,7 +25,7 @@ from .matlib import (
     degeneracy_blocks,
     degeneracy_joins,
     ordered_product,
-    polar_unitary,
+    polar_svd,
     series_derivative,
     unitary_exp,
 )
@@ -87,16 +87,16 @@ class ConnectionSeries:
     flags: list[str] = field(default_factory=list)
 
 
-def _check_continuity(overlaps: list[np.ndarray], times: np.ndarray) -> None:
+def _check_continuity(singular_values: list[np.ndarray], times: np.ndarray) -> None:
     """Abort at the first time where a block's neighbour overlap is too small.
 
-    overlaps[b][k - 1] is block b's overlap between samples k and k - 1.  Two
-    rules apply per block: the subspace rule mean(sigma^2) and the smallest
-    singular value sigma_min, both against BLOCK_OVERLAP_MIN.
+    singular_values[b][k - 1] holds the singular values (descending) of block
+    b's overlap between samples k and k - 1.  Two rules apply per block: the
+    subspace rule mean(sigma^2) and the smallest singular value sigma_min,
+    both against BLOCK_OVERLAP_MIN.
     """
     measures = []
-    for B in overlaps:
-        sig = np.linalg.svd(B, compute_uv=False)
+    for sig in singular_values:
         measures.append(("subspace overlap mean(sigma^2)", np.mean(sig**2, axis=-1)))
         measures.append(("block overlap sigma_min", sig[:, -1]))
     lost = np.array([m < BLOCK_OVERLAP_MIN for _, m in measures])
@@ -151,10 +151,14 @@ def eigenframes(I_traj: OperatorTrajectory, deg_tol: float = 1e-8) -> FrameTraje
 
     # vectors holds the raw R_k until each block is replaced by R_k M_k
     cols = [slice(b[0], b[-1] + 1) for b in blocks]  # blocks are contiguous runs
-    overlaps = [vectors[1:, :, c].conj().swapaxes(1, 2) @ vectors[:-1, :, c] for c in cols]
-    _check_continuity(overlaps, times)
-    for c, B in zip(cols, overlaps):
-        M, _ = polar_unitary(B)
+    # one SVD per block yields both the polar factors and the continuity measures
+    factors, sigmas = [], []
+    for c in cols:
+        M, _, sig = polar_svd(vectors[1:, :, c].conj().swapaxes(1, 2) @ vectors[:-1, :, c])
+        factors.append(M)
+        sigmas.append(sig)
+    _check_continuity(sigmas, times)
+    for c, M in zip(cols, factors):
         vectors[:, :, c] = vectors[:, :, c] @ ordered_product(M)
     return FrameTrajectory(
         grid=I_traj.grid,

@@ -39,6 +39,8 @@ from .matlib import (
 )
 
 CASE_TAGS = ("general", "t_d", "t_nd", "nt_nd")
+# cases whose transport keeps every element of the connection
+FULL_CONNECTION_CASES = ("general", "t_nd")
 OVERLAP_MODULUS_MIN = 1e-12
 
 
@@ -46,9 +48,12 @@ OVERLAP_MODULUS_MIN = 1e-12
 class HolonomyResult:
     """Phase data of one transport problem at a fixed final time.
 
-    ``connection`` holds the case-restricted connection samples and
-    ``factors`` its interval factors exp(i dt (A_k + A_{k+1})/2), the
-    transport data the non-Abelian witness reads.
+    ``connection`` holds the case-restricted connection samples,
+    ``factors`` its interval factors exp(i dt (A_k + A_{k+1})/2) and
+    ``transport`` their ordered product series over the whole grid,
+    identity first; ``Vpar`` is its entry k.  The non-Abelian witness reads
+    these, and for the full-connection cases the series is the transporter
+    of the unrestricted connection.
     """
 
     O: CMatrix
@@ -60,6 +65,7 @@ class HolonomyResult:
     case_tag: str
     connection: np.ndarray  # (n_steps, dim, dim)
     factors: np.ndarray  # (n_steps - 1, dim, dim)
+    transport: np.ndarray  # (n_steps, dim, dim)
     flags: list[str] = field(default_factory=list)
 
 
@@ -68,7 +74,7 @@ def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
     M = np.asarray(M)
-    if case_tag in ("general", "t_nd"):
+    if case_tag in FULL_CONNECTION_CASES:
         return M.copy()
     out = np.zeros_like(M)
     if case_tag == "nt_nd":
@@ -163,7 +169,8 @@ def geometric_phase(
         conn = connection(frames)
     A_r = case_restrict(conn.samples, frames.blocks, case_tag)
     factors = interval_factors(A_r, conn.grid.dt)
-    Vpar = ordered_product(factors[:k])[-1]
+    transport = ordered_product(factors)
+    Vpar = transport[k]
     W = case_restrict(overlap(frames, k), frames.blocks, case_tag)
     U, R, polar_flags = _restricted_polar(W, frames.blocks, case_tag)
     O = U @ Vpar
@@ -177,6 +184,7 @@ def geometric_phase(
         case_tag=case_tag,
         connection=A_r,
         factors=factors,
+        transport=transport,
         flags=list(conn.flags) + polar_flags,
     )
 
@@ -230,7 +238,8 @@ def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, flo
     of the holonomy's case-restricted connection.  reversal_gap: max-norm
     difference between the ordered product of its interval factors and the
     product of the same factors in reversed order, over the whole grid.
-    Both vanish for Abelian (commuting-connection) transport.
+    Both vanish for Abelian (commuting-connection) transport.  The forward
+    product is the end of the holonomy's stored transport series.
     """
     A, F = holo.connection, holo.factors
     n = A.shape[0]
@@ -238,7 +247,7 @@ def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, flo
     AB = np.einsum("aij,bjl->abil", P, P)
     comm = float(np.max(np.abs(AB - AB.swapaxes(0, 1))))
 
-    forward = ordered_product(F)[-1]
+    forward = holo.transport[-1]
     # the same factors multiplied earliest-leftmost: the opposite ordering
     backward = ordered_product(F[::-1])[-1]
     gap = float(np.max(np.abs(forward - backward)))

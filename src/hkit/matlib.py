@@ -84,6 +84,20 @@ def degeneracy_blocks(eigenvalues: np.ndarray, deg_tol: float) -> list[list[int]
     return blocks
 
 
+def polar_svd(W: CMatrix) -> tuple[CMatrix, CMatrix, np.ndarray]:
+    """Unitary left-polar factor of W (or a stack) from one SVD W = P S Q^dag.
+
+    Returns (U, P, sig) with U = P Q^dag and the singular values sig in
+    descending order, so a caller that also needs sig or the Hermitian
+    factor pays for one decomposition.  Non-finite entries abort.
+    """
+    W = np.asarray(W, dtype=complex)
+    if not np.all(np.isfinite(W)):
+        raise NumericalError("polar decomposition of non-finite input")
+    P, sig, Qh = np.linalg.svd(W)
+    return P @ Qh, P, sig
+
+
 def polar_unitary(W: CMatrix, rank_tol: float = 1e-12) -> tuple[CMatrix, CMatrix]:
     """Left polar decomposition W = R @ U via SVD, of one matrix or a stack.
 
@@ -94,11 +108,7 @@ def polar_unitary(W: CMatrix, rank_tol: float = 1e-12) -> tuple[CMatrix, CMatrix
     directions where U follows the SVD column convention rather than the
     data.  Non-finite entries abort.
     """
-    W = np.asarray(W, dtype=complex)
-    if not np.all(np.isfinite(W)):
-        raise NumericalError("polar decomposition of non-finite input")
-    P, sig, Qh = np.linalg.svd(W)
-    U = P @ Qh
+    U, P, sig = polar_svd(W)
     R = (P * sig[..., None, :]) @ _dagger(P)
     R = 0.5 * (R + _dagger(R))
     return U, R
@@ -119,14 +129,41 @@ def ordered_product(F: np.ndarray) -> np.ndarray:
 
     Later factors multiply from the left; for n factors of shape (d, d)
     the result has n + 1 entries, identity first.
+
+    A blocked two-level prefix: the factors are cut into about sqrt(n)
+    blocks of equal length, the last one padded with identities.  One
+    batched product per in-block position forms every block's running
+    products at once, a sequential pass over the block totals forms each
+    block's carry (the product of all earlier blocks), and one batched
+    product applies the carries.  The block index is kept as the last,
+    contiguous axis, so each batched product is a short einsum over
+    length-m vectors rather than m separate small matrix products.  Besides
+    the result, one array of the factors' size is held.
     """
     F = np.asarray(F)
     n, dim = F.shape[0], F.shape[-1]
-    out = np.empty((n + 1, dim, dim), dtype=complex)
-    out[0] = np.eye(dim)
-    for k in range(n):
-        out[k + 1] = F[k] @ out[k]
-    return out
+    size = max(1, int(np.ceil(np.sqrt(n))))  # block length
+    m = -(-n // size)  # block count
+    eye = np.eye(dim, dtype=complex)
+    # within[j, :, :, i] starts as factor j of block i and becomes the
+    # product of that block's factors 0..j
+    within = np.empty((size, dim, dim, m), dtype=complex)
+    k = np.arange(m * size)
+    within[k[:n] % size, :, :, k[:n] // size] = F
+    within[k[n:] % size, :, :, k[n:] // size] = eye
+    step = np.empty((dim, dim, m), dtype=complex)
+    for j in range(1, size):
+        np.einsum("ijm,jkm->ikm", within[j], within[j - 1], out=step)
+        within[j] = step
+    carry = np.empty((dim, dim, m), dtype=complex)
+    acc = eye
+    for i in range(m):
+        carry[..., i] = acc
+        acc = within[-1, :, :, i] @ acc
+    out = np.empty((1 + m * size, dim, dim), dtype=complex)
+    out[0] = eye
+    np.einsum("sijm,jkm->msik", within, carry, out=out[1:].reshape(m, size, dim, dim))
+    return out[: n + 1]
 
 
 def series_derivative(samples: np.ndarray, dt: float) -> np.ndarray:

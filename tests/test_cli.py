@@ -128,6 +128,22 @@ def test_numerical_failures_exit_with_their_own_code(tmp_path, capsys, monkeypat
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_tripod_run_fails_with_one_line(tmp_path):
+    """513 steps put the bright pair far outside RK4's stability region; the
+    run must end in one exit-3 line, without numpy warnings ahead of it."""
+    cfg = _write_config(
+        tmp_path, scenario="wilczek_zee",
+        params={"loop": 0, "rabi": 1.0, "duration": 1500.0},
+        grid=_grid(513, t1=1500.0),
+    )
+    proc = _run_in_child(cfg, tmp_path / "o")
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "numerical failure: density propagation produced non-finite values; "
+        "last valid time t=43.9453\n"
+    )
+
+
 def test_berry_run_writes_the_expected_phases(tmp_path):
     cfg = _write_config(tmp_path, params={})  # theta0 = pi/2 default
     out = tmp_path / "out"
@@ -337,17 +353,22 @@ def test_verify_prints_one_line_per_check(monkeypatch, capsys):
     assert "all 1 checks passed" in capsys.readouterr().out
 
 
-def test_console_entry_point_smoke(tmp_path):
-    cfg = _write_config(tmp_path, grid=_grid(301))
-    out = tmp_path / "out"
+def _run_in_child(cfg, out):
+    """`hkit run` in a fresh interpreter, so its real stderr is captured."""
     # the child imports the same hkit as this test, installed or not
     path = [str(Path(hkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hkit.cli", "run", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+def test_console_entry_point_smoke(tmp_path):
+    cfg = _write_config(tmp_path, grid=_grid(301))
+    out = tmp_path / "out"
+    proc = _run_in_child(cfg, out)
     assert proc.returncode == 0, proc.stderr
     for name in ("trajectory.csv", "holonomy.json", "report.txt"):
         assert (out / name).exists()

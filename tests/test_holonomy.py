@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hkit import dynamics, frames, holonomy, models
+from hkit import cli, dynamics, frames, holonomy, models
 from hkit.cli import WZ_LOOPS
 from hkit.dynamics import TimeGrid
 from hkit.frames import ConnectionSeries, FrameTrajectory
@@ -172,6 +172,38 @@ def test_parallel_residual_flags_untransported_frames():
     assert holonomy.parallel_residual(fr, plain) > 0.1
     with pytest.raises(ValueError, match="match"):
         holonomy.parallel_residual(fr, Vpar[:100])
+
+
+def test_holonomy_keeps_one_transport_series():
+    """Vpar is entry k of the stored series, which runs over the whole grid."""
+    fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 501))
+    conn = frames.connection(fr)
+    for case in ("t_nd", "nt_nd"):
+        res = holonomy.geometric_phase(fr, 250, case, conn)
+        assert res.transport.shape == (501, 2, 2)
+        assert np.array_equal(res.Vpar, res.transport[250])
+    full = holonomy.geometric_phase(fr, -1, "general", conn)
+    assert np.array_equal(full.transport, holonomy.transporter(conn))
+
+
+@pytest.mark.parametrize("case", ["general", "t_nd"])
+def test_full_connection_runs_form_the_transporter_once(monkeypatch, case):
+    """execute hands the holonomy's series to parallel_residual instead of
+    calling transporter again, and that series is transporter(conn) exactly."""
+    residual, transporter = holonomy.parallel_residual, holonomy.transporter
+    series, calls = [], []
+    monkeypatch.setattr(
+        holonomy, "parallel_residual", lambda fr, V: series.append(V) or residual(fr, V)
+    )
+    monkeypatch.setattr(holonomy, "transporter", lambda c: calls.append(c) or transporter(c))
+    cfg = cli.ScenarioConfig.from_dict({
+        "scenario": "two_level_decay", "params": {"gamma": 0.01}, "case_tag": case,
+        "grid": {"t1": 2.0 * np.pi, "n_steps": 401},
+    })
+    res = cli.execute(cfg)
+    assert calls == [] and len(series) == 1
+    assert np.array_equal(series[0], transporter(res.conn))
+    assert np.array_equal(res.holo.Vpar, series[0][-1])
 
 
 def test_witness_vanishes_for_diagonal_transport():

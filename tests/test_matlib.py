@@ -129,6 +129,29 @@ def test_ordered_product_puts_later_factors_on_the_left():
     assert np.array_equal(matlib.ordered_product(F[:0]), np.eye(2)[None])
 
 
+def test_ordered_product_matches_the_sequential_loop():
+    """The blocked prefix against the plain loop, over unpadded (16) and
+    padded (15, 17, 20 000) last blocks and the degenerate lengths 0 to 3."""
+
+    def loop(F):
+        out = np.empty((len(F) + 1,) + F.shape[1:], dtype=complex)
+        out[0] = np.eye(F.shape[-1])
+        for k in range(len(F)):
+            out[k + 1] = F[k] @ out[k]
+        return out
+
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 4):
+        G = rng.normal(size=(20000, d, d)) + 1j * rng.normal(size=(20000, d, d))
+        factors = matlib.unitary_exp(0.5 * (G + G.conj().swapaxes(1, 2)), 0.3)
+        for n in (0, 1, 2, 3, 15, 16, 17, 20000):
+            F = factors[:n]
+            P = matlib.ordered_product(F)
+            assert P.shape == (n + 1, d, d)
+            assert np.array_equal(P[0], np.eye(d))
+            assert np.max(np.abs(P - loop(F))) <= 1e-13, (n, d)
+
+
 def test_series_derivative_exact_on_quadratics():
     t = np.linspace(0.0, 2.0, 21)
     samples = (3.0 * t**2 - 2.0 * t + 1.0)[:, None, None] * np.ones((1, 2, 2))
