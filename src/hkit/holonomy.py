@@ -30,10 +30,12 @@ from .frames import ConnectionSeries, FrameTrajectory, connection, overlap
 from .matlib import (
     CMatrix,
     NumericalError,
+    UNITARY_TOL,
     ordered_product,
     polar_unitary,
     principal_phase,
     series_derivative,
+    unitary_defect,
     unitary_eigenphases,
     unitary_exp,
 )
@@ -111,6 +113,58 @@ def transporter(A_series: ConnectionSeries) -> np.ndarray:
     the full series, identity first.
     """
     return ordered_product(interval_factors(A_series.samples, A_series.grid.dt))
+
+
+def diagonalizing_frame(conn: ConnectionSeries, R0: CMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary frame R(t) that rotates the off-diagonal connection away.
+
+    The rotated connection R A R^dag + i R dR^dag/dt is diagonal when
+
+        dR/dt = -i X R,   X = offdiag(R A R^dag),
+
+    and then equals diag(R A R^dag), since i R dR^dag/dt = -X.  ``conn``
+    must be sampled on a refined grid (2n - 1 points, sample 2k + 1 at
+    mid-step): one RK4 step from t_k to t_{k+1} takes its stage values at
+    samples 2k, 2k + 1, 2k + 1 and 2k + 2.  Returns R on the n main-grid
+    points, R0 first, and omega (n, dim), the RK4-accumulated integral of
+    the rotated connection's diagonal, one column per level, zero at the
+    start.  Because X depends on R the flow is not linear, so it has its
+    own step loop.
+    """
+    A = conn.samples
+    m, dim = A.shape[0], A.shape[-1]
+    if m % 2 == 0:
+        raise ValueError(f"connection needs an odd sample count (refined grid), got {m}")
+    R0 = np.asarray(R0, dtype=complex)
+    if R0.shape != (dim, dim):
+        raise ValueError(f"R0 must be {dim}x{dim}, got shape {R0.shape}")
+    dev = unitary_defect(R0)
+    if not dev <= UNITARY_TOL:
+        raise ValueError(f"R0 is not unitary (deviation {dev:.3e})")
+    h = 2.0 * conn.grid.dt
+    # -i offdiag(M) = M * off
+    off = -1j * (1.0 - np.eye(dim))
+
+    def stage(R, Ak):
+        M = R @ Ak @ R.conj().T
+        return (M * off) @ R, M.diagonal().real
+
+    n = (m + 1) // 2
+    R = np.empty((n, dim, dim), dtype=complex)
+    omega = np.zeros((n, dim))
+    R[0] = R0
+    for k in range(n - 1):
+        Rk, A0, Ah, A1 = R[k], A[2 * k], A[2 * k + 1], A[2 * k + 2]
+        k1, d1 = stage(Rk, A0)
+        k2, d2 = stage(Rk + 0.5 * h * k1, Ah)
+        k3, d3 = stage(Rk + 0.5 * h * k2, Ah)
+        k4, d4 = stage(Rk + h * k3, A1)
+        R[k + 1] = Rk + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        omega[k + 1] = omega[k] + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+    dev = unitary_defect(R)
+    if not dev <= UNITARY_TOL:
+        raise NumericalError(f"diagonalizing frame lost unitarity (deviation {dev:.3e})")
+    return R, omega
 
 
 def _restricted_polar(

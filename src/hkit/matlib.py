@@ -35,7 +35,8 @@ def herm_defect(m: CMatrix) -> float:
 
 
 def unitary_defect(m: CMatrix) -> float:
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    """Max-norm distance of m^dag m (or of each in a stack) from the identity."""
+    return float(np.max(np.abs(_dagger(m) @ m - np.eye(m.shape[-1]))))
 
 
 def principal_phase(x):
@@ -90,10 +91,17 @@ def polar_svd(W: CMatrix) -> tuple[CMatrix, CMatrix, np.ndarray]:
     Returns (U, P, sig) with U = P Q^dag and the singular values sig in
     descending order, so a caller that also needs sig or the Hermitian
     factor pays for one decomposition.  Non-finite entries abort.
+
+    A stack of 1x1 matrices needs no LAPACK call: U = W/|W| (1 where W = 0,
+    as the SVD has it), P = 1 and sig = |W|.
     """
     W = np.asarray(W, dtype=complex)
     if not np.all(np.isfinite(W)):
         raise NumericalError("polar decomposition of non-finite input")
+    if W.shape[-2:] == (1, 1):
+        mod = np.abs(W)
+        U = np.divide(W, mod, out=np.ones_like(W), where=mod > 0.0)
+        return U, np.ones_like(W), mod[..., 0]
     P, sig, Qh = np.linalg.svd(W)
     return P @ Qh, P, sig
 

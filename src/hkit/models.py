@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import holonomy
 from .dynamics import LindbladModel, OperatorTrajectory, TimeGrid
 from .frames import ConnectionSeries, FrameTrajectory
 from .matlib import CMatrix, principal_phase
@@ -207,35 +208,6 @@ def overlap_closed_form(params: TwoLevelDecayParams, t: float) -> CMatrix:
     return np.array([[u_d, -np.conj(u_od)], [u_od, np.conj(u_d)]], dtype=complex)
 
 
-def eta_zeta_rhs(
-    params: TwoLevelDecayParams, t: float, eta: float, zeta: float
-) -> tuple[float, float]:
-    """Rotating-frame flow equations for the off-diagonal-free gauge.
-
-    The frame R = exp[eta (e^{-i zeta} sigma_- - e^{i zeta} sigma_+) / 2]
-    (sigma_pm acting on the (+, -) labels) kills the off-diagonal part of
-    the transformed connection exactly when (eta, zeta) obey the returned
-    derivatives.  Poles of cot(eta) make the flow singular.
-    """
-    if abs(np.sin(eta)) < 1e-10:
-        raise ValueError(f"rotating-frame flow singular at eta={eta:.3e}")
-    w0 = params.omega0
-    s = np.sin(params.theta0)
-    t_arr = np.asarray([float(t)])
-    _, _, f, fdot = _f_and_friends(params, t_arr)
-    f, fdot = f[0], fdot[0]
-    n2 = 1.0 / (f * f + (params.r0 * s) ** 2)
-    big_theta = w0 * t + params.phi0 - zeta
-    pref = 2.0 * n2 * params.r0 * s
-    deta = pref * (w0 * f * np.sin(big_theta) + fdot * np.cos(big_theta))
-    dzeta = pref * (
-        w0 * params.r0 * s
-        + (np.cos(eta) / np.sin(eta))
-        * (-w0 * f * np.cos(big_theta) + fdot * np.sin(big_theta))
-    )
-    return float(deta), float(dzeta)
-
-
 def eta_zeta_approx(params: TwoLevelDecayParams, t):
     """Weak-coupling stationary solution of the rotating-frame flow.
 
@@ -252,62 +224,53 @@ def eta_zeta_approx(params: TwoLevelDecayParams, t):
     return eta, zeta
 
 
-def _rot_frame(eta: float, zeta: float):
-    """R(eta, zeta) and its partial derivatives, basis (+, -)."""
-    J = np.array([[0.0, -np.exp(1j * zeta)], [np.exp(-1j * zeta), 0.0]])
-    dJ = np.array([[0.0, -1j * np.exp(1j * zeta)], [-1j * np.exp(-1j * zeta), 0.0]])
+def _rot_frame(eta: float, zeta: float) -> CMatrix:
+    """The coset frame exp[eta (e^{-i zeta} sigma_- - e^{i zeta} sigma_+) / 2],
+    basis (+, -)."""
     ch, sh = np.cos(0.5 * eta), np.sin(0.5 * eta)
-    R = ch * np.eye(2) + sh * J
-    dR_deta = 0.5 * (-sh * np.eye(2) + ch * J)
-    dR_dzeta = sh * dJ
-    return R, dR_deta, dR_dzeta
+    return np.array(
+        [[ch, -sh * np.exp(1j * zeta)], [sh * np.exp(-1j * zeta), ch]], dtype=complex
+    )
 
 
 def rotating_frame_numeric(
     params: TwoLevelDecayParams, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 integration of (eta, zeta, Omega) along the grid.
+    """(eta, zeta, Omega) of the off-diagonal-free rotating frame along the grid.
 
-    Omega is the accumulated (+,+) entry of the rotated connection
+    The frame R(t) is holonomy.diagonalizing_frame on the closed-form
+    connection sampled on grid.refined(), started from the coset frame at
+    the weak-coupling solution eta_zeta_approx(t0), which centers the
+    first-order approximation on the true trajectory.  The flow keeps
+    det R = 1, so R = [[a, -conj(b)], [b, conj(a)]] is the coset frame
+    times diag(e^{i alpha}, e^{-i alpha}), alpha = arg a, and
+
+        eta = 2 atan2(|b|, |a|),   zeta = -arg b - alpha,
+
+    with zeta unwrapped and anchored at its start value.  Omega is the
+    accumulated (+,+) entry of the coset frame's rotated connection
     R A R^dag + i R dR^dag/dt, i.e. the diagonal phase generated by the
-    transport problem after the off-diagonal part has been rotated away.
-    Initial conditions are the weak-coupling solution at t0, which centers
-    the first-order approximation on the true trajectory.
+    transport problem after the off-diagonal part has been rotated away;
+    the diagonal gauge adds d(alpha)/dt to that entry, so Omega is the
+    flow's first phase column minus alpha.  The coset coordinates are
+    singular where sin(eta) vanishes, which is rejected.
     """
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        eta, zeta = float(y[0]), float(y[1])
-        deta, dzeta = eta_zeta_rhs(params, t, eta, zeta)
-        # Connection at arbitrary t (closed form, not the sampled series).
-        t_arr = np.asarray([t])
-        _, _, f, fdot = _f_and_friends(params, t_arr)
-        f, fdot = f[0], fdot[0]
-        s = np.sin(params.theta0)
-        n2 = 1.0 / (f * f + (params.r0 * s) ** 2)
-        alpha = params.omega0 * n2 * (params.r0 * s) ** 2
-        beta = -n2 * params.r0 * s * np.exp(
-            1j * (params.omega0 * t + params.phi0)
-        ) * (params.omega0 * f + 1j * fdot)
-        A = np.array([[alpha, beta], [np.conj(beta), -alpha]])
-        R, dR_de, dR_dz = _rot_frame(eta, zeta)
-        Rdot = dR_de * deta + dR_dz * dzeta
-        tilde = R @ A @ R.conj().T + 1j * R @ Rdot.conj().T
-        return np.array([deta, dzeta, float(np.real(tilde[0, 0]))])
-
-    eta0, zeta0 = eta_zeta_approx(params, grid.t0)
-    y = np.array([float(eta0), float(zeta0), 0.0])
-    out = np.empty((grid.n_steps, 3))
-    out[0] = y
-    dt = grid.dt
-    times = grid.times
-    for k in range(grid.n_steps - 1):
-        t = times[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
-    return out[:, 0], out[:, 1], out[:, 2]
+    eta0, zeta0 = (float(x) for x in eta_zeta_approx(params, grid.t0))
+    # before the connection, which divides by zero at theta0 = 0
+    if abs(np.sin(eta0)) < 1e-10:
+        raise ValueError(f"rotating-frame flow singular at eta={eta0:.3e}")
+    conn = analytic_connection(params, grid.refined())
+    R, omega = holonomy.diagonalizing_frame(conn, _rot_frame(eta0, zeta0))
+    a, b = R[:, 0, 0], R[:, 1, 0]
+    eta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    bad = np.abs(np.sin(eta)) < 1e-10
+    if bad.any():
+        raise ValueError(f"rotating-frame flow singular at eta={eta[np.argmax(bad)]:.3e}")
+    alpha = np.unwrap(np.angle(a))
+    alpha -= alpha[0]
+    zeta = np.unwrap(-np.angle(b) - alpha)
+    zeta += zeta0 - zeta[0]
+    return eta, zeta, omega[:, 0] - alpha
 
 
 def omega_approx(params: TwoLevelDecayParams, t) -> tuple[np.ndarray, float]:
@@ -324,7 +287,15 @@ def omega_approx(params: TwoLevelDecayParams, t) -> tuple[np.ndarray, float]:
     - to O(gamma), f = r0 (1 - c)(1 - gamma c t / 2),
       df/dt = -gamma r0 c (1 - c) / 2 and
       N^2 = [1 + gamma c (1 - c) t / 2] / [2 r0^2 (1 - c)];
-    - eta_zeta_rhs then reduces to e' = -s (omega0 z + c/2) and
+    - projected onto the coset frame R(eta, zeta), the flow
+      dR/dt = -i offdiag(R A R^dag) R of holonomy.diagonalizing_frame
+      moves the coset coordinates by (w = omega0 t + phi0)
+
+          eta'  = 2 N^2 r0 s [omega0 f sin(w - zeta) + f' cos(w - zeta)],
+          zeta' = 2 N^2 r0 s [omega0 r0 s
+                  + cot(eta) (f' sin(w - zeta) - omega0 f cos(w - zeta))],
+
+      which to O(gamma) reduce to e' = -s (omega0 z + c/2) and
       z' = omega0 (e/s + c t / 2); eta_zeta_approx fixes e(0) = 0 and
       z(0) = -c / (2 omega0), so e = s c [sin(omega0 t) / omega0 - t] / 2
       and z = -c cos(omega0 t) / (2 omega0);

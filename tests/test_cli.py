@@ -164,6 +164,23 @@ def test_berry_run_writes_the_expected_phases(tmp_path):
     assert "re_rho_01" in header and "expect_I" in header
 
 
+def test_closed_limit_phases_over_seeded_parameters():
+    """The cyclic closed-system eigenphases are +/- pi (1 - cos theta0) at
+    check_berry_limit's 1e-5, for seeded (theta0, phi0) in the validity window."""
+    rng = np.random.default_rng(2007)
+    for _ in range(8):
+        theta0 = float(rng.uniform(np.pi / 7, 6 * np.pi / 7))
+        phi0 = float(rng.uniform(0.0, 2.0 * np.pi))
+        res = cli.execute(ScenarioConfig.from_dict({
+            "scenario": "berry_closed",
+            "params": {"theta0": theta0, "phi0": phi0},
+            "grid": _grid(2001),
+        }))
+        ref = models.berry_reference(models.TwoLevelDecayParams(theta0=theta0))
+        err = matlib.match_phase_sets(res.holo.eigenphases, ref)
+        assert err <= 1e-5, (theta0, phi0, err)
+
+
 def test_eigenphases_are_consistent_with_the_stored_matrix(tmp_path):
     cfg = _write_config(tmp_path, grid=_grid(2001))
     out = tmp_path / "out"

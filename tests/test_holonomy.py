@@ -10,7 +10,7 @@ from hkit import cli, dynamics, frames, holonomy, models
 from hkit.cli import WZ_LOOPS
 from hkit.dynamics import TimeGrid
 from hkit.frames import ConnectionSeries, FrameTrajectory
-from hkit.matlib import NumericalError, match_phase_sets
+from hkit.matlib import NumericalError, match_phase_sets, unitary_defect
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -294,3 +294,52 @@ def test_block_solution_validation():
         holonomy.dissipative_free_block_solution(closed, fr0, 0, 2, c0)
     with pytest.raises(ValueError, match="1x1"):
         holonomy.dissipative_free_block_solution(closed, fr0, 0, 1, np.eye(2))
+
+
+def _smooth_connection(grid, dim, seed):
+    """A(t) = H0 + cos(t) H1 + sin(2t) H2 with seeded Hermitian H_i."""
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    H = 0.5 * (H + H.conj().swapaxes(1, 2))
+    t = grid.times[:, None, None]
+    return H[0] + np.cos(t) * H[1] + np.sin(2.0 * t) * H[2]
+
+
+def test_diagonalizing_frame_beyond_two_levels():
+    """d = 3: R stays unitary, its rotated connection R A R^dag + i R dR^dag/dt
+    is diagonal (dR/dt from a fourth-order stencil of the samples), and
+    omega integrates that diagonal."""
+    grid = TimeGrid(0.0, 3.0, 3001)
+    A = _smooth_connection(grid, 3, seed=41)
+    R0 = np.linalg.qr(A[0] + 2j * np.eye(3))[0]
+    R, omega = holonomy.diagonalizing_frame(
+        ConnectionSeries(grid.refined(), _smooth_connection(grid.refined(), 3, seed=41)), R0
+    )
+    assert R.shape == (3001, 3, 3) and omega.shape == (3001, 3)
+    assert np.array_equal(R[0], R0) and np.all(omega[0] == 0.0)
+    assert unitary_defect(R) < 1e-11
+    dt = grid.dt
+    dR = (R[:-4] - 8.0 * R[1:-3] + 8.0 * R[3:-1] - R[4:]) / (12.0 * dt)
+    Rc = R[2:-2]
+    rotated = Rc @ A[2:-2] @ Rc.conj().swapaxes(1, 2) + 1j * Rc @ dR.conj().swapaxes(1, 2)
+    off = rotated * (1.0 - np.eye(3))
+    assert np.max(np.abs(off)) < 1e-9
+    diag = np.einsum("kij,kjl,kil->ki", R, A, R.conj()).real
+    simpson = (dt / 3.0) * (diag[0:-2:2] + 4.0 * diag[1:-1:2] + diag[2::2]).cumsum(axis=0)
+    assert np.max(np.abs(omega[2::2] - simpson)) < 1e-9
+
+
+def test_diagonalizing_frame_validation():
+    grid = TimeGrid(0.0, 1.0, 11)
+    conn = ConnectionSeries(grid.refined(), _smooth_connection(grid.refined(), 2, seed=3))
+    with pytest.raises(ValueError, match="odd sample count"):
+        holonomy.diagonalizing_frame(ConnectionSeries(grid, conn.samples[:-1]), np.eye(2))
+    with pytest.raises(ValueError, match="R0 must be 2x2"):
+        holonomy.diagonalizing_frame(conn, np.eye(3))
+    with pytest.raises(ValueError, match="not unitary"):
+        holonomy.diagonalizing_frame(conn, 1.01 * np.eye(2))
+    # one RK4 step of length 1 on a generator of norm ~50 leaves the unitary group
+    coarse = TimeGrid(0.0, 1.0, 2)
+    big = ConnectionSeries(coarse.refined(), 50.0 * _smooth_connection(coarse.refined(), 2, seed=3))
+    with pytest.raises(NumericalError, match="lost unitarity"):
+        holonomy.diagonalizing_frame(big, np.linalg.qr(big.samples[0] + 1j * np.eye(2))[0])

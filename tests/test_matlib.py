@@ -76,6 +76,25 @@ def test_polar_unitary_of_a_stack_matches_the_loop():
             assert np.max(np.abs(R.reshape(W.shape)[i] - Ri)) < 1e-14
 
 
+def test_polar_of_1x1_stacks_matches_the_svd():
+    """1x1 stacks take the closed form U = W/|W|, sig = |W| instead of LAPACK."""
+    rng = np.random.default_rng(14)
+    W = rng.normal(size=(200, 1, 1)) + 1j * rng.normal(size=(200, 1, 1))
+    W[7] = 0.0
+    W[8] = 1e-300
+    for stack in (W, W.reshape(4, 50, 1, 1), np.zeros((0, 1, 1), dtype=complex)):
+        U, P, sig = matlib.polar_svd(stack)
+        P_ref, sig_ref, Qh_ref = np.linalg.svd(stack)
+        assert U.shape == P.shape == stack.shape and sig.shape == sig_ref.shape
+        assert np.max(np.abs(U - P_ref @ Qh_ref), initial=0.0) <= 1e-15
+        assert np.max(np.abs(sig - sig_ref), initial=0.0) <= 1e-15
+        assert np.array_equal(P, np.ones_like(stack))
+        assert np.max(np.abs(sig[..., None] * U - stack), initial=0.0) <= 1e-15
+    assert matlib.polar_svd(W)[0][7, 0, 0] == 1.0
+    with pytest.raises(matlib.NumericalError):
+        matlib.polar_svd(np.array([[[np.inf]]]))
+
+
 def test_polar_unitary_of_a_unitary_is_itself():
     rng = np.random.default_rng(13)
     Q = _random_unitary(rng, 3)

@@ -1,10 +1,12 @@
 """Unit tests for the concrete scenarios and their closed forms."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from hkit import dynamics, frames, matlib, models
+from hkit import dynamics, frames, holonomy, matlib, models
 from hkit.dynamics import TimeGrid
 from hkit.models import TwoLevelDecayParams
 
@@ -95,19 +97,109 @@ def test_overlap_closed_form_equals_the_frame_product():
         assert np.max(np.abs(W - frames.overlap(fr, k))) < 1e-12
 
 
+def _euler_angle_rotating_frame(p, grid):
+    """The scalar RK4 over (eta, zeta, Omega) that rotating_frame_numeric
+    replaced, kept as the reference: the flow equations of the coset frame
+    R(eta, zeta) = exp[eta (e^{-i zeta} sigma_- - e^{i zeta} sigma_+) / 2]
+    and the (+,+) entry of its rotated connection, from the closed-form
+    connection at every stage time."""
+    s = np.sin(p.theta0)
+
+    def rhs(t, y):
+        eta, zeta = y[0], y[1]
+        _, _, f, fdot = models._f_and_friends(p, np.asarray([t]))
+        f, fdot = f[0], fdot[0]
+        n2 = 1.0 / (f * f + (p.r0 * s) ** 2)
+        big = p.omega0 * t + p.phi0 - zeta
+        pref = 2.0 * n2 * p.r0 * s
+        deta = pref * (p.omega0 * f * np.sin(big) + fdot * np.cos(big))
+        dzeta = pref * (
+            p.omega0 * p.r0 * s
+            + (np.cos(eta) / np.sin(eta)) * (-p.omega0 * f * np.cos(big) + fdot * np.sin(big))
+        )
+        alpha = p.omega0 * n2 * (p.r0 * s) ** 2
+        beta = -n2 * p.r0 * s * np.exp(1j * (p.omega0 * t + p.phi0)) * (
+            p.omega0 * f + 1j * fdot
+        )
+        A = np.array([[alpha, beta], [np.conj(beta), -alpha]])
+        J = np.array([[0.0, -np.exp(1j * zeta)], [np.exp(-1j * zeta), 0.0]])
+        dJ = np.array([[0.0, -1j * np.exp(1j * zeta)], [-1j * np.exp(-1j * zeta), 0.0]])
+        ch, sh = np.cos(0.5 * eta), np.sin(0.5 * eta)
+        R = ch * np.eye(2) + sh * J
+        Rdot = 0.5 * (-sh * np.eye(2) + ch * J) * deta + sh * dJ * dzeta
+        tilde = R @ A @ R.conj().T + 1j * R @ Rdot.conj().T
+        return np.array([deta, dzeta, tilde[0, 0].real])
+
+    y = np.array([*(float(x) for x in models.eta_zeta_approx(p, grid.t0)), 0.0])
+    out = [y]
+    dt = grid.dt
+    for t in grid.times[:-1]:
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out).T
+
+
+def test_rotating_frame_matches_the_euler_angle_reference():
+    """Two fourth-order discretizations of one flow: on these draws they
+    differ by at most about 4e-12 at 2001 steps, 16 times less than at 1001."""
+    rng = np.random.default_rng(29)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 2001)
+    for _ in range(4):
+        p = TwoLevelDecayParams(
+            gamma=float(5e-3 * (1.0 - rng.random())),
+            r0=float(rng.uniform(0.5, 1.0)),
+            theta0=float(rng.uniform(np.pi / 7, 6 * np.pi / 7)),
+            phi0=float(rng.uniform(0.0, 2.0 * np.pi)),
+        )
+        got = models.rotating_frame_numeric(p, grid)
+        ref = _euler_angle_rotating_frame(p, grid)
+        for name, x, y in zip(("eta", "zeta", "Omega"), got, ref):
+            assert np.max(np.abs(x - y)) < 1e-11, (name, p)
+
+
 def test_rotating_frame_flow_fixed_point_when_closed():
-    """gamma = 0: eta stays at theta0 and zeta advances at omega0."""
-    p = TwoLevelDecayParams(gamma=0.0, theta0=1.2, omega0=1.7, phi0=0.5)
-    for t in (0.0, 0.9, 4.2):
-        deta, dzeta = models.eta_zeta_rhs(p, t, p.theta0, p.omega0 * t + p.phi0)
-        assert abs(deta) < 1e-12
-        assert dzeta == pytest.approx(p.omega0, abs=1e-12)
+    """gamma = 0: eta stays at theta0, zeta advances at omega0 from phi0,
+    and Omega = omega0 t."""
+    p = TwoLevelDecayParams(gamma=0.0, theta0=1.2, omega0=1.7, phi0=0.5, r0=0.8)
+    grid = TimeGrid(0.0, 5.0, 4001)
+    eta, zeta, om = models.rotating_frame_numeric(p, grid)
+    t = grid.times
+    assert np.max(np.abs(eta - p.theta0)) < 1e-11
+    assert np.max(np.abs(zeta - (p.omega0 * t + p.phi0))) < 1e-11
+    assert np.max(np.abs(om - p.omega0 * t)) < 1e-11
 
 
-def test_rotating_frame_flow_rejects_the_coordinate_singularity():
-    p = TwoLevelDecayParams(gamma=0.01)
-    with pytest.raises(ValueError, match="singular"):
-        models.eta_zeta_rhs(p, 1.0, 0.0, 0.3)
+@pytest.mark.parametrize("theta0", [0.0, np.pi])
+def test_rotating_frame_flow_rejects_the_coordinate_singularity(theta0):
+    p = TwoLevelDecayParams(gamma=0.01, theta0=theta0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="singular"):
+            models.rotating_frame_numeric(p, TimeGrid(0.0, 1.0, 11))
+
+
+def test_rotating_frame_diagonalizes_the_connection():
+    """R stays unitary and R A R^dag + i R dR^dag/dt has no off-diagonal
+    part (dR/dt from a fourth-order stencil of the samples)."""
+    p = TwoLevelDecayParams(gamma=0.05, theta0=2.0, r0=0.9, phi0=0.4)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 2001)
+    fine = grid.refined()
+    eta0, zeta0 = (float(x) for x in models.eta_zeta_approx(p, 0.0))
+    R, _ = holonomy.diagonalizing_frame(
+        models.analytic_connection(p, fine), models._rot_frame(eta0, zeta0)
+    )
+    assert matlib.unitary_defect(R) < 1e-12
+    A = models.analytic_connection(p, grid).samples
+    dR = (R[:-4] - 8.0 * R[1:-3] + 8.0 * R[3:-1] - R[4:]) / (12.0 * grid.dt)
+    Rc = R[2:-2]
+    Rh = Rc.conj().swapaxes(1, 2)
+    rotated = Rc @ A[2:-2] @ Rh + 1j * Rc @ dR.conj().swapaxes(1, 2)
+    assert np.max(np.abs(rotated[:, 0, 1])) < 1e-10
+    assert np.max(np.abs(rotated[:, 1, 0])) < 1e-10
 
 
 def test_weak_coupling_solution_tracks_the_integrated_flow():
