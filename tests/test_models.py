@@ -173,13 +173,14 @@ def test_rotating_frame_flow_fixed_point_when_closed():
     assert np.max(np.abs(om - p.omega0 * t)) < 1e-11
 
 
-@pytest.mark.parametrize("theta0", [0.0, np.pi])
-def test_rotating_frame_flow_rejects_the_coordinate_singularity(theta0):
-    p = TwoLevelDecayParams(gamma=0.01, theta0=theta0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="singular"):
-            models.rotating_frame_numeric(p, TimeGrid(0.0, 1.0, 11))
+def test_rotating_frame_flow_rejects_the_coordinate_singularity():
+    """Both poles of the Bloch sphere, theta0 = 0 and pi, are refused."""
+    for theta0 in (0.0, np.pi):
+        p = TwoLevelDecayParams(gamma=0.01, theta0=theta0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular"):
+                models.rotating_frame_numeric(p, TimeGrid(0.0, 1.0, 11))
 
 
 def test_rotating_frame_diagonalizes_the_connection():
