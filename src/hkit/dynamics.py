@@ -52,15 +52,19 @@ _CHUNK_STEPS = 128
 class LindbladModel:
     """Time-dependent generator data for the master equation.
 
-    hamiltonian(t) -> (dim, dim) Hermitian matrix
-    jump_ops[i](t) -> (dim, dim) matrix
-    couplings(t)   -> (n_jump, n_jump) real symmetric rate matrix
+    Each callable takes the array of sample times t, shape (n,), and returns
+    its values at every time or one value that holds at all of them:
+
+    hamiltonian(t) -> (n, dim, dim) or (dim, dim) Hermitian matrices
+    jump_ops[i](t) -> (n, dim, dim) or (dim, dim) matrices
+    couplings(t)   -> (n, n_jump, n_jump) or (n_jump, n_jump) real
+                      symmetric rate matrices
     """
 
     dim: int
-    hamiltonian: Callable[[float], CMatrix]
-    jump_ops: list[Callable[[float], CMatrix]] = field(default_factory=list)
-    couplings: Callable[[float], np.ndarray] | None = None
+    hamiltonian: Callable[[np.ndarray], np.ndarray]
+    jump_ops: list[Callable[[np.ndarray], np.ndarray]] = field(default_factory=list)
+    couplings: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -71,18 +75,20 @@ class LindbladModel:
     def operators(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, G, g) sampled at `times`, with shapes (n, dim, dim),
         (n, n_jump, dim, dim) and (n, n_jump, n_jump): the arguments of
-        `liouvillian`."""
+        `liouvillian`.  Each callable is called once, on all the times."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         n, m, d = len(times), len(self.jump_ops), self.dim
-        H = np.array([self.hamiltonian(t) for t in times], dtype=complex)
-        G = np.array([op(t) for t in times for op in self.jump_ops], dtype=complex)
-        if self.couplings is None:
-            g = np.zeros((n, 0, 0))
-        else:
-            g = np.array([self.couplings(t) for t in times], dtype=float)
-        if g.shape != (n, m, m):
-            raise ValueError("coupling matrix shape does not match jump operators")
-        return H, G.reshape(n, m, d, d), g
+        H = np.broadcast_to(self.hamiltonian(times), (n, d, d)).astype(complex)
+        G = np.empty((n, m, d, d), dtype=complex)
+        for i, op in enumerate(self.jump_ops):
+            G[:, i] = op(times)
+        g = np.zeros((n, m, m))
+        if self.couplings is not None:
+            rates = np.asarray(self.couplings(times), dtype=float)
+            if rates.shape[-2:] != (m, m):
+                raise ValueError("coupling matrix shape does not match jump operators")
+            g[...] = rates
+        return H, G, g
 
     def is_closed(self, times: np.ndarray) -> bool:
         """True if all coupling rates vanish on the sampled times."""

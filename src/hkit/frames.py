@@ -20,7 +20,6 @@ import numpy as np
 
 from .dynamics import OperatorTrajectory, TimeGrid
 from .matlib import (
-    CMatrix,
     NumericalError,
     degeneracy_blocks,
     degeneracy_joins,
@@ -194,10 +193,12 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
     return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=dev, flags=flags)
 
 
-def overlap(frames: FrameTrajectory, k: int) -> CMatrix:
-    """Frame overlap W(t_k, t_0) = V(t_0)^dag V(t_k); entries <a;0|b;t_k>."""
+def overlap(frames: FrameTrajectory, k) -> np.ndarray:
+    """Frame overlap W(t_k, t_0) = V(t_0)^dag V(t_k); entries <a;0|b;t_k>.
+    An index array k gives the stack of overlaps."""
     n = frames.n_steps
-    if not -n <= k < n:
+    k = np.asarray(k)
+    if np.any((k < -n) | (k >= n)):
         raise ValueError(f"grid index {k} out of range for {n} samples")
     return frames.vectors[0].conj().T @ frames.vectors[k % n]
 

@@ -55,6 +55,22 @@ def test_model_validation():
         bad.operators([0.0, 0.5])
 
 
+@pytest.mark.parametrize("which", ["decay", "tripod_b"])
+def test_operators_on_a_time_array_stack_the_one_time_samples(which):
+    """Constant callables broadcast, time-dependent ones sample every time:
+    either way one call on the array equals the stacked one-time calls."""
+    if which == "decay":
+        model = models.two_level_model(_decay(gamma=0.3, theta0=1.1))
+    else:
+        model = models.wilczek_zee_demo(rabi=1.3, loop=WZ_LOOPS["b"], duration=1500.0)
+    times = np.linspace(0.0, 1500.0, 11)
+    singles = [model.operators(t) for t in times]
+    batched = model.operators(times)
+    for i, got in enumerate(batched):
+        assert np.array_equal(got, np.concatenate([one[i] for one in singles]))
+    assert np.array_equal(batched[0][1], batched[0][2]) == (which == "decay")
+
+
 def test_is_closed_tracks_the_rates():
     params = _decay(gamma=0.0)
     assert models.two_level_model(params).is_closed(np.linspace(0, 1, 5))
@@ -206,12 +222,12 @@ def _switched_model(switch_t, which):
     """Decay model whose H, jump operator or rate (`which` is "H", "G" or
     "g") changes at t >= switch_t."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    on = lambda t, name: float(which == name and t >= switch_t)
+    on = lambda t, name: ((which == name) & (t >= switch_t))[:, None, None]
     return LindbladModel(
         dim=2,
         hamiltonian=lambda t: 0.5 * models.SIGMA_Z + 0.3 * on(t, "H") * sx,
         jump_ops=[lambda t: models.SIGMA_MINUS + 0.2 * on(t, "G") * sx],
-        couplings=lambda t: np.array([[0.1 + 0.3 * on(t, "g")]]),
+        couplings=lambda t: 0.1 + 0.3 * on(t, "g"),
     )
 
 
@@ -252,7 +268,9 @@ def test_propagate_aborts_on_overflow_with_last_valid_time():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     rho0 = np.diag([1.0, 0.0])
     for n_steps, onset in ((11, 0.0), (301, 0.7)):
-        blowup = LindbladModel(dim=2, hamiltonian=lambda t: (1e200 if t >= onset else 1.0) * sx)
+        blowup = LindbladModel(
+            dim=2, hamiltonian=lambda t: np.where(t >= onset, 1e200, 1.0)[:, None, None] * sx
+        )
         grid = TimeGrid(0.0, 1.0, n_steps)
         with pytest.raises(NumericalError, match="last valid time") as ref:
             _stepwise_propagate(blowup, rho0, grid)

@@ -92,9 +92,13 @@ def test_overlap_closed_form_equals_the_frame_product():
     p = TwoLevelDecayParams(gamma=0.02, theta0=1.3, r0=0.85, phi0=0.2)
     grid = TimeGrid(0.0, 5.0, 201)
     fr = models.analytic_frames(p, grid)
-    for k in (40, 120, 200):
+    ks = np.array([40, 120, 200])
+    for k in ks:
         W = models.overlap_closed_form(p, grid.times[k])
         assert np.max(np.abs(W - frames.overlap(fr, k))) < 1e-12
+    stacked = models.overlap_closed_form(p, grid.times[ks])
+    assert stacked.shape == (3, 2, 2)
+    assert np.max(np.abs(stacked - frames.overlap(fr, ks))) < 1e-12
 
 
 def _euler_angle_rotating_frame(p, grid):
@@ -265,6 +269,13 @@ def test_tripod_spectrum_is_pinned_by_the_coupling_norm():
         assert matlib.herm_defect(H) == 0.0
         ev = np.linalg.eigvalsh(H)
         assert np.allclose(ev, [-rabi, 0.0, 0.0, rabi], atol=1e-12)
+    # array angles give the stacked scalar matrices, bit for bit, and a
+    # scalar angle broadcasts against the others
+    theta, phi, chi = rng.uniform(-3.0, 3.0, size=(3, 7))
+    stacked = [models.tripod_hamiltonian(1.3, *a) for a in zip(theta, phi, chi)]
+    assert np.array_equal(models.tripod_hamiltonian(1.3, theta, phi, chi), stacked)
+    scalar_chi = [models.tripod_hamiltonian(1.3, a, b, 0.4) for a, b in zip(theta, phi)]
+    assert np.array_equal(models.tripod_hamiltonian(1.3, theta, phi, 0.4), scalar_chi)
 
 
 def test_tripod_phase_component_defaults_to_zero():
@@ -289,6 +300,8 @@ def test_palindrome_loop_retraces_itself():
     assert back(0.25) == loop(0.5)
     assert back(0.75) == loop(0.5)
     assert back(1.0) == loop(0.0)
+    s = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(np.array(back(s)).T, [back(x) for x in s])
 
 
 def test_adiabatic_invariant_samples_the_hamiltonian():
