@@ -772,7 +772,9 @@ def check_noncyclic_consistency() -> CheckResult:
 
 
 def check_rk4_order() -> CheckResult:
-    """Convergence order of the propagator against the closed-form invariant."""
+    """Convergence order of the open-model (RK4) propagator against the
+    closed-form invariant of the decaying qubit (gamma > 0, so the run never
+    takes the closed-model Magnus flow)."""
     p = models.TwoLevelDecayParams(omega0=1.0, gamma=0.3, theta0=2 * np.pi / 3, phi0=0.3)
     model = models.two_level_model(p)
     T = 2.0 * np.pi

@@ -23,11 +23,17 @@ A dynamical invariant I(t) obeys the Heisenberg adjoint: its generator is
 which keeps Tr[I(t) rho(t)] constant along any solution of the master
 equation.  The coefficients c = V^dag rho V in a moving orthonormal basis
 V(t) obey the master equation again, with H0 -> V^dag H0 V - A,
-A = i V^dag dV/dt, and G_i -> V^dag G_i V.  All three are integrated by one
-fixed-step RK4 stepper for dx/dt = L(t) x, whose stored samples are
-Hermitized chunk by chunk: L, -L^dag and the RK4 step polynomial all commute
-with the adjoint, so the anti-Hermitian rounding never feeds the Hermitian
-part.
+A = i V^dag dV/dt, and G_i -> V^dag G_i V.  All three share one stepper
+(`_integrate`), which picks its method from the coupling rates:
+
+* closed runs (no jump operators, or every rate zero at every stage time)
+  have -L^dag = L, so all three are the unitary flow X -> U X U^dag.  It is
+  stepped by 4th-order Magnus exponentials, one batched exponential and one
+  ordered product per trajectory, and keeps the spectrum of X exactly;
+* open runs are stepped by fixed-step RK4 on dx/dt = L(t) x, whose stored
+  samples are Hermitized chunk by chunk: L, -L^dag and the RK4 step
+  polynomial all commute with the adjoint, so the anti-Hermitian rounding
+  never feeds the Hermitian part.
 """
 from __future__ import annotations
 
@@ -36,15 +42,22 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .matlib import CMatrix, NumericalError, herm_defect, series_derivative
+from .matlib import (
+    CMatrix,
+    NumericalError,
+    herm_defect,
+    ordered_product,
+    series_derivative,
+    unitary_exp,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .frames import FrameTrajectory
 
 TRACE_RTOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
-# RK4 step matrices are formed this many steps at a time, which bounds the
-# memory they take on long grids
+# open runs form their RK4 step matrices this many steps at a time, which
+# bounds the memory they take on long grids
 _CHUNK_STEPS = 128
 
 
@@ -90,14 +103,10 @@ class LindbladModel:
             g[...] = rates
         return H, G, g
 
-    def is_closed(self, times: np.ndarray) -> bool:
-        """True if all coupling rates vanish on the sampled times."""
-        return not self.jump_ops or not np.any(self.operators(times)[2])
-
 
 @dataclass
 class TimeGrid:
-    """Uniform time grid with n_steps sample points (n_steps - 1 RK4 steps)."""
+    """Uniform time grid with n_steps sample points (n_steps - 1 steps)."""
 
     t0: float
     t1: float
@@ -212,19 +221,106 @@ def _renormalize_traces(block: np.ndarray, max_drift: float) -> float:
     return max_drift
 
 
-def _integrate(inputs, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
-    """Step vec(X) with RK4 on `grid`; inputs(stages) returns the
-    `liouvillian` arguments (H, G, g) at the grid.refined() points selected
-    by the slice `stages`.  The generator is L, or -L^dag for an invariant.
+def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
+    """Hermitian exponents G_k of the 4th-order Magnus steps U_k = exp(i G_k)
+    for dU/dt = -i H(t) U, from Hermitian H at the 2n + 1 stage times of n
+    steps (t_k, t_{k+1/2}, t_{k+1}; Blanes, Casas, Oteo and Ros, Phys. Rep.
+    470, 151 (2009)):
 
-    Step matrices are formed _CHUNK_STEPS steps at a time, and a chunk whose
-    inputs all equal the first sample's reuses one step matrix.  The inner
-    loop only applies x <- P_k x; each chunk's stored samples are then
-    Hermitized in one pass, which is exact because the step map commutes
-    with the adjoint.  A density trace drifting by more than TRACE_RTOL is
-    renormalized and flagged, as if checked after every step; the first
-    NaN/Inf sample aborts with the last valid time in the message.
+        -i G_k = -i (dt/6)(H_k + 4 H_{k+1/2} + H_{k+1}) + (dt^2/12)[H_k, H_{k+1}].
+
+    The commutator is formed as C - C^dag with C = H_k H_{k+1}, so G_k is
+    exactly Hermitian.
     """
+    H0, Hm, H1 = H[:-1:2], H[1::2], H[2::2]
+    C = H0 @ H1
+    return -(dt / 6.0) * (H0 + 4.0 * Hm + H1) - 1j * (dt * dt / 12.0) * (
+        C - np.conj(np.swapaxes(C, -1, -2))
+    )
+
+
+def _unitary_flow(H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
+    """Closed-model propagation X_k = W_k X0 W_k^dag, where W = [1, U_0,
+    U_1 U_0, ...] is the ordered product of the Magnus steps U_k from H at
+    the grid.refined() times.
+
+    The step keeps the spectrum of X exactly, so a degenerate invariant
+    stays degenerate.  Constant H takes one exponential exp(i G), and W_k is
+    its k-th power read off the one eigensystem.  A non-finite exponent
+    aborts with the last valid time; so does a step whose phase spread
+    lambda_max(G_k) - lambda_min(G_k) reaches pi, where the grid aliases the
+    fastest coherence and the step leaves the Magnus convergence region.  A
+    density trace drifting by more than TRACE_RTOL is renormalized and
+    flagged, as on the RK4 path.
+    """
+    times = grid.times
+    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+    constant = bool(np.all(H == H[0]))
+    # overflow shows up as the non-finite exponent reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _magnus_exponents(H[:3] if constant else H, grid.dt)
+    bad = ~np.all(np.isfinite(G), axis=(1, 2))
+    if np.any(bad):
+        raise NumericalError(
+            f"{kind} propagation produced non-finite values; "
+            f"last valid time t={times[int(np.argmax(bad))]:.6g}"
+        )
+    # W with the step index as the last, contiguous axis, so that applying
+    # it is two einsums over length-n vectors
+    if constant:
+        # W_k = exp(i k G): powers of the one exponential, whose rounding
+        # does not grow with k as a running product's does
+        lam, V = np.linalg.eigh(G[0])
+        spread = lam[-1:] - lam[:1]
+        phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
+        W = np.einsum("im,mn,jm->ijn", V, phases, V.conj())
+    else:
+        U, spread = unitary_exp(G, return_spread=True)
+        W = np.ascontiguousarray(np.moveaxis(ordered_product(U), 0, -1))
+    coarse = spread >= np.pi
+    if np.any(coarse):
+        k = int(np.argmax(coarse))
+        raise NumericalError(
+            f"{kind} propagation under-resolved: step phase spread {spread[k]:.4g} "
+            f">= pi at t={times[k]:.6g}; refine the grid"
+        )
+    X = np.einsum("ikn,lkn->iln", np.einsum("ijn,jk->ikn", W, X0), W.conj())
+    X = 0.5 * (X + np.conj(np.swapaxes(X, 0, 1)))
+    samples = np.ascontiguousarray(np.moveaxis(X, -1, 0))
+    flags: list[str] = []
+    if kind == "density":
+        max_drift = _renormalize_traces(samples[1:], 0.0)
+        if max_drift > 0.0:
+            flags.append(f"density trace renormalized (max drift {max_drift:.3e})")
+    return OperatorTrajectory(grid, samples, kind, flags)
+
+
+def _integrate(inputs, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
+    """Propagate X on `grid`; inputs(stages) returns the `liouvillian`
+    arguments (H, G, g) at the grid.refined() points selected by the slice
+    `stages`.  The generator is L, or -L^dag for an invariant.
+
+    A run whose coupling rates vanish at every stage time is closed: there
+    -L^dag = L, and all kinds take the exact-unitary `_unitary_flow`.  The
+    rates are read off the first stage time, and only if they vanish there
+    are the inputs sampled on the whole grid to check the rest.
+
+    Open runs step vec(X) with RK4.  Step matrices are formed _CHUNK_STEPS
+    steps at a time, and a chunk whose inputs all equal the first sample's
+    reuses one step matrix.  The inner loop only applies x <- P_k x; each
+    chunk's stored samples are then Hermitized in one pass, which is exact
+    because the step map commutes with the adjoint.  A density trace
+    drifting by more than TRACE_RTOL is renormalized and flagged, as if
+    checked after every step; the first NaN/Inf sample aborts with the last
+    valid time in the message.
+    """
+    first = inputs(slice(0, 1))
+    full = None
+    if not np.any(first[2]):
+        full = inputs(slice(None))
+        if not np.any(full[2]):
+            return _unitary_flow(full[0], X0, grid, kind)
+
     d = X0.shape[0]
     times = grid.times
     samples = np.empty((grid.n_steps, d, d), dtype=complex)
@@ -235,12 +331,12 @@ def _integrate(inputs, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajec
         L = liouvillian(H, G, g)
         return -np.conj(np.swapaxes(L, -1, -2)) if kind == "invariant" else L
 
-    first = inputs(slice(0, 1))
     P_const = None
     max_drift = 0.0
     for lo in range(0, grid.n_steps - 1, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, grid.n_steps - 1)
-        chunk = inputs(slice(2 * lo, 2 * hi + 1))
+        stages = slice(2 * lo, 2 * hi + 1)
+        chunk = inputs(stages) if full is None else tuple(a[stages] for a in full)
         if all(np.all(a == a0) for a, a0 in zip(chunk, first)):
             if P_const is None:
                 P_const = _rk4_matrices(np.repeat(generator(*first), 3, axis=0), grid.dt)
@@ -276,8 +372,9 @@ def propagate(
     kind: str = "density",
 ) -> OperatorTrajectory:
     """Integrate the master equation (kind='density', generator L) or the
-    invariant equation (kind='invariant', generator -L^dag) with fixed-step
-    RK4; see `_integrate` for the checks on the samples."""
+    invariant equation (kind='invariant', generator -L^dag): by the exact
+    unitary Magnus flow for a closed model, else by fixed-step RK4; see
+    `_integrate` for the choice and the checks on the samples."""
     if kind not in ("density", "invariant"):
         raise ValueError("propagate handles 'density' or 'invariant' trajectories")
     X = _validate_initial(X0, model.dim, kind)
@@ -313,7 +410,7 @@ def propagate_coefficients(
 
     Its generator is `liouvillian` with H0 -> V^dag H0 V - A, where
     A = i V^dag dV/dt (Hermitized finite difference), and G_i -> V^dag G_i V.
-    The frames must be sampled on grid.refined() (a point at every RK4
+    The frames must be sampled on grid.refined() (a point at every
     half-step), so the moving-basis matrices are available at the stage
     times without interpolation.
     """

@@ -122,14 +122,21 @@ def polar_unitary(W: CMatrix, rank_tol: float = 1e-12) -> tuple[CMatrix, CMatrix
     return U, R
 
 
-def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
-    """exp(i s A) for Hermitian A (or a stack), via the eigensystem (exactly unitary)."""
+def unitary_exp(A: CMatrix, s: float = 1.0, return_spread: bool = False):
+    """exp(i s A) for Hermitian A (or a stack), via the eigensystem (exactly unitary).
+
+    With return_spread, also returns the phase spread |s| (lam_max - lam_min)
+    of each exponential, read off the same eigenvalues.
+    """
     A = np.asarray(A, dtype=complex)
     dev = herm_defect(A)
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
     lam, V = np.linalg.eigh(0.5 * (A + _dagger(A)))
-    return (V * np.exp(1j * s * lam)[..., None, :]) @ _dagger(V)
+    U = (V * np.exp(1j * s * lam)[..., None, :]) @ _dagger(V)
+    if return_spread:
+        return U, abs(s) * (lam[..., -1] - lam[..., 0])
+    return U
 
 
 def ordered_product(F: np.ndarray) -> np.ndarray:

@@ -129,8 +129,9 @@ def test_numerical_failures_exit_with_their_own_code(tmp_path, capsys, monkeypat
 
 
 def test_overflowing_tripod_run_fails_with_one_line(tmp_path):
-    """513 steps put the bright pair far outside RK4's stability region; the
-    run must end in one exit-3 line, without numpy warnings ahead of it."""
+    """513 steps give the bright pair a phase spread of 5.86 per step, past
+    the resolution guard's pi; the run must end in one exit-3 line, without
+    numpy warnings ahead of it."""
     cfg = _write_config(
         tmp_path, scenario="wilczek_zee",
         params={"loop": 0, "rabi": 1.0, "duration": 1500.0},
@@ -139,8 +140,8 @@ def test_overflowing_tripod_run_fails_with_one_line(tmp_path):
     proc = _run_in_child(cfg, tmp_path / "o")
     assert proc.returncode == 3
     assert proc.stderr == (
-        "numerical failure: density propagation produced non-finite values; "
-        "last valid time t=43.9453\n"
+        "numerical failure: density propagation under-resolved: "
+        "step phase spread 5.859 >= pi at t=0; refine the grid\n"
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hkit import dynamics, frames, models
 from hkit.cli import WZ_LOOPS
@@ -69,13 +70,6 @@ def test_operators_on_a_time_array_stack_the_one_time_samples(which):
     for i, got in enumerate(batched):
         assert np.array_equal(got, np.concatenate([one[i] for one in singles]))
     assert np.array_equal(batched[0][1], batched[0][2]) == (which == "decay")
-
-
-def test_is_closed_tracks_the_rates():
-    params = _decay(gamma=0.0)
-    assert models.two_level_model(params).is_closed(np.linspace(0, 1, 5))
-    open_model = models.two_level_model(_decay(gamma=0.1))
-    assert not open_model.is_closed(np.linspace(0, 1, 5))
 
 
 def test_operator_trajectory_validation():
@@ -231,19 +225,103 @@ def _switched_model(switch_t, which):
     )
 
 
+def _magnus_stepwise(model, X0, grid):
+    """Reference for closed models: the 4th-order Magnus step
+    U_k = expm(Omega_k) from H at t_k, t_{k+1/2} and t_{k+1}, applied one
+    step at a time as X <- U_k X U_k^dag and Hermitized."""
+    H = model.operators(grid.refined().times)[0]
+    h = grid.dt
+    X = np.asarray(X0, dtype=complex)
+    samples = [X]
+    for k in range(grid.n_steps - 1):
+        H0, Hm, H1 = H[2 * k], H[2 * k + 1], H[2 * k + 2]
+        U = expm(-1j * (h / 6.0) * (H0 + 4.0 * Hm + H1) + (h * h / 12.0) * (H0 @ H1 - H1 @ H0))
+        X = U @ X @ U.conj().T
+        X = 0.5 * (X + X.conj().T)
+        samples.append(X)
+    return np.array(samples)
+
+
+def _tripod_b():
+    return models.wilczek_zee_demo(rabi=1.3, loop=WZ_LOOPS["b"], duration=1500.0)
+
+
 def test_tripod_density_matches_the_stepwise_reference():
-    """Time-dependent H: a fresh step matrix per step, per-chunk checks."""
-    duration = 1500.0
-    model = models.wilczek_zee_demo(rabi=1.3, loop=WZ_LOOPS["b"], duration=duration)
-    grid = TimeGrid(0.0, duration, 2001)
+    """Time-dependent closed H: the batched flow (one exponential stack, one
+    ordered product, one application) equals the step-by-step Magnus
+    stepper, and lies within its 4th-order error of a converged run."""
+    model = _tripod_b()
+    grid = TimeGrid(0.0, 1500.0, 2001)
     rng = np.random.default_rng(5)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho0 = M @ M.conj().T
     rho0 /= np.trace(rho0).real
-    ref, _ = _stepwise_propagate(model, rho0, grid)
     got = dynamics.propagate(model, rho0, grid).samples
-    assert np.max(np.abs(got - ref)) < 1e-12
+    assert np.max(np.abs(got - _magnus_stepwise(model, rho0, grid))) < 1e-12
     assert max(herm_defect(x) for x in got) == 0.0
+    fine = dynamics.propagate(model, rho0, TimeGrid(0.0, 1500.0, 16001)).samples[::8]
+    assert np.max(np.abs(got - fine)) < 1e-4
+
+
+def test_closed_flow_converges_at_fourth_order():
+    """Final rho on tripod loop b from |1><1|: halving the step cuts the
+    error against a 64 001-step run by 2^4."""
+    model = _tripod_b()
+    rho0 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    final = {
+        n: dynamics.propagate(model, rho0, TimeGrid(0.0, 1500.0, n)).samples[-1]
+        for n in (2001, 4001, 64001)
+    }
+    errs = [np.max(np.abs(final[n] - final[64001])) for n in (2001, 4001)]
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+def test_closed_invariant_keeps_its_degeneracy():
+    """A tripod invariant propagated from H(0) keeps its spectrum
+    {-rabi, 0, 0, rabi}, so eigenframes finds the dark pair all the way."""
+    model = models.wilczek_zee_demo(rabi=1.0, loop=WZ_LOOPS["a"], duration=1500.0)
+    I0 = model.operators(0.0)[0][0]
+    traj = dynamics.propagate(model, I0, TimeGrid(0.0, 1500.0, 2001), kind="invariant")
+    lam = np.linalg.eigvalsh(traj.samples)
+    assert np.max(np.abs(lam - lam[0])) <= 1e-10
+    assert frames.eigenframes(traj).blocks == [[0], [1, 2], [3]]
+
+
+def test_constant_closed_generator_is_exact():
+    """Constant H: every step is exp(-i H dt), so X(t) = e^{-iHt} X0 e^{iHt}."""
+    rng = np.random.default_rng(8)
+    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    H = 0.5 * (M + M.conj().T)
+    model = LindbladModel(dim=3, hamiltonian=lambda t: H)
+    grid = TimeGrid(0.0, 10.0, 2001)
+    I0 = np.diag([0.5, -0.2, 1.1]).astype(complex)
+    traj = dynamics.propagate(model, I0, grid, kind="invariant")
+    lam, V = np.linalg.eigh(H)
+    E = np.einsum("ij,kj,lj->kil", V, np.exp(-1j * np.outer(grid.times, lam)), V.conj())
+    exact = E @ I0 @ np.conj(np.swapaxes(E, -1, -2))
+    assert np.max(np.abs(traj.samples - exact)) <= 1e-12
+
+
+def test_under_resolved_closed_run_is_refused():
+    """513 steps over 1500 give the tripod's bright pair a phase spread of
+    2 rabi dt = 5.86 per step, past pi: the run fails instead of aliasing."""
+    model = models.wilczek_zee_demo(rabi=1.0, loop=WZ_LOOPS["a"], duration=1500.0)
+    rho0 = np.diag([0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(NumericalError, match="under-resolved: step phase spread 5.859 >= pi at t=0"):
+        dynamics.propagate(model, rho0, TimeGrid(0.0, 1500.0, 513))
+    dynamics.propagate(model, rho0, TimeGrid(0.0, 1500.0, 1001))  # spread 3.0
+
+
+def test_closed_flow_aborts_on_a_non_finite_generator_with_last_valid_time():
+    """H turns NaN at t = 0.5: the step ending there is the first bad one,
+    so t = 0.4 is the last valid time."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = LindbladModel(
+        dim=2, hamiltonian=lambda t: np.where(t >= 0.5, np.nan, 1.0)[:, None, None] * sx
+    )
+    for kind, X0 in (("density", np.diag([1.0, 0.0])), ("invariant", sx)):
+        with pytest.raises(NumericalError, match=f"^{kind} .* last valid time t=0.4$"):
+            dynamics.propagate(model, X0, TimeGrid(0.0, 1.0, 11), kind)
 
 
 @pytest.mark.parametrize("which", ["H", "G", "g"])
@@ -264,12 +342,16 @@ def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_propagate_aborts_on_overflow_with_last_valid_time():
-    """The 301-step grid overflows from t = 0.7 on, in its second chunk."""
+    """The 301-step grid overflows from t = 0.7 on, in its second chunk.
+    The weak decay channel keeps the model open, so RK4 steps it."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     rho0 = np.diag([1.0, 0.0])
     for n_steps, onset in ((11, 0.0), (301, 0.7)):
         blowup = LindbladModel(
-            dim=2, hamiltonian=lambda t: np.where(t >= onset, 1e200, 1.0)[:, None, None] * sx
+            dim=2,
+            hamiltonian=lambda t: np.where(t >= onset, 1e200, 1.0)[:, None, None] * sx,
+            jump_ops=[lambda t: models.SIGMA_MINUS],
+            couplings=lambda t: np.array([[0.01]]),
         )
         grid = TimeGrid(0.0, 1.0, n_steps)
         with pytest.raises(NumericalError, match="last valid time") as ref:
@@ -314,7 +396,8 @@ def test_trace_renormalization_matches_the_stepwise_reference(monkeypatch, rate)
 
 
 def test_trace_drift_is_renormalized_and_flagged(monkeypatch):
-    model = models.two_level_model(_decay())
+    # gamma > 0 keeps the run on the RK4 path, whose generator the leak patches
+    model = models.two_level_model(_decay(gamma=0.05))
     _leak(monkeypatch, 1e-6)
     traj = dynamics.propagate(model, np.diag([1.0, 0.0]), TimeGrid(0.0, 1.0, 51))
     assert any("renormalized" in f for f in traj.flags)

@@ -132,6 +132,10 @@ def test_unitary_exp_of_a_stack_matches_the_loop():
     assert E.shape == A.shape
     for Ai, Ei in zip(A, E):
         assert np.max(np.abs(Ei - matlib.unitary_exp(Ai, 0.7))) < 1e-14
+    E_spread, spread = matlib.unitary_exp(A, -0.7, return_spread=True)
+    lam = np.linalg.eigvalsh(A)
+    assert np.array_equal(E_spread, matlib.unitary_exp(A, -0.7))
+    assert np.allclose(spread, 0.7 * (lam[:, -1] - lam[:, 0]), rtol=1e-14, atol=0.0)
     bad = A.copy()
     bad[3, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
