@@ -115,6 +115,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.n_steps < 2:
             raise ValueError("a time grid needs at least 2 points")
+        for name in ("t0", "t1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
 

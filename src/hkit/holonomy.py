@@ -92,10 +92,11 @@ def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix
     return out
 
 
-def _check_case(blocks: list[list[int]], case_tag: str) -> None:
+def check_case(blocks: list[list[int]], case_tag: str) -> None:
+    """ValueError if the spectrum's degeneracy blocks do not fit the case."""
     sizes = [len(b) for b in blocks]
     if case_tag == "t_d" and max(sizes) < 2:
-        raise ValueError("case 't_d' needs at least one degenerate block")
+        raise ValueError("case 't_d' requires at least one degenerate block")
     if case_tag == "nt_nd" and max(sizes) > 1:
         raise ValueError("case 'nt_nd' requires a fully nondegenerate spectrum")
 
@@ -213,7 +214,7 @@ def geometric_phase(
     case-restricted before its polar split, so U and Vpar belong to the
     same reduced problem and O is unitary.
     """
-    _check_case(frames.blocks, case_tag)
+    check_case(frames.blocks, case_tag)
     n = frames.n_steps
     if not -n <= k < n:
         raise ValueError(f"grid index {k} out of range for {n} samples")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hkit
 from hkit import cli, matlib, models
@@ -94,11 +96,48 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
             },
             "normalization denominator",
         ),
+        ({"outputs": 5}, "invalid outputs"),
+        ({"outputs": "report"}, "invalid outputs"),
+        ({"outputs": ["report", 3]}, "invalid outputs"),
+        ({"grid": {"t1": "inf", "n_steps": 30}}, "t1 must be finite"),
+        ({"grid": {"t0": "nan", "t1": 6.28, "n_steps": 30}}, "t0 must be finite"),
+        ({"scenario": "two_level_decay", "params": {"gamma": "inf"}}, "gamma must be finite"),
+        ({"params": {"theta0": "nan"}}, "theta0 must be finite"),
     ]
     for i, (overrides, needle) in enumerate(malformed):
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
     monkeypatch.setenv("HKIT_SEED", "seven")
     exits_with_one_line(_write_config(tmp_path), "invalid HKIT_SEED")
+
+
+def test_case_tags_that_do_not_fit_the_spectrum_are_config_errors(tmp_path, capsys):
+    mismatched = [
+        ({"case_tag": "t_d", "grid": _grid(101)}, "case 't_d' requires"),
+        (
+            {
+                "scenario": "wilczek_zee", "case_tag": "nt_nd",
+                "params": {"duration": 1500.0}, "grid": _grid(2001, t1=1500.0),
+            },
+            "case 'nt_nd' requires",
+        ),
+    ]
+    for i, (overrides, needle) in enumerate(mismatched):
+        cfg = _write_config(tmp_path, f"case{i}.json", **overrides)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert needle in err
+
+    # a sweep records the mismatch in the point's row and goes on
+    cfg = _write_config(tmp_path, case_tag="t_d", grid=_grid(101))
+    argv = [
+        "sweep", "--config", str(cfg), "--axis", "theta0",
+        "--values", "1.0,2.0", "--out", str(tmp_path / "sweep"),
+    ]
+    assert cli.main(argv) == 0
+    _, rows = _read_sweep(tmp_path / "sweep")
+    assert [r["status"] for r in rows] == ["error", "error"]
+    assert all("case 't_d' requires" in r["message"] for r in rows)
 
 
 def test_integral_numbers_are_accepted_for_integer_fields():
@@ -201,6 +240,136 @@ def test_runs_are_deterministic(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ("trajectory.csv", "holonomy.json", "report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# --- trajectory.csv formatting ---------------------------------------------
+
+
+def _percent_rows(block: np.ndarray) -> bytes:
+    """Rows of trajectory.csv as the per-value writer formats them: one
+    FLOAT_FMT % per value, commas between, a newline after each row."""
+    return "".join(
+        ",".join(cli.FLOAT_FMT % x for x in row) + "\n" for row in block.tolist()
+    ).encode()
+
+
+def _from_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def _formatter_samples(rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded float64 families, about 1.06 million values in all."""
+    n = 2**18
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    # 2**-896 > 1e-270 and 2**963 < 1e290: the range the vectorised path certifies
+    biased = rng.integers(1023 - 896, 1023 + 963, n, dtype=np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 2**52, n, dtype=np.uint64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # exact 19-digit expansions ending in 5, which % rounds half to even
+    ties = [2.0**-26, 3 * 2.0**-26, 5 * 2.0**-26, 2.0**-27, 140708192334978.9375]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1e-270, 1e290, np.nextafter(1e290, 0.0)]
+    return {
+        "random bit patterns": _from_bits(rng.integers(0, 2**64, 2**16, dtype=np.uint64)),
+        "certified exponents": _from_bits(sign | biased | mantissa),
+        "powers of ten and their neighbours": np.concatenate([
+            tens, np.nextafter(tens, np.inf), np.nextafter(tens, 0.0), -tens,
+        ]),
+        "integers": np.concatenate([
+            np.arange(-1000.0, 1001.0),
+            rng.integers(-(2**53), 2**53, 2**17).astype(np.float64),
+        ]),
+        "short decimals": rng.integers(-(10**6), 10**6, 2**18) / 1000.0,
+        "normal deviates": rng.standard_normal(2**18),
+        "three-digit exponents": np.concatenate([
+            10.0 ** rng.uniform(100.0, 290.0, 2**15), 10.0 ** -rng.uniform(100.0, 270.0, 2**15),
+        ]),
+        "subnormals": _from_bits(rng.integers(1, 2**52, 2**12, dtype=np.uint64)),
+        "specials and ties": np.array(specials + ties + [-x for x in ties]),
+    }
+
+
+def test_formatter_matches_percent_byte_for_byte():
+    """About 1.06 million seeded values, each block's text equal to one
+    FLOAT_FMT % per value, whichever path formats it.  Blocks are 8 x 32
+    values; the edge-case families go one value at a time, so that each of
+    their values is certified or not on its own."""
+    samples = _formatter_samples(np.random.default_rng(20071011))
+    assert sum(v.size for v in samples.values()) >= 10**6
+    for family, values in samples.items():
+        shape = (1, 1) if values.size < 10**4 else (8, 32)
+        size = shape[0] * shape[1]
+        values = np.resize(values, -(-values.size // size) * size)
+        expected = [cli.FLOAT_FMT % x for x in values.tolist()]
+        certified = 0
+        for lo in range(0, values.size, size):
+            block = values[lo : lo + size].reshape(shape)
+            text = cli._format_certified(block)
+            if text is None:
+                text = cli._format_rows(block)
+            else:
+                certified += 1
+            rows = [
+                ",".join(expected[r : r + shape[1]]) + "\n"
+                for r in range(lo, lo + size, shape[1])
+            ]
+            assert text == "".join(rows).encode(), family
+        # the comparison must reach the vectorised path where it applies
+        if shape != (1, 1) and family != "random bit patterns":
+            assert certified >= 0.6 * values.size / size, (family, certified)
+
+
+def test_a_block_holding_a_tie_falls_back_to_percent():
+    tie = 2.0**-26  # 1.490116119384765625e-08: the 19th digit is an exact 5
+    assert cli.FLOAT_FMT % tie == "1.49011611938476562e-08"  # half to even
+    block = np.array([[0.1, tie, -3.5], [1e-30, 7.0, 0.0]])
+    assert cli._format_certified(block) is None
+    assert cli._format_certified(block[:, [0, 2]]) is not None
+    assert cli._format_rows(block) == _percent_rows(block)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
+def test_formatter_matches_percent_on_any_floats(values, n_cols):
+    block = np.resize(np.array(values), (-(-len(values) // n_cols), n_cols))
+    assert cli._format_rows(block) == _percent_rows(block)
+
+
+def _per_value_trajectory(res) -> bytes:
+    """trajectory.csv as the per-value writer produced it."""
+    dim = res.rho_traj.dim
+    header = ["t"]
+    for i in range(dim):
+        for j in range(dim):
+            header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+    header += [f"lam_{i}" for i in range(dim)] + ["expect_I"]
+    lines = [",".join(header)]
+    for k, t in enumerate(res.grid.times):
+        values = [t]
+        for z in res.rho_traj.samples[k].ravel():
+            values += [z.real, z.imag]
+        values += list(res.frames.eigenvalues[k]) + [res.expectation[k]]
+        lines.append(",".join(cli.FLOAT_FMT % v for v in values))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_trajectory_csv_matches_the_per_value_writer(tmp_path):
+    decay = {"scenario": "two_level_decay", "params": {"gamma": 4e-3, "theta0": 1.1}}
+    configs = {
+        "berry": {"scenario": "berry_closed", "params": {"theta0": 2.0}},
+        "decay analytic": {**decay, "frame_source": "analytic"},
+        "decay continuity": {**decay, "frame_source": "continuity"},
+        "tripod": {
+            "scenario": "wilczek_zee", "params": {"loop": 1, "rabi": 1.3, "duration": 1500.0},
+            "grid": _grid(2001, t1=1500.0),
+        },
+        "synthetic": {"scenario": "synthetic_rotation"},
+    }
+    for name, raw in configs.items():
+        res = cli.execute(ScenarioConfig.from_dict({"grid": _grid(2001), **raw}))
+        path = tmp_path / "trajectory.csv"
+        cli._write_trajectory(path, res)
+        assert path.read_bytes() == _per_value_trajectory(res), name
 
 
 def test_output_selection_limits_the_artifacts(tmp_path):

@@ -38,6 +38,10 @@ def test_time_grid_rejects_degenerate_input():
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(2.0, 1.0, 10)
+    with pytest.raises(ValueError, match="t1 must be finite"):
+        TimeGrid(0.0, np.inf, 10)
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        TimeGrid(np.nan, 1.0, 10)
 
 
 def test_model_validation():
