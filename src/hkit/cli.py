@@ -11,7 +11,8 @@ Subcommands:
   re-run a scenario along one parameter axis, one CSV row per value.
 
 Exit codes: run 0/2/3 (ok / config error / numerical failure),
-verify 0/1/2, sweep 0/2.  Identical config + seed produce byte-identical
+verify 0/1/2, sweep 0/2; run and sweep also exit 2 on an unwritable output
+path ("output error").  Identical config + seed produce byte-identical
 CSV/JSON output; the env var HKIT_SEED overrides the config seed.
 """
 from __future__ import annotations
@@ -1024,16 +1025,22 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out)
     if args.command == "verify":
         return cmd_verify(args.suite)
+    if args.command == "sweep":
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            print(f"config error: invalid sweep values: {exc}", file=sys.stderr)
+            return 2
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        print(f"config error: invalid sweep values: {exc}", file=sys.stderr)
+        if args.command == "run":
+            return cmd_run(args.config, args.out)
+        return cmd_sweep(args.config, args.axis, values, args.out)
+    except OSError as exc:
+        # reading the config turns its OSError into a ConfigError: this is --out
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
-    return cmd_sweep(args.config, args.axis, values, args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

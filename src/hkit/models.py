@@ -239,12 +239,14 @@ def rotating_frame_numeric(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eta, zeta, Omega) of the off-diagonal-free rotating frame along the grid.
 
-    The frame R(t) is holonomy.diagonalizing_frame on the closed-form
-    connection sampled on grid.refined(), started from the coset frame at
-    the weak-coupling solution eta_zeta_approx(t0), which centers the
-    first-order approximation on the true trajectory.  The flow keeps
-    det R = 1, so R = [[a, -conj(b)], [b, conj(a)]] is the coset frame
-    times diag(e^{i alpha}, e^{-i alpha}), alpha = arg a, and
+    The frame R(t) = e^{i omega} R0 W(t, 0) is holonomy.diagonalizing_frame
+    on the closed-form frames and connection sampled on grid.refined(),
+    from the coset frame R0 at the weak-coupling solution
+    eta_zeta_approx(t0), which centers the first-order approximation on
+    the true trajectory.  det R = 1, since det R0 = 1, det W = 1 (the
+    closed-form det V is -1 throughout) and the phases sum to tr A = 0 of
+    the closed-form connection.  So R = [[a, -conj(b)], [b, conj(a)]] is
+    the coset frame times diag(e^{i alpha}, e^{-i alpha}), alpha = arg a, and
 
         eta = 2 atan2(|b|, |a|),   zeta = -arg b - alpha,
 
@@ -253,15 +255,17 @@ def rotating_frame_numeric(
     R A R^dag + i R dR^dag/dt, i.e. the diagonal phase generated by the
     transport problem after the off-diagonal part has been rotated away;
     the diagonal gauge adds d(alpha)/dt to that entry, so Omega is the
-    flow's first phase column minus alpha.  The coset coordinates are
+    first column of omega minus alpha.  The coset coordinates are
     singular where sin(eta) vanishes, which is rejected.
     """
     eta0, zeta0 = (float(x) for x in eta_zeta_approx(params, grid.t0))
-    # before the connection, which divides by zero at theta0 = 0
+    # before the frames and connection, which divide by zero at theta0 = 0
     if abs(np.sin(eta0)) < 1e-10:
         raise ValueError(f"rotating-frame flow singular at eta={eta0:.3e}")
-    conn = analytic_connection(params, grid.refined())
-    R, omega = holonomy.diagonalizing_frame(conn, _rot_frame(eta0, zeta0))
+    fine = grid.refined()
+    R, omega = holonomy.diagonalizing_frame(
+        analytic_frames(params, fine), analytic_connection(params, fine), _rot_frame(eta0, zeta0)
+    )
     a, b = R[:, 0, 0], R[:, 1, 0]
     eta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     bad = np.abs(np.sin(eta)) < 1e-10
@@ -289,8 +293,9 @@ def omega_approx(params: TwoLevelDecayParams, t) -> tuple[np.ndarray, float]:
       df/dt = -gamma r0 c (1 - c) / 2 and
       N^2 = [1 + gamma c (1 - c) t / 2] / [2 r0^2 (1 - c)];
     - projected onto the coset frame R(eta, zeta), the flow
-      dR/dt = -i offdiag(R A R^dag) R of holonomy.diagonalizing_frame
-      moves the coset coordinates by (w = omega0 t + phi0)
+      dR/dt = -i offdiag(R A R^dag) R, which holonomy.diagonalizing_frame
+      solves in closed form, moves the coset coordinates by
+      (w = omega0 t + phi0)
 
           eta'  = 2 N^2 r0 s [omega0 f sin(w - zeta) + f' cos(w - zeta)],
           zeta' = 2 N^2 r0 s [omega0 r0 s

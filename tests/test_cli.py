@@ -540,16 +540,31 @@ def test_verify_prints_one_line_per_check(monkeypatch, capsys):
     assert "all 1 checks passed" in capsys.readouterr().out
 
 
-def _run_in_child(cfg, out):
-    """`hkit run` in a fresh interpreter, so its real stderr is captured."""
+def _run_in_child(cfg, out, *argv):
+    """`hkit run` (or the subcommand argv names) in a fresh interpreter, so
+    its real stderr is captured."""
     # the child imports the same hkit as this test, installed or not
     path = [str(Path(hkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    argv = argv or ("run",)
     return subprocess.run(
-        [sys.executable, "-m", "hkit.cli", "run", "--config", str(cfg), "--out", str(out)],
+        [sys.executable, "-m", "hkit.cli", *argv, "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+def test_unwritable_output_path_exits_with_one_line(tmp_path):
+    """--out naming an existing regular file: run and sweep both end in one
+    exit-2 line instead of a traceback."""
+    cfg = _write_config(tmp_path, grid=_grid(301))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (("run",), ("sweep", "--axis", "theta0", "--values", "1.0")):
+        proc = _run_in_child(cfg, taken, *argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("output error: ") and proc.stderr.count("\n") == 1, argv
+        assert str(taken) in proc.stderr and proc.stdout == ""
 
 
 def test_console_entry_point_smoke(tmp_path):

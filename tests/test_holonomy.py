@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hkit import cli, dynamics, frames, holonomy, models
 from hkit.cli import WZ_LOOPS
 from hkit.dynamics import TimeGrid
 from hkit.frames import ConnectionSeries, FrameTrajectory
-from hkit.matlib import NumericalError, match_phase_sets, unitary_defect
+from hkit.matlib import NumericalError, match_phase_sets, unitary_defect, unitary_exp
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -296,13 +298,20 @@ def test_block_solution_validation():
         holonomy.dissipative_free_block_solution(closed, fr0, 0, 1, np.eye(2))
 
 
-def _smooth_connection(grid, dim, seed):
-    """A(t) = H0 + cos(t) H1 + sin(2t) H2 with seeded Hermitian H_i."""
+def _closed_form_frames(grid, seed):
+    """d = 3 frames V(t) = e^{-i t K1} e^{-i sin(t) K2} with seeded Hermitian
+    K1, K2, and their exact connection i V^dag dV/dt
+    = e^{i sin(t) K2} K1 e^{-i sin(t) K2} + cos(t) K2."""
     rng = np.random.default_rng(seed)
-    H = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    H = 0.5 * (H + H.conj().swapaxes(1, 2))
+    K = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    K = 0.5 * (K + K.conj().swapaxes(1, 2))
     t = grid.times[:, None, None]
-    return H[0] + np.cos(t) * H[1] + np.sin(2.0 * t) * H[2]
+    E1 = unitary_exp(-t * K[0])
+    E2 = unitary_exp(-np.sin(t) * K[1])
+    A = E2.conj().swapaxes(1, 2) @ K[0] @ E2 + np.cos(t) * K[1]
+    lam = np.tile([0.0, 1.0, 2.0], (grid.n_steps, 1))
+    fr = FrameTrajectory(grid, lam, [[0], [1], [2]], E1 @ E2, "analytic")
+    return fr, ConnectionSeries(grid, A)
 
 
 def test_diagonalizing_frame_beyond_two_levels():
@@ -310,11 +319,10 @@ def test_diagonalizing_frame_beyond_two_levels():
     is diagonal (dR/dt from a fourth-order stencil of the samples), and
     omega integrates that diagonal."""
     grid = TimeGrid(0.0, 3.0, 3001)
-    A = _smooth_connection(grid, 3, seed=41)
+    fr, conn = _closed_form_frames(grid.refined(), seed=41)
+    A = conn.samples[::2]
     R0 = np.linalg.qr(A[0] + 2j * np.eye(3))[0]
-    R, omega = holonomy.diagonalizing_frame(
-        ConnectionSeries(grid.refined(), _smooth_connection(grid.refined(), 3, seed=41)), R0
-    )
+    R, omega = holonomy.diagonalizing_frame(fr, conn, R0)
     assert R.shape == (3001, 3, 3) and omega.shape == (3001, 3)
     assert np.array_equal(R[0], R0) and np.all(omega[0] == 0.0)
     assert unitary_defect(R) < 1e-11
@@ -329,17 +337,65 @@ def test_diagonalizing_frame_beyond_two_levels():
     assert np.max(np.abs(omega[2::2] - simpson)) < 1e-9
 
 
+def test_diagonalizing_frame_phases_converge_at_fourth_order():
+    """omega(T) on the d = 3 frames: halving the step cuts the error against
+    a 6401-step run by 2^4."""
+    R0 = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 2j * np.eye(3))[0]
+    final = {}
+    for n in (201, 401, 6401):
+        fr, conn = _closed_form_frames(TimeGrid(0.0, 3.0, n).refined(), seed=41)
+        final[n] = holonomy.diagonalizing_frame(fr, conn, R0)[1][-1]
+    errs = [np.max(np.abs(final[n] - final[6401])) for n in (201, 401)]
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
 def test_diagonalizing_frame_validation():
     grid = TimeGrid(0.0, 1.0, 11)
-    conn = ConnectionSeries(grid.refined(), _smooth_connection(grid.refined(), 2, seed=3))
+    fr, conn = _closed_form_frames(grid.refined(), seed=3)
     with pytest.raises(ValueError, match="odd sample count"):
-        holonomy.diagonalizing_frame(ConnectionSeries(grid, conn.samples[:-1]), np.eye(2))
-    with pytest.raises(ValueError, match="R0 must be 2x2"):
-        holonomy.diagonalizing_frame(conn, np.eye(3))
+        holonomy.diagonalizing_frame(fr, ConnectionSeries(grid, conn.samples[:-1]), np.eye(3))
+    other = ConnectionSeries(TimeGrid(0.0, 2.0, 11).refined(), conn.samples)
+    with pytest.raises(ValueError, match="same grid"):
+        holonomy.diagonalizing_frame(fr, other, np.eye(3))
+    with pytest.raises(ValueError, match="R0 must be 3x3"):
+        holonomy.diagonalizing_frame(fr, conn, np.eye(2))
     with pytest.raises(ValueError, match="not unitary"):
-        holonomy.diagonalizing_frame(conn, 1.01 * np.eye(2))
-    # one RK4 step of length 1 on a generator of norm ~50 leaves the unitary group
-    coarse = TimeGrid(0.0, 1.0, 2)
-    big = ConnectionSeries(coarse.refined(), 50.0 * _smooth_connection(coarse.refined(), 2, seed=3))
-    with pytest.raises(NumericalError, match="lost unitarity"):
-        holonomy.diagonalizing_frame(big, np.linalg.qr(big.samples[0] + 1j * np.eye(2))[0])
+        holonomy.diagonalizing_frame(fr, conn, 1.01 * np.eye(3))
+
+
+@settings(max_examples=20)
+@given(
+    theta0=st.floats(np.pi / 7, 6 * np.pi / 7),
+    phi0=st.floats(0.0, 2.0 * np.pi),
+    gamma=st.floats(1e-4, 1e-2),
+    seed=st.integers(0, 2**16),
+)
+def test_gauge_covariance_over_seeded_parameters(theta0, phi0, gamma, seed):
+    """A smooth random gauge V -> V M leaves the nt_nd eigenphases and |tr O|
+    unchanged and maps O to M0^dag O M0, at check_gauge_invariance's 1e-7."""
+    p = models.TwoLevelDecayParams(gamma=gamma, theta0=theta0, phi0=phi0)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 4001)
+    I_traj = dynamics.propagate(
+        models.two_level_model(p), models.chi_closed_form(p, 0.0), grid, kind="invariant"
+    )
+    fr = frames.eigenframes(I_traj)
+    base = holonomy.geometric_phase(fr, -1, "nt_nd")
+    M = frames.smooth_random_gauge(fr, amplitude=0.05, seed=seed)
+    alt = holonomy.geometric_phase(frames.gauge_transform(fr, M), -1, "nt_nd")
+    assert match_phase_sets(base.eigenphases, alt.eigenphases) <= 1e-7
+    assert abs(abs(base.trace_O) - abs(alt.trace_O)) <= 1e-7
+    assert np.max(np.abs(alt.O - M[0].conj().T @ base.O @ M[0])) <= 1e-7
+
+
+@settings(max_examples=10)
+@given(loop=st.sampled_from(["a", "b"]), rabi=st.floats(1.0, 1.5))
+def test_palindrome_identity_over_seeded_parameters(loop, rabi):
+    """A loop traversed forward and then backward has the identity as its
+    dark-pair holonomy, at check_wilczek_zee's 1e-5."""
+    model = models.wilczek_zee_demo(
+        rabi=rabi, loop=models.palindrome_loop(WZ_LOOPS[loop]), duration=3000.0
+    )
+    grid = TimeGrid(0.0, 3000.0, 4001)
+    fr = frames.eigenframes(models.adiabatic_invariant_trajectory(model, grid))
+    O = holonomy.geometric_phase(fr, -1, "t_d").O[1:3, 1:3]
+    assert np.max(np.abs(O - np.eye(2))) <= 1e-5

@@ -148,8 +148,9 @@ def _euler_angle_rotating_frame(p, grid):
 
 
 def test_rotating_frame_matches_the_euler_angle_reference():
-    """Two fourth-order discretizations of one flow: on these draws they
-    differ by at most about 4e-12 at 2001 steps, 16 times less than at 1001."""
+    """The closed-form frame against a fourth-order discretization of its
+    flow: on these draws they differ by at most about 2e-14 at 2001 steps
+    and 1e-13 at 1001."""
     rng = np.random.default_rng(29)
     grid = TimeGrid(0.0, 2.0 * np.pi, 2001)
     for _ in range(4):
@@ -195,7 +196,9 @@ def test_rotating_frame_diagonalizes_the_connection():
     fine = grid.refined()
     eta0, zeta0 = (float(x) for x in models.eta_zeta_approx(p, 0.0))
     R, _ = holonomy.diagonalizing_frame(
-        models.analytic_connection(p, fine), models._rot_frame(eta0, zeta0)
+        models.analytic_frames(p, fine),
+        models.analytic_connection(p, fine),
+        models._rot_frame(eta0, zeta0),
     )
     assert matlib.unitary_defect(R) < 1e-12
     A = models.analytic_connection(p, grid).samples
