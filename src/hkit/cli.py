@@ -285,8 +285,8 @@ def execute(cfg: ScenarioConfig) -> RunResult:
     conn = frames.connection(frame_traj)
     holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case, conn)
     witness = holonomy.nonabelian_witness(holo)
-    # a full-connection case has already formed the transporter of conn
-    if case in holonomy.FULL_CONNECTION_CASES:
+    # a case that restricts nothing has already formed the transporter of conn
+    if np.array_equal(holo.connection, conn.samples):
         transport = holo.transport
     else:
         transport = holonomy.transporter(conn)

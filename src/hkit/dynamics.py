@@ -47,7 +47,6 @@ from .matlib import (
     NumericalError,
     herm_defect,
     ordered_product,
-    series_derivative,
     unitary_exp,
 )
 
@@ -411,20 +410,21 @@ def propagate_coefficients(
 ) -> OperatorTrajectory:
     """Integrate the coefficient matrix c = V^dag rho V on `grid`.
 
-    Its generator is `liouvillian` with H0 -> V^dag H0 V - A, where
-    A = i V^dag dV/dt (Hermitized finite difference), and G_i -> V^dag G_i V.
-    The frames must be sampled on grid.refined() (a point at every
-    half-step), so the moving-basis matrices are available at the stage
-    times without interpolation.
+    Its generator is `liouvillian` with H0 -> V^dag H0 V - A, where A is
+    the frames' connection i V^dag dV/dt (`frames.connection`), and
+    G_i -> V^dag G_i V.  The frames must be sampled on grid.refined() (a
+    point at every half-step), so the moving-basis matrices are available
+    at the stage times without interpolation.
     """
+    from .frames import connection  # frames imports this module
+
     fine = frames.grid
     if fine.n_steps != 2 * grid.n_steps - 1 or fine.t0 != grid.t0 or fine.t1 != grid.t1:
         raise ValueError("frames must be sampled on grid.refined()")
     c = _validate_initial(c0, model.dim, "coefficient")
     V = frames.vectors
     Vh = np.conj(np.swapaxes(V, -1, -2))
-    A = 1j * Vh @ series_derivative(V, fine.dt)
-    A = 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
+    A = connection(frames).samples
     stage_times = fine.times
 
     def inputs(stages: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

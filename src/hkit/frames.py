@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import OperatorTrajectory, TimeGrid
 from .matlib import (
     NumericalError,
+    block_mask,
     degeneracy_blocks,
     degeneracy_joins,
     ordered_product,
@@ -33,6 +34,8 @@ GAUGE_TAGS = ("analytic", "continuity")
 ORTHONORMAL_TOL = 1e-8
 CONNECTION_HERM_TOL = 1e-5
 BLOCK_OVERLAP_MIN = 0.1
+DEG_TOL = 1e-8  # relative gap rule of matlib.degeneracy_joins
+GAUGE_HARMONICS = 2  # Fourier order of smooth_random_gauge
 
 
 @dataclass
@@ -108,15 +111,16 @@ def _check_continuity(singular_values: list[np.ndarray], times: np.ndarray) -> N
         )
 
 
-def eigenframes(I_traj: OperatorTrajectory, deg_tol: float = 1e-8) -> FrameTrajectory:
+def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
     """Continuity-gauged eigenframes of a Hermitian operator trajectory.
 
     All samples are diagonalized (ascending) in one batched call, and each
-    must keep the degeneracy block structure of the first; a change aborts
-    and reports the crossing time.  The residual gauge freedom is fixed by
-    discrete parallel transport: each block is polar-aligned to its
-    predecessor, V_k = R_k polar(R_k^dag V_{k-1}), which makes V_k^dag V_{k-1}
-    Hermitian positive (real positive for a nondegenerate level).  Because
+    must keep the degeneracy block structure of the first (gap rule at
+    DEG_TOL); a change aborts and reports the crossing time.  The residual
+    gauge freedom is fixed by discrete parallel transport: each block is
+    polar-aligned to its predecessor, V_k = R_k polar(R_k^dag V_{k-1}), which
+    makes V_k^dag V_{k-1} Hermitian positive (real positive for a
+    nondegenerate level).  Because
     polar(X M) = polar(X) M for unitary M, that chain is one ordered product
     of the raw neighbour overlaps B_k = R_k^dag R_{k-1} of the diagonalizer's
     vectors R_k:
@@ -137,15 +141,15 @@ def eigenframes(I_traj: OperatorTrajectory, deg_tol: float = 1e-8) -> FrameTraje
         0.5 * (I_traj.samples + I_traj.samples.conj().transpose(0, 2, 1))
     )
 
-    joins = degeneracy_joins(eigenvalues, deg_tol)
+    joins = degeneracy_joins(eigenvalues, DEG_TOL)
     changed = np.any(joins != joins[0], axis=1)
-    blocks = degeneracy_blocks(eigenvalues[0], deg_tol)
+    blocks = degeneracy_blocks(eigenvalues[0], DEG_TOL)
     if changed.any():
         k = int(np.argmax(changed))
         raise NumericalError(
             f"degeneracy block structure changed at t={times[k]:.6g}: "
             f"{[len(b) for b in blocks]} -> "
-            f"{[len(b) for b in degeneracy_blocks(eigenvalues[k], deg_tol)]}"
+            f"{[len(b) for b in degeneracy_blocks(eigenvalues[k], DEG_TOL)]}"
         )
 
     # vectors holds the raw R_k until each block is replaced by R_k M_k
@@ -203,19 +207,6 @@ def overlap(frames: FrameTrajectory, k) -> np.ndarray:
     return frames.vectors[0].conj().T @ frames.vectors[k % n]
 
 
-def _check_block_compatible(M: np.ndarray, blocks: list[list[int]], dim: int) -> None:
-    """Reject entries outside the degeneracy blocks (works on stacks too)."""
-    mask = np.zeros((dim, dim), dtype=bool)
-    for b in blocks:
-        idx = np.ix_(b, b)
-        mask[idx] = True
-    worst = float(np.max(np.abs(np.where(mask, 0.0, M))))
-    if worst > 1e-10:
-        raise ValueError(
-            f"gauge transformation mixes degeneracy blocks (off-block entry {worst:.3e})"
-        )
-
-
 def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
     """Apply a block-compatible unitary gauge V_k -> V_k @ M_k.
 
@@ -235,7 +226,11 @@ def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
     if np.max(devs) > ORTHONORMAL_TOL:
         k = int(np.argmax(devs))
         raise ValueError(f"gauge sample {k} is not unitary (deviation {devs[k]:.3e})")
-    _check_block_compatible(M, frames.blocks, dim)
+    worst = float(np.max(np.abs(np.where(block_mask(frames.blocks, dim), 0.0, M))))
+    if worst > 1e-10:
+        raise ValueError(
+            f"gauge transformation mixes degeneracy blocks (off-block entry {worst:.3e})"
+        )
     return FrameTrajectory(
         grid=frames.grid,
         eigenvalues=frames.eigenvalues.copy(),
@@ -249,13 +244,13 @@ def smooth_random_gauge(
     frames: FrameTrajectory,
     amplitude: float = 0.1,
     seed: int = 0,
-    n_harmonics: int = 2,
 ) -> np.ndarray:
     """Seeded smooth block-diagonal gauge samples for covariance checks.
 
-    Each degeneracy block gets exp(i Theta_b(t)) with Theta_b a low-order
-    Fourier series in t with Hermitian matrix coefficients; the result is
-    periodic over the grid span and block-compatible by construction.
+    Each degeneracy block gets exp(i Theta_b(t)) with Theta_b a Fourier
+    series of order GAUGE_HARMONICS in t with Hermitian matrix coefficients;
+    the result is periodic over the grid span and block-compatible by
+    construction.
     """
     rng = np.random.default_rng(seed)
     n, dim = frames.n_steps, frames.dim
@@ -265,7 +260,7 @@ def smooth_random_gauge(
     for b in frames.blocks:
         g = len(b)
         theta = np.zeros((n, g, g), dtype=complex)
-        for m in range(1, n_harmonics + 1):
+        for m in range(1, GAUGE_HARMONICS + 1):
             for wave in (np.cos, np.sin):
                 G = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
                 G = 0.5 * (G + G.conj().T)

@@ -6,18 +6,22 @@ unitary part with the time-ordered transporter
 
     Vpar(t) = Texp( i int_0^t A )        (latest factor leftmost)
 
-into the phase-carrying matrix O(t, 0) = U(t, 0) @ Vpar(t).  Which matrix
-elements participate depends on the scenario:
+into the phase-carrying matrix O(t, 0) = U(t, 0) @ Vpar(t).  A scenario's
+case is the partition of the levels into the groups whose basis states
+may mix (``case_groups``):
 
-* ``nt_nd``  - no transitions, nondegenerate: diagonal entries only,
-* ``t_d``    - transitions within degenerate blocks: block-diagonal part,
-* ``t_nd``   - transitions, nondegenerate: the full matrix,
-* ``general``- no restriction (complete-frame transport; O is trivial
-               for a complete frame and useful mainly for diagnostics).
+* ``nt_nd``  - no transitions, nondegenerate: each level alone (the
+               Abelian phase),
+* ``t_d``    - transitions within degenerate blocks: each degeneracy block
+               (Wilczek-Zee),
+* ``t_nd``   - transitions, nondegenerate: all levels as one group,
+* ``general``- all levels as one group (complete-frame transport; O is
+               trivial for a complete frame and useful mainly for
+               diagnostics).
 
-Restrictions are applied to the connection before exponentiation and to
-the overlap before its polar split, so every case is the holonomy of its
-own reduced transport problem.
+The connection and the overlap keep only entries within a group, and the
+overlap is polar-split group by group, so every case is the holonomy of
+its own reduced transport problem.
 """
 from __future__ import annotations
 
@@ -31,8 +35,9 @@ from .matlib import (
     CMatrix,
     NumericalError,
     UNITARY_TOL,
+    block_mask,
     ordered_product,
-    polar_unitary,
+    polar_svd,
     principal_phase,
     series_derivative,
     unitary_defect,
@@ -41,8 +46,6 @@ from .matlib import (
 )
 
 CASE_TAGS = ("general", "t_d", "t_nd", "nt_nd")
-# cases whose transport keeps every element of the connection
-FULL_CONNECTION_CASES = ("general", "t_nd")
 OVERLAP_MODULUS_MIN = 1e-12
 
 
@@ -54,8 +57,8 @@ class HolonomyResult:
     ``factors`` its interval factors exp(i dt (A_k + A_{k+1})/2) and
     ``transport`` their ordered product series over the whole grid,
     identity first; ``Vpar`` is its entry k.  The non-Abelian witness reads
-    these, and for the full-connection cases the series is the transporter
-    of the unrestricted connection.
+    these, and for a case with one group of all levels the series is the
+    transporter of the unrestricted connection.
     """
 
     O: CMatrix
@@ -71,25 +74,21 @@ class HolonomyResult:
     flags: list[str] = field(default_factory=list)
 
 
-def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix:
-    """Zero the matrix elements a transport case does not couple."""
+def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
+    """The level groups whose basis states a transport case lets mix."""
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
-    M = np.asarray(M)
-    if case_tag in FULL_CONNECTION_CASES:
-        return M.copy()
-    out = np.zeros_like(M)
     if case_tag == "nt_nd":
-        idx = np.arange(M.shape[-1])
-        out[..., idx, idx] = M[..., idx, idx]
-        return out
-    for b in blocks:  # t_d
-        idx = np.ix_(b, b)
-        if M.ndim == 3:
-            out[(slice(None),) + idx] = M[(slice(None),) + idx]
-        else:
-            out[idx] = M[idx]
-    return out
+        return [[i] for b in blocks for i in b]
+    if case_tag == "t_d":
+        return [list(b) for b in blocks]
+    return [sorted(i for b in blocks for i in b)]
+
+
+def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix:
+    """Zero the matrix elements that couple different groups of a case."""
+    M = np.asarray(M)
+    return np.where(block_mask(case_groups(blocks, case_tag), M.shape[-1]), M, 0)
 
 
 def check_case(blocks: list[list[int]], case_tag: str) -> None:
@@ -155,37 +154,25 @@ def diagonalizing_frame(
     return np.exp(1j * omega)[:, :, None] * Rt[::2], omega
 
 
-def _restricted_polar(
-    W: CMatrix, blocks: list[list[int]], case_tag: str
-) -> tuple[CMatrix, CMatrix, list[str]]:
-    """Polar split W ~ R U adapted to the case structure.
+def _restricted_polar(W: CMatrix, groups: list[list[int]]) -> tuple[CMatrix, CMatrix]:
+    """Polar split W ~ R U, one independent decomposition per level group.
 
-    nt_nd treats each diagonal entry on its own, t_d runs an independent
-    polar decomposition per degenerate block; this keeps the split from
-    coupling levels the case forbids (a full SVD could mix blocks with
-    close singular values).
+    This keeps the split from coupling levels the case forbids (a full SVD
+    could mix groups with close singular values).  A group whose overlap has
+    a singular value below OVERLAP_MODULUS_MIN has no defined phase and
+    aborts; for a single level that is the overlap's modulus.
     """
-    flags: list[str] = []
-    dim = W.shape[0]
-    if case_tag == "nt_nd":
-        w = np.diag(W)
-        mod = np.abs(w)
-        if np.min(mod) < OVERLAP_MODULUS_MIN:
-            raise NumericalError(
-                f"overlap diagonal entry modulus {np.min(mod):.3e}: phase undefined"
-            )
-        return np.diag(w / mod), np.diag(mod).astype(complex), flags
-    if case_tag == "t_d":
-        U = np.zeros_like(W)
-        R = np.zeros_like(W)
-        for b in blocks:
-            idx = np.ix_(b, b)
-            Ub, Rb = polar_unitary(W[idx])
-            U[idx] = Ub
-            R[idx] = Rb
-        return U, R, flags
-    U, R = polar_unitary(W)
-    return U, R, flags
+    U = np.zeros_like(W)
+    R = np.zeros_like(W)
+    smallest = np.inf
+    for g in groups:
+        idx = np.ix_(g, g)
+        U[idx], P, sig = polar_svd(W[idx])
+        R[idx] = (P * sig) @ P.conj().T
+        smallest = min(smallest, sig[-1])
+    if smallest < OVERLAP_MODULUS_MIN:
+        raise NumericalError(f"overlap singular value {smallest:.3e}: phase undefined")
+    return U, 0.5 * (R + R.conj().T)
 
 
 def geometric_phase(
@@ -214,7 +201,7 @@ def geometric_phase(
     transport = ordered_product(factors)
     Vpar = transport[k]
     W = case_restrict(overlap(frames, k), frames.blocks, case_tag)
-    U, R, polar_flags = _restricted_polar(W, frames.blocks, case_tag)
+    U, R = _restricted_polar(W, case_groups(frames.blocks, case_tag))
     O = U @ Vpar
     return HolonomyResult(
         O=O,
@@ -227,7 +214,7 @@ def geometric_phase(
         connection=A_r,
         factors=factors,
         transport=transport,
-        flags=list(conn.flags) + polar_flags,
+        flags=list(conn.flags),
     )
 
 

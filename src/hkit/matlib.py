@@ -11,8 +11,9 @@ ordering, and branch-cut conventions are decided in exactly one place:
 """
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 CMatrix = np.ndarray
 
@@ -48,16 +49,19 @@ def principal_phase(x):
 def match_phase_sets(a, b) -> float:
     """Largest circular distance after optimally pairing two phase sets.
 
-    Used for comparing eigenphase multisets where the ordering produced by
-    two pipelines need not agree near the +/-pi seam.
+    The pairing minimises that largest distance (the bottleneck, min-max
+    assignment), found by trying every permutation: the sets compared here
+    are eigenphases of a few levels.  Used for comparing eigenphase
+    multisets where the ordering produced by two pipelines need not agree
+    near the +/-pi seam.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError("phase sets must have equal size")
     cost = np.abs(principal_phase(a[:, None] - b[None, :]))
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    pairings = np.array(list(permutations(range(a.size))))
+    return float(cost[np.arange(a.size), pairings].max(axis=1).min())
 
 
 def degeneracy_joins(eigenvalues: np.ndarray, deg_tol: float) -> np.ndarray:
@@ -106,20 +110,27 @@ def polar_svd(W: CMatrix) -> tuple[CMatrix, CMatrix, np.ndarray]:
     return P @ Qh, P, sig
 
 
-def polar_unitary(W: CMatrix, rank_tol: float = 1e-12) -> tuple[CMatrix, CMatrix]:
+def polar_unitary(W: CMatrix) -> tuple[CMatrix, CMatrix]:
     """Left polar decomposition W = R @ U via SVD, of one matrix or a stack.
 
     Returns (U, R) with U = P Q^dag unitary and R = sqrt(W W^dag) Hermitian
     PSD, with the leading axes of W.  The SVD route stays unitary for
-    rank-deficient input -- the pseudoinverse completion happens
-    automatically; singular values below rank_tol times the largest mark
-    directions where U follows the SVD column convention rather than the
-    data.  Non-finite entries abort.
+    rank-deficient input: directions with vanishing singular values are
+    completed by the SVD's column convention rather than by the data.
+    Non-finite entries abort.
     """
     U, P, sig = polar_svd(W)
     R = (P * sig[..., None, :]) @ _dagger(P)
     R = 0.5 * (R + _dagger(R))
     return U, R
+
+
+def block_mask(groups: list[list[int]], dim: int) -> np.ndarray:
+    """Boolean (dim, dim) mask, True where row and column share a group."""
+    mask = np.zeros((dim, dim), dtype=bool)
+    for g in groups:
+        mask[np.ix_(g, g)] = True
+    return mask
 
 
 def unitary_exp(A: CMatrix, s: float = 1.0, return_spread: bool = False):

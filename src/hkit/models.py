@@ -115,8 +115,6 @@ class TwoLevelEigenData:
 
     grid: TimeGrid
     eigenvalues: np.ndarray  # (n, 2), columns (+, -)
-    f: np.ndarray
-    norm: np.ndarray
     vectors: np.ndarray  # (n, 2, 2)
     flags: list[str] = field(default_factory=list)
 
@@ -151,7 +149,7 @@ def eigen_closed_form(params: TwoLevelDecayParams, grid: TimeGrid) -> TwoLevelEi
         vectors[:, 1, 0] = norm * off
         vectors[:, 0, 1] = norm * np.conj(off)
         vectors[:, 1, 1] = -norm * f
-    return TwoLevelEigenData(grid, lam, f, norm, vectors, flags)
+    return TwoLevelEigenData(grid, lam, vectors, flags)
 
 
 def analytic_frames(params: TwoLevelDecayParams, grid: TimeGrid) -> FrameTrajectory:

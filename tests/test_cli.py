@@ -540,18 +540,32 @@ def test_verify_prints_one_line_per_check(monkeypatch, capsys):
     assert "all 1 checks passed" in capsys.readouterr().out
 
 
-def _run_in_child(cfg, out, *argv):
-    """`hkit run` (or the subcommand argv names) in a fresh interpreter, so
-    its real stderr is captured."""
-    # the child imports the same hkit as this test, installed or not
+def _python_in_child(*args):
+    """A fresh interpreter with the arguments args, importing the same hkit
+    as this test, installed or not."""
     path = [str(Path(hkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    argv = argv or ("run",)
     return subprocess.run(
-        [sys.executable, "-m", "hkit.cli", *argv, "--config", str(cfg), "--out", str(out)],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+def _run_in_child(cfg, out, *argv):
+    """`hkit run` (or the subcommand argv names) in a fresh interpreter, so
+    its real stderr is captured."""
+    argv = argv or ("run",)
+    return _python_in_child("-m", "hkit.cli", *argv, "--config", str(cfg), "--out", str(out))
+
+
+def test_cli_import_needs_no_scipy():
+    """scipy is a test dependency only: the runtime imports numpy alone."""
+    proc = _python_in_child(
+        "-c", "import sys, hkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unwritable_output_path_exits_with_one_line(tmp_path):

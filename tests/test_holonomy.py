@@ -37,6 +37,10 @@ def _rotation_frames(grid, angle_fn):
 def test_case_restrict_masks_follow_the_block_structure():
     M = np.arange(9.0).reshape(3, 3) + 1.0
     blocks = [[0, 1], [2]]
+    assert holonomy.case_groups(blocks, "nt_nd") == [[0], [1], [2]]
+    assert holonomy.case_groups(blocks, "t_d") == [[0, 1], [2]]
+    assert holonomy.case_groups(blocks, "t_nd") == [[0, 1, 2]]
+    assert holonomy.case_groups(blocks, "general") == [[0, 1, 2]]
     assert np.array_equal(holonomy.case_restrict(M, blocks, "general"), M)
     assert np.array_equal(holonomy.case_restrict(M, blocks, "t_nd"), M)
     nt = holonomy.case_restrict(M, blocks, "nt_nd")
@@ -128,6 +132,24 @@ def test_vanishing_overlap_modulus_aborts_the_diagonal_case():
     fr = _rotation_frames(grid, lambda t: 0.5 * np.pi * t)
     with pytest.raises(NumericalError, match="phase undefined"):
         holonomy.geometric_phase(fr, 32, "nt_nd")
+
+
+def test_singular_block_overlap_aborts_the_degenerate_case():
+    """Level 0 of the block [0, 1] turns into level 2 by pi/2: the block's
+    overlap is singular, so its polar factor would be an arbitrary
+    completion rather than a phase."""
+    grid = TimeGrid(0.0, 1.0, 33)
+    a = 0.5 * np.pi * grid.times
+    V = np.zeros((33, 3, 3), dtype=complex)
+    V[:, 0, 0] = V[:, 2, 2] = np.cos(a)
+    V[:, 2, 0] = np.sin(a)
+    V[:, 0, 2] = -np.sin(a)
+    V[:, 1, 1] = 1.0
+    lam = np.tile([0.0, 0.0, 1.0], (33, 1))
+    fr = FrameTrajectory(grid, lam, [[0, 1], [2]], V, "analytic")
+    holonomy.geometric_phase(fr, 16, "t_d")  # half way the overlap is regular
+    with pytest.raises(NumericalError, match="phase undefined"):
+        holonomy.geometric_phase(fr, 32, "t_d")
 
 
 def test_cyclic_closed_system_reproduces_the_adiabatic_phases():

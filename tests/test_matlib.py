@@ -43,6 +43,11 @@ def test_match_phase_sets_pairs_greedily_impossible_cases():
     a = np.array([0.0, 2.0])
     b = np.array([2.1, -0.1])
     assert matlib.match_phase_sets(a, b) == pytest.approx(0.1)
+    # the pairing minimises the largest distance (bottleneck), not the sum:
+    # the min-sum pairing here has largest distance 2.683
+    a = np.array([0.6, 1.4, 0.3])
+    b = np.array([2.6, 1.9, -3.0])
+    assert matlib.match_phase_sets(a, b) == pytest.approx(2.0)
 
 
 def test_degeneracy_blocks_groups_close_eigenvalues():
