@@ -25,7 +25,7 @@ Everything else in this module is bookkeeping around these formulas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,22 +105,14 @@ def _f_and_friends(params: TwoLevelDecayParams, t: np.ndarray):
     return D, sqrtD, f, fdot
 
 
-@dataclass
-class TwoLevelEigenData:
-    """Closed-form eigensystem of the invariant, sampled on a grid.
+def analytic_frames(params: TwoLevelDecayParams, grid: TimeGrid) -> FrameTrajectory:
+    """Closed-form eigenframes of the invariant, sampled on a grid (gauge
+    'analytic').
 
     Columns of vectors[k] are (|+>, |->); eigenvalues are ordered the same
-    way (lam[:, 0] is the + branch).
+    way (eigenvalues[:, 0] is the + branch).  Raises ValueError where the
+    normalization denominator vanishes, i.e. near theta0 = 0.
     """
-
-    grid: TimeGrid
-    eigenvalues: np.ndarray  # (n, 2), columns (+, -)
-    vectors: np.ndarray  # (n, 2, 2)
-    flags: list[str] = field(default_factory=list)
-
-
-def eigen_closed_form(params: TwoLevelDecayParams, grid: TimeGrid) -> TwoLevelEigenData:
-    """Sampled closed-form eigenvalues and eigenvectors of the invariant."""
     t = grid.times
     g, w0 = params.gamma, params.omega0
     c, s = np.cos(params.theta0), np.sin(params.theta0)
@@ -133,36 +125,21 @@ def eigen_closed_form(params: TwoLevelDecayParams, grid: TimeGrid) -> TwoLevelEi
     lam[:, 1] = -params.r0 * ((1.0 - e_gt) * c + e_half * sqrtD)
 
     denom = f * f + (params.r0 * s) ** 2
-    flags: list[str] = []
     if np.min(denom) < NORM_DENOM_TOL:
-        flags.append(
-            f"normalization denominator {np.min(denom):.3e} "
+        raise ValueError(
+            f"analytic frames undefined: normalization denominator {np.min(denom):.3e} "
             "(basis ill-defined near theta0 = 0)"
         )
     w = w0 * t + params.phi0
     off = params.r0 * s * np.exp(-1j * w)
+    norm = 1.0 / np.sqrt(denom)
     vectors = np.empty((grid.n_steps, 2, 2), dtype=complex)
-    # a vanishing denominator is reported through `flags`, not as warnings
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm = 1.0 / np.sqrt(denom)
-        vectors[:, 0, 0] = norm * f
-        vectors[:, 1, 0] = norm * off
-        vectors[:, 0, 1] = norm * np.conj(off)
-        vectors[:, 1, 1] = -norm * f
-    return TwoLevelEigenData(grid, lam, vectors, flags)
-
-
-def analytic_frames(params: TwoLevelDecayParams, grid: TimeGrid) -> FrameTrajectory:
-    """Closed-form frames as a FrameTrajectory (gauge 'analytic', order (+, -))."""
-    data = eigen_closed_form(params, grid)
-    if data.flags:
-        raise ValueError("; ".join(data.flags))
+    vectors[:, 0, 0] = norm * f
+    vectors[:, 1, 0] = norm * off
+    vectors[:, 0, 1] = norm * np.conj(off)
+    vectors[:, 1, 1] = -norm * f
     return FrameTrajectory(
-        grid=grid,
-        eigenvalues=data.eigenvalues,
-        blocks=[[0], [1]],
-        vectors=data.vectors,
-        gauge_tag="analytic",
+        grid=grid, eigenvalues=lam, blocks=[[0], [1]], vectors=vectors, gauge_tag="analytic"
     )
 
 
@@ -375,24 +352,46 @@ def tripod_hamiltonian(rabi: float, theta, phi, chi=0.0) -> np.ndarray:
     return H
 
 
+def palindrome_loop(loop: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
+    """Traverse `loop` forward on s in [0, 1/2] and backward on [1/2, 1]."""
+    return lambda s: loop(np.where(s <= 0.5, 2.0 * s, 2.0 - 2.0 * s))
+
+
+def _loop_a(s: np.ndarray) -> tuple:
+    return np.pi / 3.0 + 0.4 * np.sin(2.0 * np.pi * s), 2.0 * np.pi * s
+
+
+def _loop_b(s: np.ndarray) -> tuple:
+    return (
+        np.pi / 3.0 + 0.3 * np.sin(2.0 * np.pi * s),
+        -2.0 * np.pi * s,
+        0.9 * np.sin(2.0 * np.pi * s),
+    )
+
+
+# Both loops share the base point (pi/3, 0, 0); loop b carries a relative
+# coupling phase so its dark holonomy leaves the plane-rotation subgroup
+# traced out by the phase-free loop a.
+WZ_LOOPS = {"a": _loop_a, "b": _loop_b, "a_palindrome": palindrome_loop(_loop_a)}
+
+
 def wilczek_zee_demo(
     rabi: float = 1.0,
-    loop: Callable[[np.ndarray], tuple] | None = None,
+    loop: Callable[[np.ndarray], tuple] = WZ_LOOPS["a"],
     duration: float = 1500.0,
 ) -> LindbladModel:
     """Closed tripod model driven around a loop in (theta, phi[, chi]).
 
     loop(s) for an array s of points in [0, 1] returns the coupling angles
     at each point (a third component, the relative phase chi, defaults to
-    0); the default is a tilted circle theta = pi/3 + 0.4 sin(2 pi s),
-    phi = 2 pi s.  The dark-bright gap is rabi everywhere (see
-    tripod_hamiltonian), and the sweep must be adiabatic: max |dH/dt| below
-    ADIABATIC_RATE_MAX in units of rabi^2, probed at 257 points.
+    0); the default is WZ_LOOPS["a"], the tilted circle
+    theta = pi/3 + 0.4 sin(2 pi s), phi = 2 pi s.  The dark-bright gap is
+    rabi everywhere (see tripod_hamiltonian), and the sweep must be
+    adiabatic: max |dH/dt| below ADIABATIC_RATE_MAX in units of rabi^2,
+    probed at 257 points.
     """
     if rabi <= 0.0:
         raise ValueError("rabi must be positive")
-    if loop is None:
-        loop = lambda s: (np.pi / 3.0 + 0.4 * np.sin(2.0 * np.pi * s), 2.0 * np.pi * s)
     model = LindbladModel(
         dim=4, hamiltonian=lambda t: tripod_hamiltonian(rabi, *loop(t / duration))
     )
@@ -405,11 +404,6 @@ def wilczek_zee_demo(
             f"(rate {rate:.3e} > {ADIABATIC_RATE_MAX:.0e}); increase duration"
         )
     return model
-
-
-def palindrome_loop(loop: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
-    """Traverse `loop` forward on s in [0, 1/2] and backward on [1/2, 1]."""
-    return lambda s: loop(np.where(s <= 0.5, 2.0 * s, 2.0 - 2.0 * s))
 
 
 def adiabatic_invariant_trajectory(model: LindbladModel, grid: TimeGrid) -> OperatorTrajectory:

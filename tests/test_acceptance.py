@@ -1,87 +1,61 @@
-"""Acceptance suite: every check prints one PASS/FAIL line and asserts at
+"""Acceptance suite: every check prints its `hkit verify` line and asserts at
 its stated tolerance.  These call the same check functions the `hkit
 verify` command runs, so the CLI and the test suite can never disagree.
 """
 from __future__ import annotations
 
-from hkit import cli
+from hkit import checks
 
 
-def _report(r: cli.CheckResult) -> str:
-    line = f"{'PASS' if r.passed else 'FAIL'} {r.name}  measured: {r.measured}  threshold: {r.threshold}"
-    if r.detail:
-        line += f"  [{r.detail}]"
-    print(line)
-    return line
+def _passes(check) -> None:
+    r = check()
+    print(r.line())
+    assert r.passed, r.line()
 
 
 def test_berry_limit_eigenphases():
-    r = cli.check_berry_limit()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_berry_limit)
 
 
 def test_invariant_solution_oracle():
-    r = cli.check_invariant_oracle()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_invariant_oracle)
 
 
 def test_spectral_oracle():
-    r = cli.check_spectral_oracle()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_spectral_oracle)
 
 
 def test_overlap_closed_form():
-    r = cli.check_overlap_closed_form()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_overlap_closed_form)
 
 
 def test_gauge_invariance_of_reported_phases():
-    r = cli.check_gauge_invariance()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_gauge_invariance)
 
 
 def test_parallel_transport_residual_converges():
-    r = cli.check_parallel_residual()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_parallel_residual)
 
 
 def test_abelian_to_nonabelian_witness_transition():
-    r = cli.check_witness_transition()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_witness_transition)
 
 
 def test_omega_perturbative_order():
-    r = cli.check_omega_perturbative()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_omega_perturbative)
 
 
 def test_two_route_equivalence():
-    r = cli.check_two_route()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_two_route)
 
 
 def test_wilczek_zee_holonomy():
-    r = cli.check_wilczek_zee()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_wilczek_zee)
 
 
 def test_noncyclic_abelian_consistency():
-    r = cli.check_noncyclic_consistency()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_noncyclic_consistency)
 
 
 def test_integrator_order():
-    r = cli.check_rk4_order()
-    line = _report(r)
-    assert r.passed, line
+    _passes(checks.check_rk4_order)

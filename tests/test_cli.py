@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hkit
-from hkit import cli, matlib, models
-from hkit.cli import CheckResult, ConfigError, ScenarioConfig
+from hkit import artifacts, checks, cli, matlib, models
+from hkit.checks import CheckResult
+from hkit.cli import ConfigError, ScenarioConfig
 from hkit.matlib import NumericalError
 
 
@@ -103,6 +104,19 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         ({"grid": {"t0": "nan", "t1": 6.28, "n_steps": 30}}, "t0 must be finite"),
         ({"scenario": "two_level_decay", "params": {"gamma": "inf"}}, "gamma must be finite"),
         ({"params": {"theta0": "nan"}}, "theta0 must be finite"),
+        ({"scenario": "wilczek_zee", "params": {"tempo": 1}}, "unknown params for wilczek_zee"),
+        (
+            {"scenario": "wilczek_zee", "params": {}, "frame_source": "analytic"},
+            "no analytic frame source",
+        ),
+        (
+            {"scenario": "synthetic_rotation", "params": {}, "frame_source": "analytic"},
+            "no analytic frame source",
+        ),
+        ({"scenario": "wilczek_zee", "params": {"loop": 3}}, "'loop' must be 0 (a)"),
+        ({"scenario": "wilczek_zee", "params": {}, "grid": _grid(101)}, "must span [0, duration]"),
+        ({"scenario": "synthetic_rotation", "params": {"lam1": 3.0}}, "need lam1 < lam2"),
+        ({"scenario": "synthetic_rotation", "params": {"omega": -1.0}}, "t1 must exceed t0"),
     ]
     for i, (overrides, needle) in enumerate(malformed):
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
@@ -249,7 +263,7 @@ def _percent_rows(block: np.ndarray) -> bytes:
     """Rows of trajectory.csv as the per-value writer formats them: one
     FLOAT_FMT % per value, commas between, a newline after each row."""
     return "".join(
-        ",".join(cli.FLOAT_FMT % x for x in row) + "\n" for row in block.tolist()
+        ",".join(artifacts.FLOAT_FMT % x for x in row) + "\n" for row in block.tolist()
     ).encode()
 
 
@@ -300,13 +314,13 @@ def test_formatter_matches_percent_byte_for_byte():
         shape = (1, 1) if values.size < 10**4 else (8, 32)
         size = shape[0] * shape[1]
         values = np.resize(values, -(-values.size // size) * size)
-        expected = [cli.FLOAT_FMT % x for x in values.tolist()]
+        expected = [artifacts.FLOAT_FMT % x for x in values.tolist()]
         certified = 0
         for lo in range(0, values.size, size):
             block = values[lo : lo + size].reshape(shape)
-            text = cli._format_certified(block)
+            text = artifacts._format_certified(block)
             if text is None:
-                text = cli._format_rows(block)
+                text = artifacts._format_rows(block)
             else:
                 certified += 1
             rows = [
@@ -321,18 +335,18 @@ def test_formatter_matches_percent_byte_for_byte():
 
 def test_a_block_holding_a_tie_falls_back_to_percent():
     tie = 2.0**-26  # 1.490116119384765625e-08: the 19th digit is an exact 5
-    assert cli.FLOAT_FMT % tie == "1.49011611938476562e-08"  # half to even
+    assert artifacts.FLOAT_FMT % tie == "1.49011611938476562e-08"  # half to even
     block = np.array([[0.1, tie, -3.5], [1e-30, 7.0, 0.0]])
-    assert cli._format_certified(block) is None
-    assert cli._format_certified(block[:, [0, 2]]) is not None
-    assert cli._format_rows(block) == _percent_rows(block)
+    assert artifacts._format_certified(block) is None
+    assert artifacts._format_certified(block[:, [0, 2]]) is not None
+    assert artifacts._format_rows(block) == _percent_rows(block)
 
 
 @settings(max_examples=300)
 @given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
 def test_formatter_matches_percent_on_any_floats(values, n_cols):
     block = np.resize(np.array(values), (-(-len(values) // n_cols), n_cols))
-    assert cli._format_rows(block) == _percent_rows(block)
+    assert artifacts._format_rows(block) == _percent_rows(block)
 
 
 def _per_value_trajectory(res) -> bytes:
@@ -349,7 +363,7 @@ def _per_value_trajectory(res) -> bytes:
         for z in res.rho_traj.samples[k].ravel():
             values += [z.real, z.imag]
         values += list(res.frames.eigenvalues[k]) + [res.expectation[k]]
-        lines.append(",".join(cli.FLOAT_FMT % v for v in values))
+        lines.append(",".join(artifacts.FLOAT_FMT % v for v in values))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -368,7 +382,7 @@ def test_trajectory_csv_matches_the_per_value_writer(tmp_path):
     for name, raw in configs.items():
         res = cli.execute(ScenarioConfig.from_dict({"grid": _grid(2001), **raw}))
         path = tmp_path / "trajectory.csv"
-        cli._write_trajectory(path, res)
+        artifacts.write_trajectory(path, res)
         assert path.read_bytes() == _per_value_trajectory(res), name
 
 
@@ -529,7 +543,7 @@ def test_verify_prints_one_line_per_check(monkeypatch, capsys):
         ],
         "clean": [lambda: CheckResult("alpha", True, "1.0e-09", "1.0e-06")],
     }
-    monkeypatch.setattr(cli, "SUITES", fake)
+    monkeypatch.setattr(checks, "SUITES", fake)
     assert cli.main(["verify", "--suite", "fast"]) == 1
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("PASS  alpha")

@@ -7,9 +7,9 @@ import pytest
 from scipy.linalg import expm
 
 from hkit import dynamics, frames, models
-from hkit.cli import WZ_LOOPS
 from hkit.dynamics import LindbladModel, OperatorTrajectory, TimeGrid
 from hkit.matlib import NumericalError, herm_defect
+from hkit.models import WZ_LOOPS
 
 
 def _decay(gamma=0.0, theta0=np.pi / 2, **kw):

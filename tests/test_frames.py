@@ -41,7 +41,7 @@ def test_eigenframes_match_closed_form_eigenvalues():
     params = _params()
     grid = TimeGrid(0.0, 2.0 * np.pi, 801)
     fr = eigenframes(_decay_invariant_traj(params, grid))
-    data = models.eigen_closed_form(params, grid)
+    data = models.analytic_frames(params, grid)
     # eigh sorts ascending; the closed form orders (+, -) with lam_+ > lam_-
     assert np.max(np.abs(fr.eigenvalues[:, 1] - data.eigenvalues[:, 0])) < 1e-12
     assert np.max(np.abs(fr.eigenvalues[:, 0] - data.eigenvalues[:, 1])) < 1e-12

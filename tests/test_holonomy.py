@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hkit import cli, dynamics, frames, holonomy, models
-from hkit.cli import WZ_LOOPS
 from hkit.dynamics import TimeGrid
 from hkit.frames import ConnectionSeries, FrameTrajectory
 from hkit.matlib import NumericalError, match_phase_sets, unitary_defect, unitary_exp
+from hkit.models import WZ_LOOPS
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
