@@ -58,6 +58,13 @@ def _parse_int(name: str, value) -> int:
         raise ConfigError(f"invalid {name}: {value!r} is not an integer") from exc
 
 
+def _parse_float(name: str, value) -> float:
+    """float(value), with bools refused rather than read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -90,6 +97,9 @@ class ScenarioConfig:
         for name, value in self.params.items():
             if not math.isfinite(value):
                 raise ConfigError(f"invalid params: {name} must be finite, got {value!r}")
+        # the connection differentiates the frames to second order
+        if self.grid is not None and self.grid.n_steps < 3:
+            raise ConfigError(f"invalid grid: n_steps must be at least 3, got {self.grid.n_steps}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -106,7 +116,9 @@ class ScenarioConfig:
                 raise ConfigError("invalid grid: expected an object with 't1' and 'n_steps'")
             try:
                 grid = TimeGrid(
-                    float(g.get("t0", 0.0)), float(g["t1"]), _parse_int("n_steps", g["n_steps"])
+                    _parse_float("t0", g.get("t0", 0.0)),
+                    _parse_float("t1", g["t1"]),
+                    _parse_int("n_steps", g["n_steps"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid grid: {exc}") from exc
@@ -114,7 +126,7 @@ class ScenarioConfig:
         if "HKIT_SEED" in os.environ:
             seed = _parse_int("HKIT_SEED", os.environ["HKIT_SEED"])
         try:
-            params = {str(k): float(v) for k, v in (raw.get("params") or {}).items()}
+            params = {str(k): _parse_float(k, v) for k, v in (raw.get("params") or {}).items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid params: {exc}") from exc
         return cls(
@@ -217,6 +229,8 @@ def _build_tripod(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
 
 def _build_synthetic(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
     model = models.synthetic_rotation_model(p["omega"], p["lam1"], p["lam2"])
+    if cfg.grid is None and p["omega"] == 0.0:
+        raise ValueError("synthetic_rotation with omega = 0 needs a grid (the default is 2 pi/omega)")
     grid = cfg.grid or TimeGrid(0.0, 2.0 * np.pi / p["omega"], 2001)
     I0 = np.diag([p["lam1"], p["lam2"]]).astype(complex)
     I_traj = dynamics.propagate(model, I0, grid, kind="invariant")

@@ -24,16 +24,21 @@ which keeps Tr[I(t) rho(t)] constant along any solution of the master
 equation.  The coefficients c = V^dag rho V in a moving orthonormal basis
 V(t) obey the master equation again, with H0 -> V^dag H0 V - A,
 A = i V^dag dV/dt, and G_i -> V^dag G_i V.  All three share one stepper
-(`_integrate`), which picks its method from the coupling rates:
+(`_integrate`), which takes the generator inputs sampled once at the
+grid.refined() times and decides once per run how to step them:
 
 * closed runs (no jump operators, or every rate zero at every stage time)
   have -L^dag = L, so all three are the unitary flow X -> U X U^dag.  It is
   stepped by 4th-order Magnus exponentials, one batched exponential and one
   ordered product per trajectory, and keeps the spectrum of X exactly;
-* open runs are stepped by fixed-step RK4 on dx/dt = L(t) x, whose stored
-  samples are Hermitized chunk by chunk: L, -L^dag and the RK4 step
-  polynomial all commute with the adjoint, so the anti-Hermitian rounding
-  never feeds the Hermitian part.
+* open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
+* a generator constant over the whole run takes one step map: one Magnus
+  exponential, whose powers give the flow, or one RK4 step matrix.
+
+Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
+and both step maps commute with the adjoint, so the anti-Hermitian rounding
+never feeds the Hermitian part), renormalizes a density's trace, and ends
+the run at the first non-finite sample.
 """
 from __future__ import annotations
 
@@ -55,8 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TRACE_RTOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
-# open runs form their RK4 step matrices this many steps at a time, which
-# bounds the memory they take on long grids
+# time-dependent open runs form their RK4 step matrices this many steps at a
+# time, which bounds the memory they take on long grids
 _CHUNK_STEPS = 128
 
 
@@ -87,20 +92,24 @@ class LindbladModel:
     def operators(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H, G, g) sampled at `times`, with shapes (n, dim, dim),
         (n, n_jump, dim, dim) and (n, n_jump, n_jump): the arguments of
-        `liouvillian`.  Each callable is called once, on all the times."""
+        `liouvillian`.  Each callable is called once, on all the times.  A
+        value that holds at all times is broadcast, not copied n times, so G,
+        g and a constant H are read-only views."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         n, m, d = len(times), len(self.jump_ops), self.dim
-        H = np.broadcast_to(self.hamiltonian(times), (n, d, d)).astype(complex)
-        G = np.empty((n, m, d, d), dtype=complex)
-        for i, op in enumerate(self.jump_ops):
-            G[:, i] = op(times)
-        g = np.zeros((n, m, m))
+        H = np.asarray(self.hamiltonian(times), dtype=complex)
+        if H.shape != (n, d, d):
+            H = np.broadcast_to(H, (n, d, d))
+        G = np.empty((m, d, d), dtype=complex)
+        if self.jump_ops:
+            ops = (np.asarray(op(times), dtype=complex) for op in self.jump_ops)
+            G = np.stack(np.broadcast_arrays(*ops), axis=-3)
+        g = np.zeros((m, m))
         if self.couplings is not None:
-            rates = np.asarray(self.couplings(times), dtype=float)
-            if rates.shape[-2:] != (m, m):
+            g = np.asarray(self.couplings(times), dtype=float)
+            if g.shape[-2:] != (m, m):
                 raise ValueError("coupling matrix shape does not match jump operators")
-            g[...] = rates
-        return H, G, g
+        return H, np.broadcast_to(G, (n, m, d, d)), np.broadcast_to(g, (n, m, m))
 
 
 @dataclass
@@ -200,9 +209,9 @@ def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _renormalize_traces(block: np.ndarray, max_drift: float) -> float:
-    """Renormalize a chunk of raw density samples, stepped without
-    renormalization from a unit-trace start, as if each step had been
-    renormalized whenever its trace drifted by more than TRACE_RTOL.
+    """Renormalize raw density samples, stepped without renormalization from
+    a unit-trace start, as if each step had been renormalized whenever its
+    trace drifted by more than TRACE_RTOL.
 
     By linearity the renormalized sample is the raw sample over the raw
     trace at the last renormalization; the scalar scan runs only when some
@@ -241,32 +250,22 @@ def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
     )
 
 
-def _unitary_flow(H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
-    """Closed-model propagation X_k = W_k X0 W_k^dag, where W = [1, U_0,
+def _unitary_flow(
+    H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
+) -> np.ndarray:
+    """Raw samples X_k = W_k X0 W_k^dag of a closed run, where W = [1, U_0,
     U_1 U_0, ...] is the ordered product of the Magnus steps U_k from H at
     the grid.refined() times.
 
     The step keeps the spectrum of X exactly, so a degenerate invariant
     stays degenerate.  Constant H takes one exponential exp(i G), and W_k is
-    its k-th power read off the one eigensystem.  A non-finite exponent
-    aborts with the last valid time; so does a step whose phase spread
+    its k-th power read off the one eigensystem.  A step whose phase spread
     lambda_max(G_k) - lambda_min(G_k) reaches pi, where the grid aliases the
-    fastest coherence and the step leaves the Magnus convergence region.  A
-    density trace drifting by more than TRACE_RTOL is renormalized and
-    flagged, as on the RK4 path.
+    fastest coherence and the step leaves the Magnus convergence region,
+    aborts the run.
     """
-    times = grid.times
-    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
-    constant = bool(np.all(H == H[0]))
-    # overflow shows up as the non-finite exponent reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = _magnus_exponents(H[:3] if constant else H, grid.dt)
-    bad = ~np.all(np.isfinite(G), axis=(1, 2))
-    if np.any(bad):
-        raise NumericalError(
-            f"{kind} propagation produced non-finite values; "
-            f"last valid time t={times[int(np.argmax(bad))]:.6g}"
-        )
+    H = H[:3] if constant else H
+    G = _magnus_exponents(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))), grid.dt)
     # W with the step index as the last, contiguous axis, so that applying
     # it is two einsums over length-n vectors
     if constant:
@@ -284,87 +283,83 @@ def _unitary_flow(H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str) -> Oper
         k = int(np.argmax(coarse))
         raise NumericalError(
             f"{kind} propagation under-resolved: step phase spread {spread[k]:.4g} "
-            f">= pi at t={times[k]:.6g}; refine the grid"
+            f">= pi at t={grid.times[k]:.6g}; refine the grid"
         )
     X = np.einsum("ikn,lkn->iln", np.einsum("ijn,jk->ikn", W, X0), W.conj())
-    X = 0.5 * (X + np.conj(np.swapaxes(X, 0, 1)))
-    samples = np.ascontiguousarray(np.moveaxis(X, -1, 0))
-    flags: list[str] = []
-    if kind == "density":
-        max_drift = _renormalize_traces(samples[1:], 0.0)
-        if max_drift > 0.0:
-            flags.append(f"density trace renormalized (max drift {max_drift:.3e})")
-    return OperatorTrajectory(grid, samples, kind, flags)
+    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
 
 
-def _integrate(inputs, X0: CMatrix, grid: TimeGrid, kind: str) -> OperatorTrajectory:
-    """Propagate X on `grid`; inputs(stages) returns the `liouvillian`
-    arguments (H, G, g) at the grid.refined() points selected by the slice
-    `stages`.  The generator is L, or -L^dag for an invariant.
-
-    A run whose coupling rates vanish at every stage time is closed: there
-    -L^dag = L, and all kinds take the exact-unitary `_unitary_flow`.  The
-    rates are read off the first stage time, and only if they vanish there
-    are the inputs sampled on the whole grid to check the rest.
-
-    Open runs step vec(X) with RK4.  Step matrices are formed _CHUNK_STEPS
-    steps at a time, and a chunk whose inputs all equal the first sample's
-    reuses one step matrix.  The inner loop only applies x <- P_k x; each
-    chunk's stored samples are then Hermitized in one pass, which is exact
-    because the step map commutes with the adjoint.  A density trace
-    drifting by more than TRACE_RTOL is renormalized and flagged, as if
-    checked after every step; the first NaN/Inf sample aborts with the last
-    valid time in the message.
-    """
-    first = inputs(slice(0, 1))
-    full = None
-    if not np.any(first[2]):
-        full = inputs(slice(None))
-        if not np.any(full[2]):
-            return _unitary_flow(full[0], X0, grid, kind)
-
-    d = X0.shape[0]
-    times = grid.times
-    samples = np.empty((grid.n_steps, d, d), dtype=complex)
+def _rk4_flow(
+    H: np.ndarray, G: np.ndarray, g: np.ndarray, X0: CMatrix, grid: TimeGrid,
+    kind: str, constant: bool,
+) -> np.ndarray:
+    """Raw samples of an open run: vec(X) stepped by RK4 with the step
+    matrices of L, or of -L^dag for an invariant, at the grid.refined()
+    times.  A constant generator takes one step matrix for the whole run;
+    otherwise they are formed _CHUNK_STEPS steps at a time.  The inner loop
+    only applies x <- P_k x."""
+    n, d = grid.n_steps, X0.shape[0]
+    samples = np.empty((n, d, d), dtype=complex)
     samples[0] = X0
-    flat = samples.reshape(grid.n_steps, d * d)
+    flat = samples.reshape(n, d * d)
 
-    def generator(H, G, g):
-        L = liouvillian(H, G, g)
-        return -np.conj(np.swapaxes(L, -1, -2)) if kind == "invariant" else L
+    def step_matrices(lo: int, hi: int) -> np.ndarray:
+        L = liouvillian(*(a[2 * lo : 2 * hi + 1] for a in (H, G, g)))
+        L = -np.conj(np.swapaxes(L, -1, -2)) if kind == "invariant" else L
+        return _rk4_matrices(L, grid.dt)
 
-    P_const = None
-    max_drift = 0.0
-    for lo in range(0, grid.n_steps - 1, _CHUNK_STEPS):
-        hi = min(lo + _CHUNK_STEPS, grid.n_steps - 1)
-        stages = slice(2 * lo, 2 * hi + 1)
-        chunk = inputs(stages) if full is None else tuple(a[stages] for a in full)
-        if all(np.all(a == a0) for a, a0 in zip(chunk, first)):
-            if P_const is None:
-                P_const = _rk4_matrices(np.repeat(generator(*first), 3, axis=0), grid.dt)
-            P = np.broadcast_to(P_const, (hi - lo,) + P_const.shape[1:])
+    if constant:
+        P = np.broadcast_to(step_matrices(0, 1), (n - 1, d * d, d * d))
+    for lo in range(0, n - 1, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, n - 1)
+        chunk = P[lo:hi] if constant else step_matrices(lo, hi)
+        for k in range(lo, hi):
+            np.dot(chunk[k - lo], flat[k], out=flat[k + 1])
+    return samples
+
+
+def _integrate(
+    H: np.ndarray, G: np.ndarray, g: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str
+) -> OperatorTrajectory:
+    """Propagate X on `grid` from the `liouvillian` arguments (H, G, g)
+    sampled at the grid.refined() times.  The generator is L, or -L^dag for
+    an invariant.
+
+    Two choices are made once, for the whole run.  A run whose coupling
+    rates vanish at every stage time is closed: there -L^dag = L, and all
+    kinds take the exact-unitary `_unitary_flow`; other runs take RK4
+    (`_rk4_flow`).  A generator constant over the whole run (H alone when
+    closed, else H, G and g) takes one step map.
+
+    The raw samples then pass one tail.  They are Hermitized, which is
+    exact because both step maps commute with the adjoint, so the
+    anti-Hermitian rounding never feeds the Hermitian part.  A density
+    trace drifting by more than TRACE_RTOL is renormalized and flagged, as
+    if checked after every step.  The first NaN/Inf sample aborts with the
+    last valid time in the message.
+    """
+    closed = not np.any(g)
+    constant = all(np.all(a == a[0]) for a in ((H,) if closed else (H, G, g)))
+    # an unstable step overflows, a non-finite generator spreads through the
+    # flow, and a density whose trace has lost every digit renormalizes by
+    # zero; the check below reports the first such sample, so numpy's own
+    # warnings about them are silenced
+    with np.errstate(all="ignore"):
+        if closed:
+            X = _unitary_flow(H, X0, grid, kind, constant)
         else:
-            P = _rk4_matrices(generator(*chunk), grid.dt)
-        # an unstable step overflows, and a density whose trace has lost
-        # every digit renormalizes by zero; the check below reports the first
-        # such sample, so numpy's own warnings about them are silenced
-        with np.errstate(all="ignore"):
-            for k in range(lo, hi):
-                np.dot(P[k - lo], flat[k], out=flat[k + 1])
-            block = samples[lo + 1 : hi + 1]
-            block[...] = 0.5 * (block + np.conj(np.swapaxes(block, -1, -2)))
-            if kind == "density":
-                max_drift = _renormalize_traces(block, max_drift)
-        bad = ~np.all(np.isfinite(flat[lo + 1 : hi + 1]), axis=1)
-        if np.any(bad):
-            raise NumericalError(
-                f"{kind} propagation produced non-finite values; "
-                f"last valid time t={times[lo + int(np.argmax(bad))]:.6g}"
-            )
-    flags: list[str] = []
-    if max_drift > 0.0:
-        flags.append(f"density trace renormalized (max drift {max_drift:.3e})")
-    return OperatorTrajectory(grid, samples, kind, flags)
+            X = _rk4_flow(H, G, g, X0, grid, kind, constant)
+        X += np.conj(np.swapaxes(X, -1, -2))
+        X *= 0.5
+        max_drift = _renormalize_traces(X[1:], 0.0) if kind == "density" else 0.0
+    bad = ~np.all(np.isfinite(X[1:]), axis=(1, 2))
+    if np.any(bad):
+        raise NumericalError(
+            f"{kind} propagation produced non-finite values; "
+            f"last valid time t={grid.times[int(np.argmax(bad))]:.6g}"
+        )
+    flags = [f"density trace renormalized (max drift {max_drift:.3e})"] if max_drift > 0.0 else []
+    return OperatorTrajectory(grid, X, kind, flags)
 
 
 def propagate(
@@ -374,14 +369,14 @@ def propagate(
     kind: str = "density",
 ) -> OperatorTrajectory:
     """Integrate the master equation (kind='density', generator L) or the
-    invariant equation (kind='invariant', generator -L^dag): by the exact
-    unitary Magnus flow for a closed model, else by fixed-step RK4; see
-    `_integrate` for the choice and the checks on the samples."""
+    invariant equation (kind='invariant', generator -L^dag) from the model
+    sampled once at the grid.refined() times: by the exact unitary Magnus
+    flow for a closed model, else by fixed-step RK4; see `_integrate` for
+    the choice and the checks on the samples."""
     if kind not in ("density", "invariant"):
         raise ValueError("propagate handles 'density' or 'invariant' trajectories")
     X = _validate_initial(X0, model.dim, kind)
-    stage_times = grid.refined().times
-    return _integrate(lambda stages: model.operators(stage_times[stages]), X, grid, kind)
+    return _integrate(*model.operators(grid.refined().times), X, grid, kind)
 
 
 def invariant_expectation(
@@ -425,11 +420,5 @@ def propagate_coefficients(
     V = frames.vectors
     Vh = np.conj(np.swapaxes(V, -1, -2))
     A = connection(frames).samples
-    stage_times = fine.times
-
-    def inputs(stages: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        H, G, g = model.operators(stage_times[stages])
-        Vs, Vhs = V[stages], Vh[stages]
-        return Vhs @ H @ Vs - A[stages], Vhs[:, None] @ G @ Vs[:, None], g
-
-    return _integrate(inputs, c, grid, "coefficient")
+    H, G, g = model.operators(fine.times)
+    return _integrate(Vh @ H @ V - A, Vh[:, None] @ G @ V[:, None], g, c, grid, "coefficient")

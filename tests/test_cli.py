@@ -117,6 +117,20 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         ({"scenario": "wilczek_zee", "params": {}, "grid": _grid(101)}, "must span [0, duration]"),
         ({"scenario": "synthetic_rotation", "params": {"lam1": 3.0}}, "need lam1 < lam2"),
         ({"scenario": "synthetic_rotation", "params": {"omega": -1.0}}, "t1 must exceed t0"),
+        ({"scenario": "synthetic_rotation", "params": {"omega": 0}}, "omega = 0 needs a grid"),
+        (
+            {"scenario": "two_level_decay", "params": {"gamma": 0.001}, "grid": _grid(2, t1=0.1)},
+            "n_steps must be at least 3",
+        ),
+        (
+            {
+                "scenario": "two_level_decay", "params": {"gamma": 0.001},
+                "grid": _grid(2, t1=0.1), "frame_source": "analytic",
+            },
+            "n_steps must be at least 3",
+        ),
+        ({"scenario": "two_level_decay", "params": {"gamma": True}}, "gamma must be a number"),
+        ({"grid": {"t1": True, "n_steps": 30}}, "t1 must be a number"),
     ]
     for i, (overrides, needle) in enumerate(malformed):
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
@@ -519,6 +533,14 @@ def test_sweep_keeps_going_past_a_failing_point(tmp_path):
     assert [r["status"] for r in rows] == ["ok", "error", "ok"]
     assert "theta0" in rows[1]["message"]
     assert "," not in rows[1]["message"]
+
+    # omega = 0 has no default grid (one period 2 pi/omega), but runs on a given one
+    for grid, statuses in ((None, ["ok", "error"]), (_grid(301, t1=1.0), ["ok", "ok"])):
+        cfg = _write_config(tmp_path, "rot.json", scenario="synthetic_rotation", params={}, grid=grid)
+        argv = ["sweep", "--config", str(cfg), "--axis", "omega", "--values", "1,0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = _read_sweep(out)
+        assert [r["status"] for r in rows] == statuses
 
 
 def test_sweep_argument_errors(tmp_path, capsys):

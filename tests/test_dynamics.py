@@ -365,6 +365,35 @@ def test_propagate_aborts_on_overflow_with_last_valid_time():
         assert str(got.value) == str(ref.value)
 
 
+def test_each_propagation_samples_the_model_once(monkeypatch):
+    """propagate and propagate_coefficients sample (H, G, g) once, on all of
+    grid.refined(): a closed run, an open run of many RK4 chunks, and the
+    coefficient equation on refined frames."""
+    sampled = []
+    operators = LindbladModel.operators
+
+    def counted(self, times):
+        sampled.append(np.size(times))
+        return operators(self, times)
+    monkeypatch.setattr(LindbladModel, "operators", counted)
+    params = _decay(gamma=4e-3, theta0=1.1)
+    berry = models.two_level_model(_decay(gamma=0.0, theta0=2.0))
+    decay = models.two_level_model(params)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 8001)
+    fr = models.analytic_frames(params, grid.refined())
+    rho0 = np.diag([1.0, 0.0])
+    runs = (
+        lambda: dynamics.propagate(berry, rho0, grid),
+        lambda: dynamics.propagate(decay, rho0, grid),
+        lambda: dynamics.propagate_coefficients(decay, fr, rho0, grid),
+    )
+    assert grid.n_steps > 60 * dynamics._CHUNK_STEPS
+    for run in runs:
+        sampled.clear()
+        run()
+        assert sampled == [grid.refined().n_steps]
+
+
 def _leak(monkeypatch, rate):
     """Add rho -> rate Tr(rho) 1 to the Liouvillian: a constant rate * identity
     leak on unit-trace states."""
@@ -376,7 +405,7 @@ def _leak(monkeypatch, rate):
 
 @pytest.mark.parametrize("rate", [1e-6, 7e-8])
 def test_trace_renormalization_matches_the_stepwise_reference(monkeypatch, rate):
-    """Over four chunks, renormalizing every step (1e-6, drift 5e-9 a step)
+    """Over 400 steps, renormalizing every step (1e-6, drift 5e-9 a step)
     or every third step (7e-8, drift 3.5e-10 a step, so 1.05e-9 after three,
     clear of TRACE_RTOL where rounding would decide) gives the reference's
     samples and max drift."""
@@ -394,7 +423,7 @@ def test_trace_renormalization_matches_the_stepwise_reference(monkeypatch, rate)
     ref, ref_drift = _stepwise_propagate(model, rho0, grid)
     traj = dynamics.propagate(model, rho0, grid)
     assert np.max(np.abs(traj.samples - ref)) < 1e-12
-    assert len(drifts) == 4 and ref_drift > dynamics.TRACE_RTOL
+    assert len(drifts) == 1 and ref_drift > dynamics.TRACE_RTOL
     assert abs(drifts[-1] - ref_drift) <= 1e-12 * ref_drift
     assert traj.flags == [f"density trace renormalized (max drift {ref_drift:.3e})"]
 

@@ -57,3 +57,8 @@ def test_a_traced_run_records_the_pipeline_under_cmd_run(tracing, tmp_path):
         assert name in names, name
     execute = tracer.spans[names.index("cli.execute")]
     assert execute.parent == names.index("cli.cmd_run")
+    # the counters read each call's grid: 200 steps per propagation, 201
+    # samples diagonalised
+    counted = {"dynamics.propagate", "frames.eigenframes"}
+    counts = {(s.name, s.count) for s in tracer.spans if s.name in counted}
+    assert counts == {("dynamics.propagate", 200), ("frames.eigenframes", 201)}
