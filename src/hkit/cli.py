@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import artifacts, dynamics, frames, holonomy, models
-from .dynamics import LindbladModel, OperatorTrajectory, TimeGrid
+from .dynamics import OperatorTrajectory, TimeGrid
 from .frames import ConnectionSeries, FrameTrajectory
 from .holonomy import HolonomyResult
 from .matlib import NumericalError
@@ -156,7 +156,6 @@ class RunResult:
 
     config: ScenarioConfig
     grid: TimeGrid
-    model: LindbladModel
     rho_traj: OperatorTrajectory
     I_traj: OperatorTrajectory
     frames: FrameTrajectory
@@ -178,7 +177,7 @@ class Scenario:
     """One row of the scenario table.
 
     ``build(params, cfg)`` receives ``defaults`` overlaid with the config's
-    params and returns ``(model, grid, I_traj, rho_traj, frames, warnings)``;
+    params and returns ``(grid, I_traj, rho_traj, frames, warnings)``;
     it raises ValueError for parameters it cannot run with.  ``case`` picks
     the default case tag from the same params.
     """
@@ -201,7 +200,7 @@ def _build_two_level(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
         frame_traj = models.analytic_frames(params, grid)
     else:
         frame_traj = frames.eigenframes(I_traj)
-    return model, grid, I_traj, rho_traj, frame_traj, models.scenario_warnings(params)
+    return grid, I_traj, rho_traj, frame_traj, models.scenario_warnings(params)
 
 
 def _build_berry(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
@@ -224,7 +223,7 @@ def _build_tripod(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
     frame_traj = frames.eigenframes(I_traj)
     dark = frame_traj.vectors[0][:, 1]
     rho_traj = dynamics.propagate(model, np.outer(dark, dark.conj()), grid, kind="density")
-    return model, grid, I_traj, rho_traj, frame_traj, []
+    return grid, I_traj, rho_traj, frame_traj, []
 
 
 def _build_synthetic(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
@@ -235,7 +234,7 @@ def _build_synthetic(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
     I0 = np.diag([p["lam1"], p["lam2"]]).astype(complex)
     I_traj = dynamics.propagate(model, I0, grid, kind="invariant")
     rho_traj = dynamics.propagate(model, np.diag([1.0, 0.0]).astype(complex), grid, kind="density")
-    return model, grid, I_traj, rho_traj, frames.eigenframes(I_traj), []
+    return grid, I_traj, rho_traj, frames.eigenframes(I_traj), []
 
 
 _TWO_LEVEL_DEFAULTS = asdict(models.TwoLevelDecayParams())
@@ -270,7 +269,7 @@ def execute(cfg: ScenarioConfig) -> RunResult:
         raise ConfigError(f"{cfg.scenario} has no analytic frame source")
     p = {**scenario.defaults, **cfg.params}
     try:
-        model, grid, I_traj, rho_traj, frame_traj, warnings = scenario.build(p, cfg)
+        grid, I_traj, rho_traj, frame_traj, warnings = scenario.build(p, cfg)
         case = cfg.case_tag or scenario.case(p)
         holonomy.check_case(frame_traj.blocks, case)
     except ValueError as exc:
@@ -286,10 +285,11 @@ def execute(cfg: ScenarioConfig) -> RunResult:
         transport = holonomy.transporter(conn)
     residual = holonomy.parallel_residual(frame_traj, transport)
     expectation = dynamics.invariant_expectation(I_traj, rho_traj)
-    # holo.flags already carries the connection's flags
-    flags = list(I_traj.flags) + list(rho_traj.flags) + list(holo.flags)
+    flags = []
+    if conn.herm_deviation > frames.CONNECTION_HERM_TOL:
+        flags.append(f"connection hermiticity deviation {conn.herm_deviation:.3e}")
     return RunResult(
-        config=cfg, grid=grid, model=model, rho_traj=rho_traj, I_traj=I_traj,
+        config=cfg, grid=grid, rho_traj=rho_traj, I_traj=I_traj,
         frames=frame_traj, conn=conn, holo=holo, witness=witness, residual=residual,
         expectation=expectation,
         expectation_drift=float(np.max(np.abs(expectation - expectation[0]))),

@@ -37,8 +37,13 @@ grid.refined() times and decides once per run how to step them:
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
-never feeds the Hermitian part), renormalizes a density's trace, and ends
-the run at the first non-finite sample.
+never feeds the Hermitian part) and ends the run at the first non-finite
+sample or, if all are finite, at the first density sample with an entry of
+modulus above 1 + DENSITY_ENTRY_TOL, which no density matrix has: such a
+run has diverged.  A density's trace needs no repair, since L keeps it for
+any H, G and g (Tr(H rho - rho H) = 0 and Tr(2 G_i rho G_j^dag
+- G_j^dag G_i rho - rho G_j^dag G_i) = 0) and so do both step maps, up to
+rounding.
 """
 from __future__ import annotations
 
@@ -58,7 +63,7 @@ from .matlib import (
 if TYPE_CHECKING:  # pragma: no cover
     from .frames import FrameTrajectory
 
-TRACE_RTOL = 1e-9
+DENSITY_ENTRY_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
 # time-dependent open runs form their RK4 step matrices this many steps at a
 # time, which bounds the memory they take on long grids
@@ -152,7 +157,6 @@ class OperatorTrajectory:
     grid: TimeGrid
     samples: np.ndarray  # (n_steps, dim, dim)
     kind: str
-    flags: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.kind not in TRAJECTORY_KINDS:
@@ -206,30 +210,6 @@ def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
     K3 = L[1::2] @ (eye + 0.5 * dt * K2)
     K4 = L[2::2] @ (eye + dt * K3)
     return eye + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-
-
-def _renormalize_traces(block: np.ndarray, max_drift: float) -> float:
-    """Renormalize raw density samples, stepped without renormalization from
-    a unit-trace start, as if each step had been renormalized whenever its
-    trace drifted by more than TRACE_RTOL.
-
-    By linearity the renormalized sample is the raw sample over the raw
-    trace at the last renormalization; the scalar scan runs only when some
-    drift exceeds TRACE_RTOL.  Returns the updated max drift.
-    """
-    tr = np.trace(block, axis1=-2, axis2=-1).real
-    if not np.max(np.abs(tr - 1.0)) > TRACE_RTOL:
-        return max_drift
-    scale = np.empty_like(tr)
-    s = 1.0
-    for j, t in enumerate(tr):
-        drift = abs(t / s - 1.0)
-        if drift > TRACE_RTOL:
-            s = t
-            max_drift = max(max_drift, drift)
-        scale[j] = s
-    block /= scale[:, None, None]
-    return max_drift
 
 
 def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
@@ -333,17 +313,20 @@ def _integrate(
 
     The raw samples then pass one tail.  They are Hermitized, which is
     exact because both step maps commute with the adjoint, so the
-    anti-Hermitian rounding never feeds the Hermitian part.  A density
-    trace drifting by more than TRACE_RTOL is renormalized and flagged, as
-    if checked after every step.  The first NaN/Inf sample aborts with the
-    last valid time in the message.
+    anti-Hermitian rounding never feeds the Hermitian part.  The first
+    NaN/Inf sample aborts with the last valid time in the message.  If all
+    are finite, the first density sample with an entry of modulus above
+    1 + DENSITY_ENTRY_TOL aborts the run as diverged: no density matrix has
+    one (|rho_ij|^2 <= rho_ii rho_jj <= 1), and a diverging run, typically
+    RK4 stepped outside its stability region, has one long before its
+    trace moves.  The trace needs no repair: L keeps it for any H, G and g,
+    and both step maps inherit that up to rounding.
     """
     closed = not np.any(g)
     constant = all(np.all(a == a[0]) for a in ((H,) if closed else (H, G, g)))
-    # an unstable step overflows, a non-finite generator spreads through the
-    # flow, and a density whose trace has lost every digit renormalizes by
-    # zero; the check below reports the first such sample, so numpy's own
-    # warnings about them are silenced
+    # an unstable step overflows and a non-finite generator spreads through
+    # the flow; the checks below report the first such sample, so numpy's
+    # own warnings about them are silenced
     with np.errstate(all="ignore"):
         if closed:
             X = _unitary_flow(H, X0, grid, kind, constant)
@@ -351,15 +334,21 @@ def _integrate(
             X = _rk4_flow(H, G, g, X0, grid, kind, constant)
         X += np.conj(np.swapaxes(X, -1, -2))
         X *= 0.5
-        max_drift = _renormalize_traces(X[1:], 0.0) if kind == "density" else 0.0
-    bad = ~np.all(np.isfinite(X[1:]), axis=(1, 2))
+        bad = ~np.all(np.isfinite(X[1:]), axis=(1, 2))
+        entry = np.max(np.abs(X[1:]), axis=(1, 2)) if kind == "density" else np.zeros(1)
     if np.any(bad):
         raise NumericalError(
             f"{kind} propagation produced non-finite values; "
             f"last valid time t={grid.times[int(np.argmax(bad))]:.6g}"
         )
-    flags = [f"density trace renormalized (max drift {max_drift:.3e})"] if max_drift > 0.0 else []
-    return OperatorTrajectory(grid, X, kind, flags)
+    over = entry > 1.0 + DENSITY_ENTRY_TOL
+    if np.any(over):
+        k = int(np.argmax(over))
+        raise NumericalError(
+            f"density propagation diverged: entry modulus {entry[k]:.4g} > 1 "
+            f"at t={grid.times[k + 1]:.6g}"
+        )
+    return OperatorTrajectory(grid, X, kind)
 
 
 def propagate(

@@ -14,7 +14,7 @@ by the holonomy layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class ConnectionSeries:
     grid: TimeGrid
     samples: np.ndarray  # (n_steps, dim, dim) Hermitian
     herm_deviation: float = 0.0
-    flags: list[str] = field(default_factory=list)
 
 
 def _check_continuity(singular_values: list[np.ndarray], times: np.ndarray) -> None:
@@ -183,18 +182,15 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
     """Connection A(t_k) = i V_k^dag (dV/dt)_k, Hermitized finite differences.
 
     The raw finite-difference matrix fails Hermiticity only at the
-    discretization level; the worst deviation is recorded and flagged when
-    it exceeds CONNECTION_HERM_TOL.
+    discretization level; the worst deviation is recorded as
+    herm_deviation (a run flags it above CONNECTION_HERM_TOL).
     """
     V = frames.vectors
     dV = series_derivative(V, frames.grid.dt)
     A_raw = 1j * np.einsum("kji,kjl->kil", V.conj(), dV)
     dev = float(np.max(np.abs(A_raw - np.conj(np.swapaxes(A_raw, 1, 2)))))
     A = 0.5 * (A_raw + np.conj(np.swapaxes(A_raw, 1, 2)))
-    flags = []
-    if dev > CONNECTION_HERM_TOL:
-        flags.append(f"connection hermiticity deviation {dev:.3e}")
-    return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=dev, flags=flags)
+    return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=dev)
 
 
 def overlap(frames: FrameTrajectory, k) -> np.ndarray:

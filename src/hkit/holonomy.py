@@ -25,11 +25,11 @@ its own reduced transport problem.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LindbladModel, TimeGrid
+from .dynamics import LindbladModel
 from .frames import ConnectionSeries, FrameTrajectory, connection, overlap
 from .matlib import (
     CMatrix,
@@ -71,7 +71,6 @@ class HolonomyResult:
     connection: np.ndarray  # (n_steps, dim, dim)
     factors: np.ndarray  # (n_steps - 1, dim, dim)
     transport: np.ndarray  # (n_steps, dim, dim)
-    flags: list[str] = field(default_factory=list)
 
 
 def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
@@ -214,7 +213,6 @@ def geometric_phase(
         connection=A_r,
         factors=factors,
         transport=transport,
-        flags=list(conn.flags),
     )
 
 

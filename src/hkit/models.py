@@ -388,22 +388,25 @@ def wilczek_zee_demo(
     theta = pi/3 + 0.4 sin(2 pi s), phi = 2 pi s.  The dark-bright gap is
     rabi everywhere (see tripod_hamiltonian), and the sweep must be
     adiabatic: max |dH/dt| below ADIABATIC_RATE_MAX in units of rabi^2,
-    probed at 257 points.
+    probed at 257 points.  The rate is formed from the unit-rabi
+    Hamiltonian in Python floats, max|dH_1| / ds / duration / rabi, which
+    neither overflows nor warns for any finite positive rabi and duration.
     """
     if rabi <= 0.0:
         raise ValueError("rabi must be positive")
-    model = LindbladModel(
-        dim=4, hamiltonian=lambda t: tripod_hamiltonian(rabi, *loop(t / duration))
-    )
-    probe = np.linspace(0.0, duration, 257)
-    hs = model.operators(probe)[0]
-    rate = float(np.max(np.abs(np.diff(hs, axis=0)))) / (probe[1] - probe[0]) / rabi**2
+    if duration <= 0.0:
+        raise ValueError("duration must be positive")
+    s = np.linspace(0.0, 1.0, 257)
+    step = float(np.max(np.abs(np.diff(tripod_hamiltonian(1.0, *loop(s)), axis=0))))
+    rate = step / float(s[1]) / duration / rabi
     if rate > ADIABATIC_RATE_MAX:
         raise ValueError(
             f"parameter sweep too fast for the adiabatic regime "
             f"(rate {rate:.3e} > {ADIABATIC_RATE_MAX:.0e}); increase duration"
         )
-    return model
+    return LindbladModel(
+        dim=4, hamiltonian=lambda t: tripod_hamiltonian(rabi, *loop(t / duration))
+    )
 
 
 def adiabatic_invariant_trajectory(model: LindbladModel, grid: TimeGrid) -> OperatorTrajectory:

@@ -2,6 +2,7 @@
 codes, artifact formats, and the sweep/verify protocols."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -131,6 +132,8 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         ),
         ({"scenario": "two_level_decay", "params": {"gamma": True}}, "gamma must be a number"),
         ({"grid": {"t1": True, "n_steps": 30}}, "t1 must be a number"),
+        ({"scenario": "wilczek_zee", "params": {"duration": 0}}, "duration must be positive"),
+        ({"scenario": "wilczek_zee", "params": {"rabi": 1e-200}}, "too fast for the adiabatic"),
     ]
     for i, (overrides, needle) in enumerate(malformed):
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
@@ -209,6 +212,21 @@ def test_overflowing_tripod_run_fails_with_one_line(tmp_path):
     assert proc.stderr == (
         "numerical failure: density propagation under-resolved: "
         "step phase spread 5.859 >= pi at t=0; refine the grid\n"
+    )
+
+
+def test_diverging_decay_run_fails_with_one_line(tmp_path):
+    """dt = 3.45 takes the decay's RK4 steps outside their stability region.
+    The trace stays 1 while the entries grow, so the run must end in one
+    exit-3 line at the first density sample with an entry above 1."""
+    cfg = _write_config(
+        tmp_path, scenario="two_level_decay", params={"gamma": 1e-3, "theta0": 1.1},
+        frame_source="analytic", grid=_grid(30, t1=100.0),
+    )
+    proc = _run_in_child(cfg, tmp_path / "o")
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "numerical failure: density propagation diverged: entry modulus 1.565 > 1 at t=3.44828\n"
     )
 
 
@@ -542,6 +560,13 @@ def test_sweep_keeps_going_past_a_failing_point(tmp_path):
         _, rows = _read_sweep(out)
         assert [r["status"] for r in rows] == statuses
 
+    # a tripod at rabi 1e200 passes the rate probe and fails in the eigensolver, as one row
+    cfg = _write_config(tmp_path, "wz.json", scenario="wilczek_zee", params={})
+    argv = ["sweep", "--config", str(cfg), "--axis", "rabi", "--values", "1,1e200"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    _, rows = _read_sweep(out)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+
 
 def test_sweep_argument_errors(tmp_path, capsys):
     cfg = _write_config(tmp_path)
@@ -602,6 +627,38 @@ def test_cli_import_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_modules_import_no_unused_names():
+    """Every name a src/hkit module imports is used in it.  A name that
+    appears only in a string annotation (an import under TYPE_CHECKING)
+    counts as used."""
+    unused = []
+    for path in sorted(Path(hkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        annotations = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                args += [a for a in (node.args.vararg, node.args.kwarg) if a]
+                annotations += [a.annotation for a in args] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names = ast.walk(ast.parse(ann.value, mode="eval"))
+                used |= {n.id for n in names if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{ln} {name}" for name, ln in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_unwritable_output_path_exits_with_one_line(tmp_path):

@@ -189,15 +189,14 @@ def test_propagate_rejects_bad_initial_operators():
 
 
 def _stepwise_propagate(model, X0, grid, kind="density"):
-    """Reference stepper: L at every stage time, and every step Hermitized,
-    checked for finiteness and, for a density, renormalized when its trace
-    drifts by more than TRACE_RTOL.  Returns (samples, max drift)."""
+    """Reference stepper: L at every stage time, and every step Hermitized
+    and checked for finiteness.  Returns the samples."""
     d = model.dim
     L = dynamics.liouvillian(*model.operators(grid.refined().times))
     if kind == "invariant":
         L = -np.conj(np.swapaxes(L, -1, -2))
     X = np.asarray(X0, dtype=complex)
-    samples, max_drift = [X], 0.0
+    samples = [X]
     for k, P in enumerate(dynamics._rk4_matrices(L, grid.dt)):
         X = (P @ X.reshape(-1)).reshape(d, d)
         X = 0.5 * (X + X.conj().T)
@@ -206,14 +205,8 @@ def _stepwise_propagate(model, X0, grid, kind="density"):
                 f"{kind} propagation produced non-finite values; "
                 f"last valid time t={grid.times[k]:.6g}"
             )
-        if kind == "density":
-            tr = np.trace(X).real
-            drift = abs(tr - 1.0)
-            if drift > dynamics.TRACE_RTOL:
-                X = X / tr
-                max_drift = max(max_drift, drift)
         samples.append(X)
-    return np.array(samples), max_drift
+    return np.array(samples)
 
 
 def _switched_model(switch_t, which):
@@ -339,7 +332,7 @@ def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
     rho0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
     I0 = np.array([[0.5, 0.1j], [-0.1j, -0.5]])
     for kind, X0 in (("density", rho0), ("invariant", I0)):
-        ref, _ = _stepwise_propagate(model, X0, grid, kind)
+        ref = _stepwise_propagate(model, X0, grid, kind)
         got = dynamics.propagate(model, X0, grid, kind).samples
         assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -403,38 +396,32 @@ def _leak(monkeypatch, rate):
     monkeypatch.setattr(dynamics, "liouvillian", leak)
 
 
-@pytest.mark.parametrize("rate", [1e-6, 7e-8])
-def test_trace_renormalization_matches_the_stepwise_reference(monkeypatch, rate):
-    """Over 400 steps, renormalizing every step (1e-6, drift 5e-9 a step)
-    or every third step (7e-8, drift 3.5e-10 a step, so 1.05e-9 after three,
-    clear of TRACE_RTOL where rounding would decide) gives the reference's
-    samples and max drift."""
-    _leak(monkeypatch, rate)
-    drifts = []
-    renormalize = dynamics._renormalize_traces
-
-    def recorded(block, max_drift):
-        drifts.append(renormalize(block, max_drift))
-        return drifts[-1]
-    monkeypatch.setattr(dynamics, "_renormalize_traces", recorded)
+def test_trace_drift_is_left_as_stepped(monkeypatch):
+    """The trace is not repaired: with a leak that moves it by 5e-9 a step,
+    the density is the reference's unrenormalized samples."""
+    _leak(monkeypatch, 1e-6)
     model = models.two_level_model(_decay(gamma=0.2, theta0=1.0))
     grid = TimeGrid(0.0, 1.0, 401)
     rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
-    ref, ref_drift = _stepwise_propagate(model, rho0, grid)
     traj = dynamics.propagate(model, rho0, grid)
-    assert np.max(np.abs(traj.samples - ref)) < 1e-12
-    assert len(drifts) == 1 and ref_drift > dynamics.TRACE_RTOL
-    assert abs(drifts[-1] - ref_drift) <= 1e-12 * ref_drift
-    assert traj.flags == [f"density trace renormalized (max drift {ref_drift:.3e})"]
+    assert np.max(np.abs(traj.samples - _stepwise_propagate(model, rho0, grid))) < 1e-12
+    assert np.trace(traj.samples[-1]).real - 1.0 > 1e-6
 
 
-def test_trace_drift_is_renormalized_and_flagged(monkeypatch):
-    # gamma > 0 keeps the run on the RK4 path, whose generator the leak patches
-    model = models.two_level_model(_decay(gamma=0.05))
-    _leak(monkeypatch, 1e-6)
-    traj = dynamics.propagate(model, np.diag([1.0, 0.0]), TimeGrid(0.0, 1.0, 51))
-    assert any("renormalized" in f for f in traj.flags)
-    assert abs(np.trace(traj.samples[-1]).real - 1.0) < 1e-12
+def test_diverging_density_is_refused_at_its_first_bad_sample():
+    """30 steps of dt = 3.45 put the decay's RK4 step outside its stability
+    region: the trace stays 1 while the entries grow, and the first sample
+    with an entry of modulus above 1 ends the run."""
+    params = _decay(gamma=1e-3, theta0=1.1)
+    model = models.two_level_model(params)
+    rho0 = 0.5 * (np.eye(2) + models.chi_closed_form(params, 0.0))
+    grid = TimeGrid(0.0, 100.0, 30)
+    ref = _stepwise_propagate(model, rho0, grid)
+    assert np.max(np.abs(np.trace(ref, axis1=1, axis2=2) - 1.0)) < 1e-12
+    assert np.max(np.abs(ref[1])) > 1.0 + dynamics.DENSITY_ENTRY_TOL
+    message = r"^density propagation diverged: entry modulus 1\.565 > 1 at t=3\.44828$"
+    with pytest.raises(NumericalError, match=message):
+        dynamics.propagate(model, rho0, grid)
 
 
 def test_invariant_expectation_is_conserved():

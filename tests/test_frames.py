@@ -179,7 +179,7 @@ def test_connection_samples_are_hermitian():
     dagger = np.conj(np.swapaxes(conn.samples, 1, 2))
     assert np.max(np.abs(conn.samples - dagger)) < 1e-15
     assert conn.herm_deviation < 1e-3
-    assert conn.flags == []
+    assert conn.herm_deviation <= frames.CONNECTION_HERM_TOL
 
 
 def test_continuity_gauge_suppresses_the_diagonal_connection():
