@@ -103,7 +103,7 @@ def check_spectral_oracle() -> CheckResult:
         grid=TimeGrid(0.0, 2.0 * np.pi, 2001), frame_source="analytic",
     ))
     lam_ref = np.sort(res.frames.eigenvalues, axis=1)
-    worst = float(np.max(np.abs(np.linalg.eigvalsh(res.I_traj.samples) - lam_ref)))
+    worst = float(np.max(np.abs(matlib.eigh(res.I_traj.samples)[0] - lam_ref)))
     return CheckResult("spectral_oracle", worst <= 1e-7, f"{worst:.3e}", "<= 1e-7")
 
 

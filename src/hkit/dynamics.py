@@ -55,6 +55,7 @@ import numpy as np
 from .matlib import (
     CMatrix,
     NumericalError,
+    eigh,
     herm_defect,
     ordered_product,
     unitary_exp,
@@ -196,9 +197,25 @@ def _validate_initial(X0: CMatrix, dim: int, kind: str) -> CMatrix:
         raise ValueError(f"initial operator must be {dim}x{dim}")
     if herm_defect(X0) > 1e-10:
         raise ValueError("initial operator must be Hermitian")
-    if kind == "density" and abs(np.trace(X0).real - 1.0) > 1e-10:
-        raise ValueError("initial density matrix must have unit trace")
-    return 0.5 * (X0 + X0.conj().T)
+    X = 0.5 * (X0 + X0.conj().T)
+    if kind == "density":
+        if abs(np.trace(X).real - 1.0) > 1e-10:
+            raise ValueError("initial density matrix must have unit trace")
+        lowest = eigh(X)[0][0]
+        if lowest < -1e-10:
+            raise ValueError(
+                f"initial density matrix must be positive semi-definite "
+                f"(smallest eigenvalue {lowest:.3e})"
+            )
+    return X
+
+
+def _non_finite(kind: str, grid: TimeGrid, k: int) -> NumericalError:
+    """The failure of a run whose first non-finite sample follows grid point k."""
+    return NumericalError(
+        f"{kind} propagation produced non-finite values; "
+        f"last valid time t={grid.times[k]:.6g}"
+    )
 
 
 def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
@@ -242,16 +259,20 @@ def _unitary_flow(
     its k-th power read off the one eigensystem.  A step whose phase spread
     lambda_max(G_k) - lambda_min(G_k) reaches pi, where the grid aliases the
     fastest coherence and the step leaves the Magnus convergence region,
-    aborts the run.
+    aborts the run.  So does a non-finite step exponent, before any
+    exponential, with the failure the tail gives the sample it would spoil.
     """
     H = H[:3] if constant else H
     G = _magnus_exponents(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))), grid.dt)
+    bad = ~np.all(np.isfinite(G), axis=(-2, -1))
+    if np.any(bad):
+        raise _non_finite(kind, grid, int(np.argmax(bad)))
     # W with the step index as the last, contiguous axis, so that applying
     # it is two einsums over length-n vectors
     if constant:
         # W_k = exp(i k G): powers of the one exponential, whose rounding
         # does not grow with k as a running product's does
-        lam, V = np.linalg.eigh(G[0])
+        lam, V = eigh(G[0])
         spread = lam[-1:] - lam[:1]
         phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
         W = np.einsum("im,mn,jm->ijn", V, phases, V.conj())
@@ -337,10 +358,7 @@ def _integrate(
         bad = ~np.all(np.isfinite(X[1:]), axis=(1, 2))
         entry = np.max(np.abs(X[1:]), axis=(1, 2)) if kind == "density" else np.zeros(1)
     if np.any(bad):
-        raise NumericalError(
-            f"{kind} propagation produced non-finite values; "
-            f"last valid time t={grid.times[int(np.argmax(bad))]:.6g}"
-        )
+        raise _non_finite(kind, grid, int(np.argmax(bad)))
     over = entry > 1.0 + DENSITY_ENTRY_TOL
     if np.any(over):
         k = int(np.argmax(over))

@@ -24,6 +24,7 @@ from .matlib import (
     block_mask,
     degeneracy_blocks,
     degeneracy_joins,
+    eigh,
     ordered_product,
     polar_svd,
     series_derivative,
@@ -136,7 +137,7 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
     if np.max(devs) > 1e-10:
         k = int(np.argmax(devs))
         raise ValueError(f"trajectory sample {k} is not Hermitian ({devs[k]:.3e})")
-    eigenvalues, vectors = np.linalg.eigh(
+    eigenvalues, vectors = eigh(
         0.5 * (I_traj.samples + I_traj.samples.conj().transpose(0, 2, 1))
     )
 

@@ -56,9 +56,10 @@ class HolonomyResult:
     ``connection`` holds the case-restricted connection samples,
     ``factors`` its interval factors exp(i dt (A_k + A_{k+1})/2) and
     ``transport`` their ordered product series over the whole grid,
-    identity first; ``Vpar`` is its entry k.  The non-Abelian witness reads
-    these, and for a case with one group of all levels the series is the
-    transporter of the unrestricted connection.
+    identity first; ``Vpar`` is its entry k.  Both are block diagonal over
+    the case's level ``groups``, with exact zeros between groups.  The
+    non-Abelian witness reads these, and for a case with one group of all
+    levels the series is the transporter of the unrestricted connection.
     """
 
     O: CMatrix
@@ -71,6 +72,7 @@ class HolonomyResult:
     connection: np.ndarray  # (n_steps, dim, dim)
     factors: np.ndarray  # (n_steps - 1, dim, dim)
     transport: np.ndarray  # (n_steps, dim, dim)
+    groups: list[list[int]]
 
 
 def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
@@ -82,6 +84,11 @@ def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
     if case_tag == "t_d":
         return [list(b) for b in blocks]
     return [sorted(i for b in blocks for i in b)]
+
+
+def _group_index(g: list[int]) -> tuple:
+    """Index of one level group's (|g|, |g|) slice of every matrix in a stack."""
+    return (slice(None),) + np.ix_(g, g)
 
 
 def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix:
@@ -185,7 +192,10 @@ def geometric_phase(
     The connection (``conn``, or computed from the frames when omitted) is
     case-restricted before building the transporter and the overlap is
     case-restricted before its polar split, so U and Vpar belong to the
-    same reduced problem and O is unitary.
+    same reduced problem and O is unitary.  The interval factors and their
+    ordered product are formed one level group at a time, on the group's
+    own slice of the connection (a 1x1 phase for a single level), and
+    assembled block-diagonally.
     """
     check_case(frames.blocks, case_tag)
     n = frames.n_steps
@@ -195,12 +205,18 @@ def geometric_phase(
 
     if conn is None:
         conn = connection(frames)
+    groups = case_groups(frames.blocks, case_tag)
     A_r = case_restrict(conn.samples, frames.blocks, case_tag)
-    factors = interval_factors(A_r, conn.grid.dt)
-    transport = ordered_product(factors)
+    factors = np.zeros((n - 1,) + A_r.shape[1:], dtype=complex)
+    transport = np.zeros(A_r.shape, dtype=complex)
+    for g in groups:
+        idx = _group_index(g)
+        F = interval_factors(A_r[idx], conn.grid.dt)
+        factors[idx] = F
+        transport[idx] = ordered_product(F)
     Vpar = transport[k]
     W = case_restrict(overlap(frames, k), frames.blocks, case_tag)
-    U, R = _restricted_polar(W, case_groups(frames.blocks, case_tag))
+    U, R = _restricted_polar(W, groups)
     O = U @ Vpar
     return HolonomyResult(
         O=O,
@@ -213,6 +229,7 @@ def geometric_phase(
         connection=A_r,
         factors=factors,
         transport=transport,
+        groups=groups,
     )
 
 
@@ -266,7 +283,8 @@ def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, flo
     difference between the ordered product of its interval factors and the
     product of the same factors in reversed order, over the whole grid.
     Both vanish for Abelian (commuting-connection) transport.  The forward
-    product is the end of the holonomy's stored transport series.
+    product is the end of the holonomy's stored transport series; the
+    reversed one is formed group by group, as the forward one was.
     """
     A, F = holo.connection, holo.factors
     n = A.shape[0]
@@ -276,7 +294,9 @@ def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, flo
 
     forward = holo.transport[-1]
     # the same factors multiplied earliest-leftmost: the opposite ordering
-    backward = ordered_product(F[::-1])[-1]
+    backward = np.zeros_like(forward)
+    for g in holo.groups:
+        backward[np.ix_(g, g)] = ordered_product(F[_group_index(g)][::-1])[-1]
     gap = float(np.max(np.abs(forward - backward)))
     return {"commutator_max": comm, "reversal_gap": gap}
 

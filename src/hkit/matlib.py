@@ -3,8 +3,8 @@
 All higher-level machinery funnels through these routines so that sign,
 ordering, and branch-cut conventions are decided in exactly one place:
 
-* eigen-decompositions are ascending, with degeneracy detected by a
-  *relative* gap rule,
+* Hermitian eigensystems come from `eigh` alone: ascending, with
+  degeneracy detected by a *relative* gap rule,
 * polar decompositions are left polar, ``W = R @ U`` with ``R`` Hermitian
   positive semi-definite,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
@@ -133,6 +133,48 @@ def block_mask(groups: list[list[int]], dim: int) -> np.ndarray:
     return mask
 
 
+def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a
+    Hermitian matrix or of each matrix in a stack.
+
+    Only the real part of the diagonal and the lower triangle are read, as
+    LAPACK reads them.  A stack of 2x2 matrices [[a, conj(b)], [b, d]] is
+    solved in closed form: lam = m -/+ r with m = (a + d)/2, z = (a - d)/2
+    and r = hypot(z, |b|).  The upper vector is (z + r, b) for z >= 0 and
+    (conj(b), r - z) otherwise, the form without cancellation, divided by
+    its norm sqrt(2 r) sqrt(r + |z|); for an upper vector (p, q) the lower
+    one is (-conj(q), conj(p)).  A diagonal matrix in ascending order
+    (b = 0, z <= 0, which includes r = 0) gives V = 1.  A 1x1 stack is its
+    own eigenvalue with vector 1.  Other sizes call LAPACK.  Non-finite
+    input, and LAPACK's failure to converge, abort.
+    """
+    A = np.asarray(A)
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("eigensystem of non-finite input")
+    if A.shape[-2:] == (1, 1):
+        return A[..., 0, :].real.copy(), np.ones(A.shape, dtype=complex)
+    if A.shape[-2:] != (2, 2):
+        try:
+            return np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensystem: {exc}") from exc
+    a, d, b = A[..., 0, 0].real, A[..., 1, 1].real, A[..., 1, 0]
+    m = 0.5 * (a + d)
+    z = 0.5 * (a - d)
+    r = np.hypot(z, np.abs(b))
+    upper = z >= 0.0
+    norm = np.where(r == 0.0, 1.0, np.sqrt(2.0 * r) * np.sqrt(r + np.abs(z)))
+    p = np.where(upper, z + r, b.conj()) / norm
+    q = np.where(upper, b, r - z) / norm
+    V = np.empty(A.shape, dtype=complex)
+    V[..., 0, 0] = -q.conj()
+    V[..., 1, 0] = p.conj()
+    V[..., 0, 1] = p
+    V[..., 1, 1] = q
+    V[(b == 0.0) & (z <= 0.0)] = np.eye(2)
+    return np.stack([m - r, m + r], axis=-1), V
+
+
 def unitary_exp(A: CMatrix, s: float = 1.0, return_spread: bool = False):
     """exp(i s A) for Hermitian A (or a stack), via the eigensystem (exactly unitary).
 
@@ -143,7 +185,7 @@ def unitary_exp(A: CMatrix, s: float = 1.0, return_spread: bool = False):
     dev = herm_defect(A)
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
-    lam, V = np.linalg.eigh(0.5 * (A + _dagger(A)))
+    lam, V = eigh(0.5 * (A + _dagger(A)))
     U = (V * np.exp(1j * s * lam)[..., None, :]) @ _dagger(V)
     if return_spread:
         return U, abs(s) * (lam[..., -1] - lam[..., 0])

@@ -230,6 +230,18 @@ def test_diverging_decay_run_fails_with_one_line(tmp_path):
     )
 
 
+def test_overflowing_tripod_generator_fails_with_one_line(tmp_path):
+    """At rabi 1e200 the tripod's Magnus commutator overflows on the first
+    step: a numerical failure (exit 3), not a config error."""
+    cfg = _write_config(tmp_path, scenario="wilczek_zee", params={"rabi": 1e200})
+    proc = _run_in_child(cfg, tmp_path / "o")
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "numerical failure: density propagation produced non-finite values; "
+        "last valid time t=0\n"
+    )
+
+
 def test_berry_run_writes_the_expected_phases(tmp_path):
     cfg = _write_config(tmp_path, params={})  # theta0 = pi/2 default
     out = tmp_path / "out"
@@ -659,6 +671,22 @@ def test_modules_import_no_unused_names():
                 used |= {n.id for n in names if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{ln} {name}" for name, ln in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_matlib_calls_the_lapack_eigensolver():
+    """Every Hermitian eigensystem goes through matlib.eigh, so its ordering
+    and phase conventions are decided in one module."""
+    calls = []
+    for path in sorted(Path(hkit.__file__).parent.glob("*.py")):
+        if path.name == "matlib.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")):
+                continue
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                calls.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+    assert calls == []
 
 
 def test_unwritable_output_path_exits_with_one_line(tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hkit import dynamics, frames, models
+from hkit import cli, dynamics, frames, models
 from hkit.dynamics import LindbladModel, OperatorTrajectory, TimeGrid
-from hkit.matlib import NumericalError, herm_defect
+from hkit.matlib import NumericalError, eigh, herm_defect
 from hkit.models import WZ_LOOPS
 
 
@@ -186,6 +186,27 @@ def test_propagate_rejects_bad_initial_operators():
         dynamics.propagate(model, np.eye(2), grid, kind="density")
     with pytest.raises(ValueError):
         dynamics.propagate(model, np.eye(2) / 2.0, grid, kind="coefficient")
+
+
+def test_non_positive_density_start_is_refused_up_front():
+    """diag(2, -1) is Hermitian with unit trace but no density matrix: it is
+    refused by its smallest eigenvalue before any step is taken."""
+    model = models.two_level_model(_decay(gamma=1e-3))
+    message = r"positive semi-definite \(smallest eigenvalue -1\.000e\+00\)$"
+    with pytest.raises(ValueError, match=message):
+        dynamics.propagate(model, np.diag([2.0, -1.0]), TimeGrid(0.0, 1.0, 11))
+    # an invariant need not be positive
+    dynamics.propagate(model, np.diag([2.0, -1.0]), TimeGrid(0.0, 1.0, 11), kind="invariant")
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_every_bundled_pure_start_passes_the_density_check(scenario):
+    """Each scenario's default start density is pure: its rounding below zero
+    stays inside the check's 1e-10."""
+    res = cli.execute(cli.ScenarioConfig(scenario=scenario))
+    rho0 = res.rho_traj.samples[0]
+    assert abs(np.trace(rho0 @ rho0) - 1.0) < 1e-12
+    assert eigh(rho0)[0][0] >= -1e-10
 
 
 def _stepwise_propagate(model, X0, grid, kind="density"):

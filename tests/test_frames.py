@@ -7,7 +7,7 @@ import pytest
 from hkit import dynamics, frames, models
 from hkit.dynamics import OperatorTrajectory, TimeGrid
 from hkit.frames import FrameTrajectory, eigenframes, gauge_transform
-from hkit.matlib import NumericalError, polar_unitary
+from hkit.matlib import NumericalError, eigh, polar_unitary
 
 
 def _decay_invariant_traj(params, grid):
@@ -140,7 +140,7 @@ def test_continuity_gauge_matches_sample_by_sample_polar_alignment():
     decay = _decay_invariant_traj(_params(), TimeGrid(0.0, 2.0 * np.pi, 801))
     for traj in (tripod, decay):
         fr = eigenframes(traj)
-        _, R = np.linalg.eigh(traj.samples)
+        _, R = eigh(traj.samples)
         V = R.copy()
         for k in range(1, traj.grid.n_steps):
             for b in fr.blocks:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hkit import cli, dynamics, frames, holonomy, models
+from hkit import cli, dynamics, frames, holonomy, matlib, models
 from hkit.dynamics import TimeGrid
 from hkit.frames import ConnectionSeries, FrameTrajectory
 from hkit.matlib import NumericalError, match_phase_sets, unitary_defect, unitary_exp
@@ -228,6 +228,38 @@ def test_full_connection_runs_form_the_transporter_once(monkeypatch, case):
     assert calls == [] and len(series) == 1
     assert np.array_equal(series[0], transporter(res.conn))
     assert np.array_equal(res.holo.Vpar, series[0][-1])
+
+
+def test_nondegenerate_transport_is_the_cumulative_midpoint_phase():
+    """nt_nd transports each level by its own 1x1 phase: the series is
+    exp(i cumsum(dt (a_k + a_{k+1})/2)) of the diagonal connection, with
+    exact zeros off the diagonal."""
+    fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 2001))
+    conn = frames.connection(fr)
+    res = holonomy.geometric_phase(fr, -1, "nt_nd", conn)
+    assert res.groups == [[0], [1]]
+    a = np.einsum("kii->ki", conn.samples).real
+    phase = np.cumsum(0.5 * conn.grid.dt * (a[:-1] + a[1:]), axis=0)
+    ref = np.exp(1j * np.vstack([np.zeros(2), phase]))
+    assert np.max(np.abs(np.einsum("kii->ki", res.transport) - ref)) < 1e-12
+    off = ~np.eye(2, dtype=bool)
+    assert not np.any(res.transport[:, off]) and not np.any(res.factors[:, off])
+
+
+def test_degenerate_transport_is_exactly_block_diagonal():
+    """t_d transports the tripod's dark pair as one 2x2 block and the bright
+    levels alone; nothing leaks between the blocks, not even rounding."""
+    model = models.wilczek_zee_demo(rabi=1.2, loop=WZ_LOOPS["a"], duration=1500.0)
+    I_traj = models.adiabatic_invariant_trajectory(model, TimeGrid(0.0, 1500.0, 2001))
+    fr = frames.eigenframes(I_traj)
+    res = holonomy.geometric_phase(fr, -1, "t_d")
+    assert res.groups == [[0], [1, 2], [3]]
+    off = ~matlib.block_mask(res.groups, 4)
+    assert not np.any(res.transport[:, off]) and not np.any(res.factors[:, off])
+    dark = (slice(None),) + np.ix_([1, 2], [1, 2])
+    alone = holonomy.transporter(ConnectionSeries(fr.grid, res.connection[dark]))
+    assert np.array_equal(res.transport[dark], alone)
+    assert unitary_defect(res.transport[-1]) < 1e-12
 
 
 def test_witness_vanishes_for_diagonal_transport():

@@ -123,6 +123,62 @@ def test_polar_unitary_rejects_non_finite_input():
         matlib.polar_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_eigh_of_2x2_stacks_matches_lapack():
+    """The closed form against LAPACK on a seeded stack and the edge cases:
+    eigenvalues, the residual ||A V - V Lam|| and ||V^dag V - 1||, each
+    relative to the largest entry of A."""
+    rng = np.random.default_rng(19)
+    edges = [
+        np.diag([1.0, 2.0]), np.diag([2.0, 1.0]),  # diagonal, both orders
+        3.0 * np.eye(2),  # exactly degenerate
+        np.diag([1.0, 1.0 + 1e-9]), [[1.0, 1e-9 - 2e-9j], [1e-9 + 2e-9j, 1.0]],  # gap 1e-9
+        1e8 * _random_hermitian(rng, 2),  # entries at scale 1e8
+        np.zeros((2, 2)),
+        [[0.0, 2.0 - 1.0j], [2.0 + 1.0j, 0.0]],  # purely off-diagonal
+    ]
+    A = np.concatenate([
+        np.stack([_random_hermitian(rng, 2) for _ in range(200)]),
+        np.array(edges, dtype=complex),
+    ])
+    lam, V = matlib.eigh(A)
+    scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1e-300)[:, None]
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(A)) / scale) <= 1e-13
+    residual = np.max(np.abs(A @ V - V * lam[:, None, :]), axis=2)
+    assert np.max(residual / scale) <= 1e-13
+    assert np.max(np.abs(V.conj().swapaxes(1, 2) @ V - np.eye(2))) <= 1e-13
+    assert np.all(np.diff(lam, axis=1) >= 0.0)
+    # a diagonal matrix in ascending order, including r = 0, keeps the unit vectors
+    for k in (200, 202, 203, 206):
+        assert np.array_equal(V[k], np.eye(2))
+    one, vec = matlib.eigh(A[:1])
+    assert np.array_equal(one, lam[:1]) and np.array_equal(vec, V[:1])
+
+
+def test_eigh_of_other_sizes_follows_lapack():
+    rng = np.random.default_rng(23)
+    A = np.stack([_random_hermitian(rng, 3) for _ in range(4)])
+    lam, V = matlib.eigh(A)
+    ref_lam, ref_V = np.linalg.eigh(A)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(V, ref_V)
+    lam1, V1 = matlib.eigh(np.array([[[2.5]], [[-1.0]]]))
+    assert np.array_equal(lam1, [[2.5], [-1.0]]) and np.array_equal(V1, np.ones((2, 1, 1)))
+
+
+def test_eigh_turns_bad_input_into_numerical_errors(monkeypatch):
+    for n in (1, 2, 3):
+        A = np.eye(n, dtype=complex)
+        A[-1, -1] = np.nan
+        with pytest.raises(matlib.NumericalError, match="non-finite"):
+            matlib.eigh(A)
+
+    def no_convergence(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(matlib.NumericalError, match="did not converge"):
+        matlib.eigh(np.eye(3))
+
+
 def test_unitary_exp_matches_dense_expm():
     rng = np.random.default_rng(17)
     A = _random_hermitian(rng, 4)
