@@ -32,8 +32,11 @@ grid.refined() times and decides once per run how to step them:
   stepped by 4th-order Magnus exponentials, one batched exponential and one
   ordered product per trajectory, and keeps the spectrum of X exactly;
 * open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
-* a generator constant over the whole run takes one step map: one Magnus
-  exponential, whose powers give the flow, or one RK4 step matrix.
+* a generator constant over the whole run takes one step map, and its
+  powers give the flow: one Magnus exponential, whose powers are read off
+  its eigensystem, or one RK4 step matrix P, whose powers P^0 ... P^(s-1)
+  and P^s step the samples in blocks of s ~ sqrt(n) steps, with no
+  per-step loop.
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
@@ -67,7 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DENSITY_ENTRY_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
 # time-dependent open runs form their RK4 step matrices this many steps at a
-# time, which bounds the memory they take on long grids
+# time, which bounds the memory they take on long grids, and apply them one
+# step at a time (constant ones take blocked powers of one step matrix)
 _CHUNK_STEPS = 128
 
 
@@ -296,13 +300,16 @@ def _rk4_flow(
 ) -> np.ndarray:
     """Raw samples of an open run: vec(X) stepped by RK4 with the step
     matrices of L, or of -L^dag for an invariant, at the grid.refined()
-    times.  A constant generator takes one step matrix for the whole run;
-    otherwise they are formed _CHUNK_STEPS steps at a time.  The inner loop
-    only applies x <- P_k x."""
+    times.
+
+    A constant generator takes one step matrix P, and the samples are its
+    powers applied to X0 in blocks of s = ceil(sqrt(n - 1)) steps: s - 1
+    products form P^0 ... P^(s-1), P^s carries each block start x_(js) to
+    the next, and one product writes every x_(js+i) = P^i x_(js).
+    Otherwise the step matrices are formed _CHUNK_STEPS steps at a time and
+    applied one step at a time, x <- P_k x.
+    """
     n, d = grid.n_steps, X0.shape[0]
-    samples = np.empty((n, d, d), dtype=complex)
-    samples[0] = X0
-    flat = samples.reshape(n, d * d)
 
     def step_matrices(lo: int, hi: int) -> np.ndarray:
         L = liouvillian(*(a[2 * lo : 2 * hi + 1] for a in (H, G, g)))
@@ -310,10 +317,28 @@ def _rk4_flow(
         return _rk4_matrices(L, grid.dt)
 
     if constant:
-        P = np.broadcast_to(step_matrices(0, 1), (n - 1, d * d, d * d))
+        P = step_matrices(0, 1)[0]
+        s = int(np.ceil(np.sqrt(n - 1)))  # block length
+        powers = np.empty((s, d * d, d * d), dtype=complex)
+        powers[0] = np.eye(d * d)
+        for i in range(1, s):
+            np.dot(P, powers[i - 1], out=powers[i])
+        jump = P @ powers[-1]  # P^s
+        starts = np.empty((-(-n // s), d * d), dtype=complex)
+        starts[0] = X0.reshape(-1)
+        for j in range(1, len(starts)):
+            np.dot(jump, starts[j - 1], out=starts[j])
+        # row j holds x_(js+i) at columns i d^2 ... (i + 1) d^2 - 1; the last
+        # block runs past the grid, and its surplus samples are dropped
+        blocks = starts @ powers.reshape(s * d * d, d * d).T
+        return blocks.reshape(-1, d, d)[:n]
+
+    samples = np.empty((n, d, d), dtype=complex)
+    samples[0] = X0
+    flat = samples.reshape(n, d * d)
     for lo in range(0, n - 1, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, n - 1)
-        chunk = P[lo:hi] if constant else step_matrices(lo, hi)
+        chunk = step_matrices(lo, hi)
         for k in range(lo, hi):
             np.dot(chunk[k - lo], flat[k], out=flat[k + 1])
     return samples

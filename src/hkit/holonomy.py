@@ -336,11 +336,8 @@ def dissipative_free_block_solution(
     gen = connection(frames).samples - Vh @ H0 @ V
     gen = 0.5 * (gen + np.conj(np.swapaxes(gen, -1, -2)))
 
-    def block_transporter(idx):
-        block = gen[(slice(None),) + np.ix_(idx, idx)]
-        return transporter(ConnectionSeries(grid=frames.grid, samples=block))
-
-    E_left = block_transporter(bl)
-    E_right = block_transporter(br)
-    out = np.einsum("kij,jl,kml->kim", E_left, c0_block, E_right.conj())
-    return out
+    E_left, E_right = (
+        ordered_product(interval_factors(gen[_group_index(b)], frames.grid.dt))
+        for b in (bl, br)
+    )
+    return np.einsum("kij,jl,kml->kim", E_left, c0_block, E_right.conj())

@@ -178,15 +178,23 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
 def unitary_exp(A: CMatrix, s: float = 1.0, return_spread: bool = False):
     """exp(i s A) for Hermitian A (or a stack), via the eigensystem (exactly unitary).
 
-    With return_spread, also returns the phase spread |s| (lam_max - lam_min)
-    of each exponential, read off the same eigenvalues.
+    The exponential V e^{i s Lambda} V^dag is rebuilt as a sum over the
+    eigen-index m of the outer products e^{i s lam_m} v_m v_m^dag, d
+    elementwise products over the whole stack: several times faster than a
+    stacked matmul on 2x2 stacks, about as fast on 4x4 ones.  With
+    return_spread, also returns the phase spread |s| (lam_max - lam_min) of
+    each exponential, read off the same eigenvalues.
     """
     A = np.asarray(A, dtype=complex)
     dev = herm_defect(A)
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
     lam, V = eigh(0.5 * (A + _dagger(A)))
-    U = (V * np.exp(1j * s * lam)[..., None, :]) @ _dagger(V)
+    Vc = V.conj()
+    V *= np.exp(1j * s * lam)[..., None, :]  # columns e^{i s lam_m} v_m
+    U = V[..., :, 0, None] * Vc[..., None, :, 0]
+    for m in range(1, V.shape[-1]):
+        U += V[..., :, m, None] * Vc[..., None, :, m]
     if return_spread:
         return U, abs(s) * (lam[..., -1] - lam[..., 0])
     return U
@@ -204,9 +212,12 @@ def ordered_product(F: np.ndarray) -> np.ndarray:
     products at once, a sequential pass over the block totals forms each
     block's carry (the product of all earlier blocks), and one batched
     product applies the carries.  The block index is kept as the last,
-    contiguous axis, so each batched product is a short einsum over
-    length-m vectors rather than m separate small matrix products.  Besides
-    the result, one array of the factors' size is held.
+    contiguous axis, so each batched product works on length-m vectors
+    rather than m separate small matrix products: the in-block steps are
+    einsums, and the carries are applied as an explicit sum over the inner
+    index, written straight into the result.  Besides the result, one array
+    of the factors' size is held, and while the carries are applied one
+    product of the result's size.
     """
     F = np.asarray(F)
     n, dim = F.shape[0], F.shape[-1]
@@ -230,7 +241,12 @@ def ordered_product(F: np.ndarray) -> np.ndarray:
         acc = within[-1, :, :, i] @ acc
     out = np.empty((1 + m * size, dim, dim), dtype=complex)
     out[0] = eye
-    np.einsum("sijm,jkm->msik", within, carry, out=out[1:].reshape(m, size, dim, dim))
+    # out[1 + i size + s] = within[s] carry[i], summed over the inner index
+    # straight into the result, seen with the block index last
+    res = out[1:].reshape(m, size, dim, dim).transpose(1, 2, 3, 0)
+    np.multiply(within[:, :, 0, None], carry[0], out=res)
+    for j in range(1, dim):
+        res += within[:, :, j, None] * carry[j]
     return out[: n + 1]
 
 

@@ -572,7 +572,8 @@ def test_sweep_keeps_going_past_a_failing_point(tmp_path):
         _, rows = _read_sweep(out)
         assert [r["status"] for r in rows] == statuses
 
-    # a tripod at rabi 1e200 passes the rate probe and fails in the eigensolver, as one row
+    # a tripod at rabi 1e200 passes the rate probe and fails at the check for a
+    # non-finite Magnus exponent, before any exponential is formed, as one row
     cfg = _write_config(tmp_path, "wz.json", scenario="wilczek_zee", params={})
     argv = ["sweep", "--config", str(cfg), "--axis", "rabi", "--values", "1,1e200"]
     assert cli.main(argv + ["--out", str(out)]) == 0

@@ -358,6 +358,54 @@ def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def _random_open_model(rng, d):
+    """Constant open model: a random Hermitian H, one random jump operator of
+    unit norm and a rate of 0.2."""
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    J = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    J /= np.linalg.norm(J, 2)
+    H = 0.25 * (M + M.conj().T)
+    return LindbladModel(
+        dim=d, hamiltonian=lambda t: H, jump_ops=[lambda t: J], couplings=lambda t: np.array([[0.2]])
+    )
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n_steps", [3, 4, 5, 16, 17, 1025, 8001])
+def test_constant_open_flow_matches_the_stepwise_reference(d, n_steps):
+    """A constant open generator is stepped by blocked powers of its one
+    step matrix, in blocks of ceil(sqrt(n - 1)) steps: grids below, at and
+    just above a square step count, so the last block is partial, full or
+    one step long, all give the stepwise samples."""
+    rng = np.random.default_rng(10 * d + n_steps)
+    model = _random_open_model(rng, d)
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = M @ M.conj().T / np.trace(M @ M.conj().T).real
+    I0 = 0.5 * (M + M.conj().T)
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    for kind, X0 in (("density", rho0), ("invariant", I0)):
+        got = dynamics.propagate(model, X0, grid, kind).samples
+        assert got.shape == (n_steps, d, d)
+        assert np.max(np.abs(got - _stepwise_propagate(model, X0, grid, kind))) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unstable_constant_open_flow_fails_like_the_stepwise_loop():
+    """dt = 3.45 puts the decay's RK4 step outside its stability region, and
+    1001 steps let both kinds overflow, in the middle of a block: the
+    blocked powers stop at the stepwise loop's last valid time."""
+    params = _decay(gamma=1e-3, theta0=1.1)
+    model = models.two_level_model(params)
+    chi0 = models.chi_closed_form(params, 0.0)
+    grid = TimeGrid(0.0, 3450.0, 1001)
+    for kind, X0 in (("density", 0.5 * (np.eye(2) + chi0)), ("invariant", chi0)):
+        with pytest.raises(NumericalError, match="non-finite") as ref:
+            _stepwise_propagate(model, X0, grid, kind)
+        with pytest.raises(NumericalError) as got:
+            dynamics.propagate(model, X0, grid, kind)
+        assert str(got.value) == str(ref.value)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_propagate_aborts_on_overflow_with_last_valid_time():
     """The 301-step grid overflows from t = 0.7 on, in its second chunk.
