@@ -36,7 +36,12 @@ grid.refined() times and decides once per run how to step them:
   powers give the flow: one Magnus exponential, whose powers are read off
   its eigensystem, or one RK4 step matrix P, whose powers P^0 ... P^(s-1)
   and P^s step the samples in blocks of s ~ sqrt(n) steps, with no
-  per-step loop.
+  per-step loop;
+* a time-dependent open generator forms its step matrices a chunk at a
+  time and steps each chunk in blocks of s ~ sqrt(chunk) steps: batched
+  products form the block totals, the totals carry the block starts, and
+  batched matrix-vector products across the blocks write the samples, so
+  no loop runs per step here either.
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
@@ -60,6 +65,7 @@ from .matlib import (
     NumericalError,
     eigh,
     herm_defect,
+    mul,
     ordered_product,
     unitary_exp,
 )
@@ -69,10 +75,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DENSITY_ENTRY_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
-# time-dependent open runs form their RK4 step matrices this many steps at a
-# time, which bounds the memory they take on long grids, and apply them one
-# step at a time (constant ones take blocked powers of one step matrix)
-_CHUNK_STEPS = 128
+# time-dependent open runs form their RK4 step matrices a chunk of steps at
+# a time, as many as hold this many matrix entries, which bounds the memory
+# they take on long grids; each chunk is stepped in blocks (constant
+# generators take blocked powers of one step matrix)
+_CHUNK_ENTRIES = 2**14
 
 
 @dataclass
@@ -199,6 +206,8 @@ def _validate_initial(X0: CMatrix, dim: int, kind: str) -> CMatrix:
     X0 = np.asarray(X0, dtype=complex)
     if X0.shape != (dim, dim):
         raise ValueError(f"initial operator must be {dim}x{dim}")
+    if not np.all(np.isfinite(X0)):
+        raise ValueError("initial operator must be finite")
     if herm_defect(X0) > 1e-10:
         raise ValueError("initial operator must be Hermitian")
     X = 0.5 * (X0 + X0.conj().T)
@@ -306,8 +315,15 @@ def _rk4_flow(
     powers applied to X0 in blocks of s = ceil(sqrt(n - 1)) steps: s - 1
     products form P^0 ... P^(s-1), P^s carries each block start x_(js) to
     the next, and one product writes every x_(js+i) = P^i x_(js).
-    Otherwise the step matrices are formed _CHUNK_STEPS steps at a time and
-    applied one step at a time, x <- P_k x.
+
+    Otherwise the step matrices are formed a chunk at a time, at most
+    _CHUNK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
+    model), and each chunk of c steps is cut into blocks of
+    s = ceil(sqrt(c)) steps: s - 1 batched products form every block's
+    total, one matrix-vector product per block carries each block start to
+    the next, and s - 1 batched matrix-vector products, each across all
+    blocks, step every block from its start, x_(js+i) = P_(js+i-1) x_(js+i-1).
+    Each product runs over a stack, not a single step.
     """
     n, d = grid.n_steps, X0.shape[0]
 
@@ -333,15 +349,34 @@ def _rk4_flow(
         blocks = starts @ powers.reshape(s * d * d, d * d).T
         return blocks.reshape(-1, d, d)[:n]
 
-    samples = np.empty((n, d, d), dtype=complex)
-    samples[0] = X0
-    flat = samples.reshape(n, d * d)
-    for lo in range(0, n - 1, _CHUNK_STEPS):
-        hi = min(lo + _CHUNK_STEPS, n - 1)
-        chunk = step_matrices(lo, hi)
-        for k in range(lo, hi):
-            np.dot(chunk[k - lo], flat[k], out=flat[k + 1])
-    return samples
+    D = d * d
+    samples = np.empty((n, D), dtype=complex)
+    samples[0] = X0.reshape(-1)
+    chunk = max(1, _CHUNK_ENTRIES // D**2)  # steps
+    for lo in range(0, n - 1, chunk):
+        hi = min(lo + chunk, n - 1)
+        c = hi - lo
+        s = int(np.ceil(np.sqrt(c)))  # block length
+        m = -(-c // s)  # block count
+        # steps[i, j] is the matrix of step lo + j s + i, with the block index
+        # second so that each in-block position is one contiguous stack; the
+        # last block is padded with zeros, which reach no kept sample
+        steps = np.zeros((s, m, D, D), dtype=complex)
+        k = np.arange(c)
+        steps[k % s, k // s] = step_matrices(lo, hi)
+        totals = steps[0]
+        for i in range(1, s):
+            totals = steps[i] @ totals
+        # x[i, j] is sample lo + j s + i; column m holds only the start of the
+        # block after the last, which is sample hi when the last block is full
+        x = np.empty((s, m + 1, D), dtype=complex)
+        x[0, 0] = samples[lo]
+        for j in range(m):
+            np.dot(totals[j], x[0, j], out=x[0, j + 1])
+        for i in range(1, s):
+            np.matmul(steps[i - 1], x[i - 1, :m, :, None], out=x[i, :m, :, None])
+        samples[lo + 1 : hi + 1] = x.transpose(1, 0, 2).reshape(-1, D)[1 : c + 1]
+    return samples.reshape(n, d, d)
 
 
 def _integrate(
@@ -449,8 +484,13 @@ def propagate_coefficients(
     if fine.n_steps != 2 * grid.n_steps - 1 or fine.t0 != grid.t0 or fine.t1 != grid.t1:
         raise ValueError("frames must be sampled on grid.refined()")
     c = _validate_initial(c0, model.dim, "coefficient")
+    H, G, g = model.operators(fine.times)
+    # the connection first, while no other stack is held, and V^dag dropped
+    # before stepping: this keeps the peak memory near the connection's own
+    HV = -connection(frames).samples
     V = frames.vectors
     Vh = np.conj(np.swapaxes(V, -1, -2))
-    A = connection(frames).samples
-    H, G, g = model.operators(fine.times)
-    return _integrate(Vh @ H @ V - A, Vh[:, None] @ G @ V[:, None], g, c, grid, "coefficient")
+    HV += mul(mul(Vh, H), V)
+    GV = mul(mul(Vh[:, None], G), V[:, None])
+    del Vh
+    return _integrate(HV, GV, g, c, grid, "coefficient")

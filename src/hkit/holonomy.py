@@ -36,6 +36,7 @@ from .matlib import (
     NumericalError,
     UNITARY_TOL,
     block_mask,
+    mul,
     ordered_product,
     polar_svd,
     principal_phase,
@@ -139,7 +140,10 @@ def diagonalizing_frame(
     exact connection i V^dag dV/dt of ``frames``: the identity holds for
     that pair only.  Returns R and omega (n, dim) on the n main-grid
     points; omega, one column per level and zero at the start, is
-    Simpson's rule over each step's three samples (RK4's weights).
+    Simpson's rule over each step's three samples (RK4's weights).  The
+    stack R0 W is one stacked product (R0 V(0)^dag) V(t), and the diagonal
+    entries (R A R^dag)_ii are the row sums of (R A) * conj(R); both
+    products are `matlib.mul`, explicit sums on qubit frames.
     """
     A = conn.samples
     m, dim = A.shape[0], A.shape[-1]
@@ -153,8 +157,11 @@ def diagonalizing_frame(
     dev = unitary_defect(R0)
     if not dev <= UNITARY_TOL:
         raise ValueError(f"R0 is not unitary (deviation {dev:.3e})")
-    Rt = R0 @ overlap(frames, np.arange(m))
-    f = np.einsum("kij,kjl,kil->ki", Rt, A, Rt.conj()).real
+    V = frames.vectors
+    Rt = mul(R0 @ V[0].conj().T, V)
+    RA = mul(Rt, A)
+    RA *= Rt.conj()
+    f = RA.sum(axis=-1).real
     steps = (conn.grid.dt / 3.0) * (f[:-2:2] + 4.0 * f[1::2] + f[2::2])
     omega = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
     return np.exp(1j * omega)[:, :, None] * Rt[::2], omega

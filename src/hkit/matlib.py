@@ -30,6 +30,25 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over broadcast leading axes.
+
+    With an inner size of 1 or 2 the product is an explicit sum over the
+    inner index of broadcast elementwise products, accumulated in place:
+    several times faster than numpy's stacked matmul, which pays a
+    per-matrix overhead on stacks of 2x2 matrices.  Other sizes call
+    np.matmul.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    k = A.shape[-1]
+    if k > 2 or min(A.ndim, B.ndim) < 2 or B.shape[-2] != k:
+        return np.matmul(A, B)
+    out = np.multiply(A[..., :, :1], B[..., :1, :])
+    if k == 2:
+        out += A[..., :, 1:] * B[..., 1:, :]
+    return out
+
+
 def herm_defect(m: CMatrix) -> float:
     """Max-norm distance from m (or a stack) to its own Hermitian part."""
     return float(np.max(np.abs(m - _dagger(m))))

@@ -188,6 +188,21 @@ def test_propagate_rejects_bad_initial_operators():
         dynamics.propagate(model, np.eye(2) / 2.0, grid, kind="coefficient")
 
 
+def test_non_finite_start_is_refused_up_front():
+    """A NaN start is refused before the Hermiticity test, which NaN passes,
+    for every kind, instead of failing later at t=0 or in an eigensolver."""
+    params = _decay(gamma=1e-3)
+    model = models.two_level_model(params)
+    grid = TimeGrid(0.0, 1.0, 11)
+    start = np.diag([np.nan, 1.0])
+    for kind in ("density", "invariant"):
+        with pytest.raises(ValueError, match="^initial operator must be finite$"):
+            dynamics.propagate(model, start, grid, kind)
+    fr = models.analytic_frames(params, grid.refined())
+    with pytest.raises(ValueError, match="^initial operator must be finite$"):
+        dynamics.propagate_coefficients(model, fr, start, grid)
+
+
 def test_non_positive_density_start_is_refused_up_front():
     """diag(2, -1) is Hermitian with unit trace but no density matrix: it is
     refused by its smallest eigenvalue before any step is taken."""
@@ -344,12 +359,13 @@ def test_closed_flow_aborts_on_a_non_finite_generator_with_last_valid_time():
 
 @pytest.mark.parametrize("which", ["H", "G", "g"])
 def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
-    """Each input in turn is constant for the first 200 steps and changes
-    afterwards, inside the second chunk: only the constant steps may share
-    the first sample's step matrix."""
-    grid = TimeGrid(0.0, 4.0, 401)
-    assert dynamics._CHUNK_STEPS < 200 < 2 * dynamics._CHUNK_STEPS
-    model = _switched_model(grid.times[200], which)
+    """Each input in turn is constant for the first 1500 steps and changes
+    afterwards, inside a block of the second chunk: only the constant steps
+    may share the first sample's step matrix."""
+    grid = TimeGrid(0.0, 4.0, 2501)
+    chunk = dynamics._CHUNK_ENTRIES // 4**2
+    assert chunk < 1500 < 2 * chunk and (1500 - chunk) % int(np.ceil(np.sqrt(chunk))) != 0
+    model = _switched_model(grid.times[1500], which)
     rho0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
     I0 = np.array([[0.5, 0.1j], [-0.1j, -0.5]])
     for kind, X0 in (("density", rho0), ("invariant", I0)):
@@ -406,6 +422,85 @@ def test_unstable_constant_open_flow_fails_like_the_stepwise_loop():
         assert str(got.value) == str(ref.value)
 
 
+def _random_varying_model(rng, d, scale=1.0):
+    """Time-dependent open model: H(t) = H0 + cos(w t) H1 from random
+    Hermitian H0 and H1, one random jump operator of unit norm and the rate
+    0.2 (1 + 0.5 sin(w t)), with H and the rate multiplied by `scale`."""
+    M = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    H0, H1 = 0.25 * scale * (M + np.conj(np.swapaxes(M, -1, -2)))
+    J = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    J /= np.linalg.norm(J, 2)
+    w = rng.uniform(0.5, 2.0)
+    return LindbladModel(
+        dim=d,
+        hamiltonian=lambda t: H0 + np.cos(w * t)[:, None, None] * H1,
+        jump_ops=[lambda t: J],
+        couplings=lambda t: (0.2 * scale * (1.0 + 0.5 * np.sin(w * t)))[:, None, None],
+    )
+
+
+def _random_starts(rng, d):
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = M @ M.conj().T / np.trace(M @ M.conj().T).real
+    return (("density", rho0), ("invariant", 0.5 * (M + M.conj().T)))
+
+
+@pytest.mark.parametrize(
+    "d, steps",
+    [
+        # 1024-step chunks of a qubit
+        (2, 1000),  # one partial chunk, its last block partial
+        (2, 1024),  # one full chunk of 32 full blocks
+        (2, 1025),  # then a chunk of one step
+        (2, 1049),  # then a chunk of 25 steps: 5 full blocks
+        (2, 1052),  # 28 steps: blocks of 6, the last one partial
+        (2, 1055),  # 31 steps: blocks of 6, the last one step long
+        # 64-step chunks of a 4-level model
+        (4, 64),
+        (4, 65),
+        (4, 137),  # two full chunks, then 9 steps: 3 full blocks
+        (4, 136),  # 8 steps: blocks of 3, the last one partial
+        (4, 135),  # 7 steps: blocks of 3, the last one step long
+    ],
+)
+def test_time_dependent_open_flow_matches_the_stepwise_reference(d, steps):
+    """A time-dependent open generator is stepped a chunk at a time, each
+    chunk in blocks of ceil(sqrt(c)) steps: grids whose last chunk, and its
+    last block, is full, partial or one step long all give the stepwise
+    samples."""
+    assert dynamics._CHUNK_ENTRIES // d**4 == {2: 1024, 4: 64}[d]
+    rng = np.random.default_rng(100 * d + steps)
+    model = _random_varying_model(rng, d)
+    grid = TimeGrid(0.0, 1.0, steps + 1)
+    for kind, X0 in _random_starts(rng, d):
+        got = dynamics.propagate(model, X0, grid, kind).samples
+        assert got.shape == (steps + 1, d, d)
+        assert np.max(np.abs(got - _stepwise_propagate(model, X0, grid, kind))) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unstable_time_dependent_open_flow_fails_like_the_stepwise_loop():
+    """Seeded random time-dependent models on steps of 0.5 to 3 time units
+    leave RK4's stability region and overflow, at any point of a chunk or
+    a block: every run stops with the stepwise loop's message."""
+    rng = np.random.default_rng(18)
+    failing = 0
+    for _ in range(12):
+        d = int(rng.choice([2, 4]))
+        n_steps = int(rng.integers(50, 1500))
+        model = _random_varying_model(rng, d, scale=float(rng.uniform(0.5, 3.0)))
+        grid = TimeGrid(0.0, float(rng.uniform(0.5, 3.0)) * n_steps, n_steps)
+        for kind, X0 in _random_starts(rng, d):
+            try:
+                _stepwise_propagate(model, X0, grid, kind)
+            except NumericalError as ref:
+                failing += 1
+                with pytest.raises(NumericalError) as got:
+                    dynamics.propagate(model, X0, grid, kind)
+                assert str(got.value) == str(ref)
+    assert failing >= 12
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_propagate_aborts_on_overflow_with_last_valid_time():
     """The 301-step grid overflows from t = 0.7 on, in its second chunk.
@@ -449,7 +544,7 @@ def test_each_propagation_samples_the_model_once(monkeypatch):
         lambda: dynamics.propagate(decay, rho0, grid),
         lambda: dynamics.propagate_coefficients(decay, fr, rho0, grid),
     )
-    assert grid.n_steps > 60 * dynamics._CHUNK_STEPS
+    assert grid.n_steps > 7 * dynamics._CHUNK_ENTRIES // 4**2
     for run in runs:
         sampled.clear()
         run()

@@ -22,6 +22,53 @@ def _random_unitary(rng, n):
     return Q
 
 
+def _stack(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((7, 2, 2), (7, 2, 2)),
+        ((2, 2), (7, 2, 2)),  # one matrix against a stack: V(0)^dag V(t)
+        ((7, 2, 2), (2, 2)),
+        ((7, 1, 2, 2), (7, 3, 2, 2)),  # V^dag per sample against its jump operators
+        ((7, 3, 2, 2), (7, 1, 2, 2)),
+        ((5, 2, 1), (5, 1, 2)),  # outer products
+        ((5, 1, 2), (5, 2, 1)),
+        ((7, 1, 1), (7, 1, 1)),
+        ((1, 1), (7, 1, 1)),
+    ],
+)
+def test_mul_of_small_stacks_matches_matmul(a_shape, b_shape):
+    """Inner size 1 or 2 is an explicit sum over the inner index: it agrees
+    with np.matmul to rounding, over the broadcast shapes in use."""
+    rng = np.random.default_rng(len(a_shape) + 10 * len(b_shape) + a_shape[-1])
+    A, B = _stack(rng, *a_shape), _stack(rng, *b_shape)
+    got, want = matlib.mul(A, B), np.matmul(A, B)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # a read-only broadcast view, as LindbladModel.operators returns
+    view = np.broadcast_to(B, want.shape[:-2] + B.shape[-2:])
+    assert np.max(np.abs(matlib.mul(A, view) - np.matmul(A, view))) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_mul_of_larger_matrices_is_matmul(d):
+    rng = np.random.default_rng(d)
+    A, B = _stack(rng, 6, d, d), _stack(rng, d, d)
+    assert np.array_equal(matlib.mul(A, B), A @ B)
+    assert np.array_equal(matlib.mul(A[:, None], A[None]), A[:, None] @ A[None])
+
+
+def test_mul_refuses_mismatched_inner_sizes():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        matlib.mul(_stack(rng, 3, 2, 1), _stack(rng, 3, 2, 2))
+    with pytest.raises(ValueError):
+        matlib.mul(_stack(rng, 3, 2, 2), _stack(rng, 3, 1, 2))
+
+
 def test_principal_phase_wraps_into_half_open_interval():
     assert matlib.principal_phase(np.pi) == pytest.approx(np.pi)
     assert matlib.principal_phase(-np.pi) == pytest.approx(np.pi)
