@@ -25,6 +25,7 @@ from .matlib import (
     degeneracy_blocks,
     degeneracy_joins,
     eigh,
+    mul,
     ordered_product,
     polar_svd,
     series_derivative,
@@ -66,7 +67,7 @@ class FrameTrajectory:
             raise ValueError("sample count does not match the grid")
         if sorted(i for b in self.blocks for i in b) != list(range(dim)):
             raise ValueError("blocks must partition the level indices")
-        gram = np.einsum("kji,kjl->kil", self.vectors.conj(), self.vectors)
+        gram = mul(self.vectors.conj().swapaxes(1, 2), self.vectors)
         worst = float(np.max(np.abs(gram - np.eye(dim))))
         if worst > ORTHONORMAL_TOL:
             raise ValueError(f"frame columns are not orthonormal (deviation {worst:.3e})")
@@ -154,15 +155,15 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
 
     # vectors holds the raw R_k until each block is replaced by R_k M_k
     cols = [slice(b[0], b[-1] + 1) for b in blocks]  # blocks are contiguous runs
-    # one SVD per block yields both the polar factors and the continuity measures
+    # one polar split per block yields both the factors and the continuity measures
     factors, sigmas = [], []
     for c in cols:
-        M, _, sig = polar_svd(vectors[1:, :, c].conj().swapaxes(1, 2) @ vectors[:-1, :, c])
+        M, sig = polar_svd(mul(vectors[1:, :, c].conj().swapaxes(1, 2), vectors[:-1, :, c]))
         factors.append(M)
         sigmas.append(sig)
     _check_continuity(sigmas, times)
     for c, M in zip(cols, factors):
-        vectors[:, :, c] = vectors[:, :, c] @ ordered_product(M)
+        vectors[:, :, c] = mul(vectors[:, :, c], ordered_product(M))
     return FrameTrajectory(
         grid=I_traj.grid,
         eigenvalues=eigenvalues,
@@ -170,13 +171,6 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
         vectors=vectors,
         gauge_tag="continuity",
     )
-
-
-def eigen_residual(I_traj: OperatorTrajectory, frames: FrameTrajectory) -> float:
-    """max_k || I(t_k) V_k - V_k diag(lam_k) ||_max, a frame-quality metric."""
-    IV = np.einsum("kij,kjl->kil", I_traj.samples, frames.vectors)
-    VL = frames.vectors * frames.eigenvalues[:, None, :]
-    return float(np.max(np.abs(IV - VL)))
 
 
 def connection(frames: FrameTrajectory) -> ConnectionSeries:
@@ -188,7 +182,8 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
     """
     V = frames.vectors
     dV = series_derivative(V, frames.grid.dt)
-    A_raw = 1j * np.einsum("kji,kjl->kil", V.conj(), dV)
+    A_raw = mul(V.conj().swapaxes(1, 2), dV)
+    A_raw *= 1j
     dev = float(np.max(np.abs(A_raw - np.conj(np.swapaxes(A_raw, 1, 2)))))
     A = 0.5 * (A_raw + np.conj(np.swapaxes(A_raw, 1, 2)))
     return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=dev)
@@ -201,7 +196,7 @@ def overlap(frames: FrameTrajectory, k) -> np.ndarray:
     k = np.asarray(k)
     if np.any((k < -n) | (k >= n)):
         raise ValueError(f"grid index {k} out of range for {n} samples")
-    return frames.vectors[0].conj().T @ frames.vectors[k % n]
+    return mul(frames.vectors[0].conj().T, frames.vectors[k % n])
 
 
 def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
@@ -218,7 +213,7 @@ def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
         M = np.broadcast_to(M, (n, dim, dim))
     if M.shape != (n, dim, dim):
         raise ValueError("gauge must be one matrix or one per grid sample")
-    gram = np.einsum("kji,kjl->kil", M.conj(), M)
+    gram = mul(M.conj().swapaxes(1, 2), M)
     devs = np.max(np.abs(gram - np.eye(dim)), axis=(1, 2))
     if np.max(devs) > ORTHONORMAL_TOL:
         k = int(np.argmax(devs))
@@ -232,7 +227,7 @@ def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
         grid=frames.grid,
         eigenvalues=frames.eigenvalues.copy(),
         blocks=[list(b) for b in frames.blocks],
-        vectors=np.einsum("kij,kjl->kil", frames.vectors, M),
+        vectors=mul(frames.vectors, M),
         gauge_tag=frames.gauge_tag,
     )
 

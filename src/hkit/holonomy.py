@@ -88,7 +88,12 @@ def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
 
 
 def _group_index(g: list[int]) -> tuple:
-    """Index of one level group's (|g|, |g|) slice of every matrix in a stack."""
+    """Index of one level group's (|g|, |g|) slice of every matrix in a stack:
+    a view for a contiguous run of levels, as every case group of a spectrum's
+    blocks is, and a fancy index (a copy) otherwise."""
+    if list(g) == list(range(g[0], g[-1] + 1)):
+        run = slice(g[0], g[-1] + 1)
+        return (slice(None), run, run)
     return (slice(None),) + np.ix_(g, g)
 
 
@@ -180,8 +185,8 @@ def _restricted_polar(W: CMatrix, groups: list[list[int]]) -> tuple[CMatrix, CMa
     smallest = np.inf
     for g in groups:
         idx = np.ix_(g, g)
-        U[idx], P, sig = polar_svd(W[idx])
-        R[idx] = (P * sig) @ P.conj().T
+        U[idx], sig = polar_svd(W[idx])
+        R[idx] = W[idx] @ U[idx].conj().T
         smallest = min(smallest, sig[-1])
     if smallest < OVERLAP_MODULUS_MIN:
         raise NumericalError(f"overlap singular value {smallest:.3e}: phase undefined")
@@ -276,10 +281,24 @@ def parallel_residual(frames: FrameTrajectory, Vpar_series: np.ndarray) -> float
     """
     if Vpar_series.shape != frames.vectors.shape:
         raise ValueError("transporter series does not match the frames")
-    T = np.einsum("kij,kjl->kil", frames.vectors, Vpar_series)
+    T = mul(frames.vectors, Vpar_series)
     dT = series_derivative(T, frames.grid.dt)
-    res = np.einsum("kji,kjl->kil", T.conj(), dT)
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(mul(T.conj().swapaxes(1, 2), dT))))
+
+
+def _product(F: np.ndarray) -> CMatrix:
+    """F[0] @ F[1] @ ... @ F[-1] of a non-empty stack, by pairwise reduction.
+
+    Each pass multiplies neighbouring pairs in one stacked `mul` (an odd
+    last factor joins the last pair), halving the stack until one matrix
+    is left.
+    """
+    while F.shape[0] > 1:
+        pairs = mul(F[0:-1:2], F[1::2])
+        if F.shape[0] % 2:
+            pairs[-1] = pairs[-1] @ F[-1]
+        F = pairs
+    return F[0]
 
 
 def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, float]:
@@ -289,21 +308,26 @@ def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, flo
     of the holonomy's case-restricted connection.  reversal_gap: max-norm
     difference between the ordered product of its interval factors and the
     product of the same factors in reversed order, over the whole grid.
-    Both vanish for Abelian (commuting-connection) transport.  The forward
-    product is the end of the holonomy's stored transport series; the
-    reversed one is formed group by group, as the forward one was.
+    Both vanish for Abelian (commuting-connection) transport.  Every probe
+    product P_a P_b comes from one (p d x d)(d x p d) product of the
+    stacked probes.  The forward product is the end of the holonomy's
+    stored transport series; the reversed one is formed group by group, as
+    the forward one was, by a pairwise reduction of the group's factors.
     """
     A, F = holo.connection, holo.factors
-    n = A.shape[0]
+    n, d = A.shape[0], A.shape[-1]
     P = A[np.linspace(0, n - 1, min(n, n_probe)).astype(int)]
-    AB = np.einsum("aij,bjl->abil", P, P)
-    comm = float(np.max(np.abs(AB - AB.swapaxes(0, 1))))
+    p = P.shape[0]
+    # AB[a, i, b, l] = (P_a P_b)_il
+    AB = mul(P.reshape(p * d, d), P.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
+    comm = float(np.max(np.abs(AB - AB.transpose(2, 1, 0, 3))))
 
     forward = holo.transport[-1]
     # the same factors multiplied earliest-leftmost: the opposite ordering
     backward = np.zeros_like(forward)
     for g in holo.groups:
-        backward[np.ix_(g, g)] = ordered_product(F[_group_index(g)][::-1])[-1]
+        idx = _group_index(g)
+        backward[idx[1:]] = _product(F[idx])  # idx[1:] indexes one matrix
     gap = float(np.max(np.abs(forward - backward)))
     return {"commutator_max": comm, "reversal_gap": gap}
 
@@ -340,11 +364,11 @@ def dissipative_free_block_solution(
     H0, _, rates = model.operators(frames.grid.times)
     if np.any(rates):
         raise ValueError("dissipative-free solution requires vanishing coupling rates")
-    gen = connection(frames).samples - Vh @ H0 @ V
+    gen = connection(frames).samples - mul(mul(Vh, H0), V)
     gen = 0.5 * (gen + np.conj(np.swapaxes(gen, -1, -2)))
 
     E_left, E_right = (
         ordered_product(interval_factors(gen[_group_index(b)], frames.grid.dt))
         for b in (bl, br)
     )
-    return np.einsum("kij,jl,kml->kim", E_left, c0_block, E_right.conj())
+    return mul(mul(E_left, c0_block), E_right.conj().swapaxes(1, 2))

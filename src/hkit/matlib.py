@@ -6,7 +6,12 @@ ordering, and branch-cut conventions are decided in exactly one place:
 * Hermitian eigensystems come from `eigh` alone: ascending, with
   degeneracy detected by a *relative* gap rule,
 * polar decompositions are left polar, ``W = R @ U`` with ``R`` Hermitian
-  positive semi-definite,
+  positive semi-definite, from `polar_svd` alone: in closed form on 1x1
+  and 2x2 stacks, ``U = (W + e adj(W)^dag)/(s1 + s2)`` with
+  ``e = det W/|det W|``, and a rank-deficient 2x2 input completed to
+  ``det U = 1``; larger ones from LAPACK's SVD,
+* stacked products go through `mul`, an explicit sum over the inner index
+  for inner sizes 1 and 2,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -108,40 +113,75 @@ def degeneracy_blocks(eigenvalues: np.ndarray, deg_tol: float) -> list[list[int]
     return blocks
 
 
-def polar_svd(W: CMatrix) -> tuple[CMatrix, CMatrix, np.ndarray]:
-    """Unitary left-polar factor of W (or a stack) from one SVD W = P S Q^dag.
+def polar_svd(W: CMatrix) -> tuple[CMatrix, np.ndarray]:
+    """Unitary left-polar factor U of W (or a stack), with W's singular values.
 
-    Returns (U, P, sig) with U = P Q^dag and the singular values sig in
-    descending order, so a caller that also needs sig or the Hermitian
-    factor pays for one decomposition.  Non-finite entries abort.
+    Returns (U, sig) with the singular values sig in descending order, so a
+    caller that also needs sig pays for one decomposition; the Hermitian
+    factor is R = W U^dag.  Non-finite entries abort.
 
-    A stack of 1x1 matrices needs no LAPACK call: U = W/|W| (1 where W = 0,
-    as the SVD has it), P = 1 and sig = |W|.
+    Stacks of 1x1 and 2x2 matrices need no LAPACK call.  A 1x1 stack has
+    U = W/|W| (1 where W = 0, as the SVD has it) and sig = |W|.  A 2x2
+    stack, with e = det W/|det W| (1 where det W = 0) and the adjugate
+    adj(W), has
+
+        U = (W + e adj(W)^dag)/(s1 + s2),  s1 + s2 = sqrt(|W|_F^2 + 2 |det W|),
+        s1 - s2 = |W - e adj(W)^dag|_F / sqrt(2),  s2 = |det W|/s1,
+
+    because e adj(W)^dag = s1 s2 R^-1 U and R + s1 s2 R^-1 = (s1 + s2) 1.
+    The difference s1 - s2 comes from a norm, not from the cancelling
+    sqrt(|W|_F^2 - 2 |det W|), so near-unitary overlaps keep all digits.
+    A rank-deficient input is completed by the limit with e = 1, which gives
+    det U = 1 (U = 1 for W = 0); where s2 > 0 it is the SVD's P Q^dag.
+    Other sizes take U = P Q^dag from LAPACK's SVD W = P S Q^dag.
     """
     W = np.asarray(W, dtype=complex)
     if not np.all(np.isfinite(W)):
         raise NumericalError("polar decomposition of non-finite input")
     if W.shape[-2:] == (1, 1):
         mod = np.abs(W)
-        U = np.divide(W, mod, out=np.ones_like(W), where=mod > 0.0)
-        return U, np.ones_like(W), mod[..., 0]
-    P, sig, Qh = np.linalg.svd(W)
-    return P @ Qh, P, sig
+        return np.divide(W, mod, out=np.ones_like(W), where=mod > 0.0), mod[..., 0]
+    if W.shape[-2:] != (2, 2):
+        P, sig, Qh = np.linalg.svd(W)
+        return P @ Qh, sig
+    det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
+    mod = np.abs(det)
+    U = np.empty(W.shape, dtype=complex)  # e adj(W)^dag, then U
+    U[..., 0, 0] = W[..., 1, 1].conj()
+    U[..., 0, 1] = -W[..., 1, 0].conj()
+    U[..., 1, 0] = -W[..., 0, 1].conj()
+    U[..., 1, 1] = W[..., 0, 0].conj()
+    U *= np.divide(det, mod, out=np.ones_like(det), where=mod > 0.0)[..., None, None]
+    total = np.sqrt(_frobenius_sq(W) + 2.0 * mod)
+    gap = np.sqrt(0.5 * _frobenius_sq(W - U))
+    U += W
+    U /= np.where(total > 0.0, total, 1.0)[..., None, None]
+    U[total == 0.0] = np.eye(2)
+    s1 = 0.5 * (total + gap)
+    s2 = np.divide(mod, s1, out=np.zeros_like(mod), where=s1 > 0.0)
+    return U, np.stack([s1, s2], axis=-1)
+
+
+def _frobenius_sq(M: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each 2x2 matrix in a stack, as four sums."""
+    sq = M.real**2 + M.imag**2
+    return sq[..., 0, 0] + sq[..., 0, 1] + sq[..., 1, 0] + sq[..., 1, 1]
 
 
 def polar_unitary(W: CMatrix) -> tuple[CMatrix, CMatrix]:
-    """Left polar decomposition W = R @ U via SVD, of one matrix or a stack.
+    """Left polar decomposition W = R @ U, of one matrix or a stack.
 
-    Returns (U, R) with U = P Q^dag unitary and R = sqrt(W W^dag) Hermitian
-    PSD, with the leading axes of W.  The SVD route stays unitary for
-    rank-deficient input: directions with vanishing singular values are
-    completed by the SVD's column convention rather than by the data.
-    Non-finite entries abort.
+    Returns (U, R) with U the unitary factor of `polar_svd` and
+    R = sqrt(W W^dag) Hermitian PSD, formed as the Hermitian part of W U^dag,
+    with the leading axes of W.  U stays unitary for rank-deficient input:
+    directions with vanishing singular values are completed by polar_svd's
+    convention (det U = 1 on a 2x2 matrix, the SVD's column convention on
+    larger ones) rather than by the data.  Non-finite entries abort.
     """
-    U, P, sig = polar_svd(W)
-    R = (P * sig[..., None, :]) @ _dagger(P)
-    R = 0.5 * (R + _dagger(R))
-    return U, R
+    W = np.asarray(W, dtype=complex)
+    U, _ = polar_svd(W)
+    R = mul(W, _dagger(U))
+    return U, 0.5 * (R + _dagger(R))
 
 
 def block_mask(groups: list[list[int]], dim: int) -> np.ndarray:

@@ -674,15 +674,17 @@ def test_modules_import_no_unused_names():
     assert unused == []
 
 
-def test_only_matlib_calls_the_lapack_eigensolver():
-    """Every Hermitian eigensystem goes through matlib.eigh, so its ordering
-    and phase conventions are decided in one module."""
+def test_only_matlib_calls_lapack_eigensolvers_or_svd():
+    """Every Hermitian eigensystem goes through matlib.eigh, every polar
+    split through matlib.polar_svd and every eigenphase extraction through
+    matlib.unitary_eigenphases, so their ordering, phase and completion
+    conventions are decided in one module."""
     calls = []
     for path in sorted(Path(hkit.__file__).parent.glob("*.py")):
         if path.name == "matlib.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")):
+            if not (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "eigvals", "svd")):
                 continue
             owner = node.value
             if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":

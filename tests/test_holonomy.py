@@ -294,7 +294,9 @@ def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
     assert abs(w["commutator_max"] - comm) < 1e-13
     forward = holonomy.transporter(ConnectionSeries(grid, A))[-1]
     backward = holonomy.transporter(ConnectionSeries(grid, A[::-1].copy()))[-1]
-    assert w["reversal_gap"] == np.max(np.abs(forward - backward))
+    # the witness reduces the reversed factors pairwise, so it agrees with the
+    # sequential product to rounding, not bit for bit
+    assert abs(w["reversal_gap"] - np.max(np.abs(forward - backward))) < 1e-14
     assert np.array_equal(holo.Vpar, forward)
 
 

@@ -135,16 +135,58 @@ def test_polar_of_1x1_stacks_matches_the_svd():
     W[7] = 0.0
     W[8] = 1e-300
     for stack in (W, W.reshape(4, 50, 1, 1), np.zeros((0, 1, 1), dtype=complex)):
-        U, P, sig = matlib.polar_svd(stack)
+        U, sig = matlib.polar_svd(stack)
         P_ref, sig_ref, Qh_ref = np.linalg.svd(stack)
-        assert U.shape == P.shape == stack.shape and sig.shape == sig_ref.shape
+        assert U.shape == stack.shape and sig.shape == sig_ref.shape
         assert np.max(np.abs(U - P_ref @ Qh_ref), initial=0.0) <= 1e-15
         assert np.max(np.abs(sig - sig_ref), initial=0.0) <= 1e-15
-        assert np.array_equal(P, np.ones_like(stack))
         assert np.max(np.abs(sig[..., None] * U - stack), initial=0.0) <= 1e-15
     assert matlib.polar_svd(W)[0][7, 0, 0] == 1.0
     with pytest.raises(matlib.NumericalError):
         matlib.polar_svd(np.array([[[np.inf]]]))
+
+
+def test_polar_of_2x2_stacks_matches_the_svd():
+    """2x2 stacks take the closed form U = (W + e adj(W)^dag)/(s1 + s2)
+    instead of LAPACK: U against P Q^dag where W has full rank, the singular
+    values relative to the largest, unitarity and R U = W, on a seeded stack
+    and the edge cases."""
+    rng = np.random.default_rng(31)
+    near_unitary = np.stack([_random_unitary(rng, 2) for _ in range(50)])
+    near_unitary += 1e-7 * _stack(rng, 50, 2, 2)  # s1 - s2 ~ 1e-7
+    edges = np.array([
+        np.diag([3.0, -0.5j]),  # diagonal
+        np.outer([1.0, 2.0j], [0.5, -1.0 + 1.0j]),  # rank 1
+        np.zeros((2, 2)),
+    ], dtype=complex)
+    W = np.concatenate([_stack(rng, 200, 2, 2), near_unitary, edges])
+    U, sig = matlib.polar_svd(W)
+    P_ref, sig_ref, Qh_ref = np.linalg.svd(W)
+    assert U.shape == W.shape and sig.shape == sig_ref.shape
+    full = sig_ref[:, 1] > 1e-8 * sig_ref[:, 0]  # LAPACK leaves ~1e-17 for rank 1
+    assert np.max(np.abs(U - P_ref @ Qh_ref)[full]) <= 1e-14
+    scale = np.maximum(sig_ref[:, :1], 1e-300)
+    assert np.max(np.abs(sig - sig_ref) / scale) <= 1e-14
+    assert np.max(np.abs(U.conj().swapaxes(1, 2) @ U - np.eye(2))) <= 1e-14
+    R = W @ U.conj().swapaxes(1, 2)
+    assert np.max(np.abs(R @ U - W)) <= 1e-14
+    # near-unitary overlaps keep the digits of s1 - s2
+    gap_ref = sig_ref[200:250, 0] - sig_ref[200:250, 1]
+    assert np.max(np.abs((sig[200:250, 0] - sig[200:250, 1]) - gap_ref) / gap_ref) <= 1e-6
+    assert not full[-2:].any() and np.array_equal(U[-1], np.eye(2))
+    assert np.max(np.abs(np.linalg.det(U[-2]) - 1.0)) <= 1e-15  # completed to det U = 1
+    # leading axes and a read-only broadcast view
+    U4, sig4 = matlib.polar_svd(W[:6].reshape(2, 3, 2, 2))
+    assert np.array_equal(U4, U[:6].reshape(2, 3, 2, 2)) and np.array_equal(sig4, sig[:6].reshape(2, 3, 2))
+    view = np.broadcast_to(W[0], (5, 2, 2))
+    Uv, sigv = matlib.polar_svd(view)
+    assert not view.flags.writeable and np.array_equal(Uv, np.broadcast_to(U[0], (5, 2, 2)))
+    assert np.array_equal(sigv, np.broadcast_to(sig[0], (5, 2)))
+    for bad in (np.nan, np.inf):
+        Wb = W[:3].copy()
+        Wb[1, 0, 1] = bad
+        with pytest.raises(matlib.NumericalError):
+            matlib.polar_svd(Wb)
 
 
 def test_polar_unitary_of_a_unitary_is_itself():
