@@ -29,8 +29,12 @@ grid.refined() times and decides once per run how to step them:
 
 * closed runs (no jump operators, or every rate zero at every stage time)
   have -L^dag = L, so all three are the unitary flow X -> U X U^dag.  It is
-  stepped by 4th-order Magnus exponentials, one batched exponential and one
-  ordered product per trajectory, and keeps the spectrum of X exactly;
+  stepped by 4th-order Magnus exponentials, one batched exponential
+  (scaling and squaring of a Taylor polynomial, no eigensystem) and one
+  ordered product per trajectory, and keeps the spectrum of X to rounding.
+  Each step's phase spread is read bound first: sqrt(2) |G - tr(G)/d|_F,
+  and an eigensystem only where that bound reaches pi, the spread at which
+  the run is refused as under-resolved;
 * open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
 * a generator constant over the whole run takes one step map, and its
   powers give the flow: one Magnus exponential, whose powers are read off
@@ -260,6 +264,31 @@ def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
     )
 
 
+def _phase_spreads(G: np.ndarray) -> np.ndarray:
+    """Phase spreads lambda_max - lambda_min of a stack of Hermitian G_k,
+    read bound first: exact wherever they reach pi, an upper bound below it.
+
+    The bound is sqrt(2) |G - tr(G)/d 1|_F.  With mu_i the eigenvalues less
+    their mean, (mu_max - mu_min)^2 <= 2 (mu_max^2 + mu_min^2) <= 2 sum mu_i^2,
+    so it is never below the spread, and it equals the spread when the two
+    extreme mu are opposite and the others vanish: on every 2x2 matrix and on
+    the tripod's {+-Omega, 0, 0} spectra.  Only the matrices whose bound
+    reaches pi take an eigensystem, which replaces the bound by the spread.
+    """
+    d = G.shape[-1]
+    sq = G.real**2 + G.imag**2
+    diag = np.diagonal(G, axis1=-2, axis2=-1).real
+    mean = diag.mean(axis=-1)
+    for i in range(d):  # the diagonal of G - tr(G)/d 1, without cancellation
+        sq[..., i, i] = (diag[..., i] - mean) ** 2
+    spread = np.sqrt(2.0 * np.sum(sq, axis=(-2, -1)))
+    over = spread >= np.pi
+    if np.any(over):
+        lam = eigh(G[over])[0]
+        spread[over] = lam[:, -1] - lam[:, 0]
+    return spread
+
+
 def _unitary_flow(
     H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
 ) -> np.ndarray:
@@ -267,31 +296,28 @@ def _unitary_flow(
     U_1 U_0, ...] is the ordered product of the Magnus steps U_k from H at
     the grid.refined() times.
 
-    The step keeps the spectrum of X exactly, so a degenerate invariant
-    stays degenerate.  Constant H takes one exponential exp(i G), and W_k is
-    its k-th power read off the one eigensystem.  A step whose phase spread
-    lambda_max(G_k) - lambda_min(G_k) reaches pi, where the grid aliases the
-    fastest coherence and the step leaves the Magnus convergence region,
-    aborts the run.  So does a non-finite step exponent, before any
-    exponential, with the failure the tail gives the sample it would spoil.
+    Each step is unitary to rounding, so the spectrum of X is kept and a
+    degenerate invariant stays degenerate.  Constant H takes one
+    exponential exp(i G), and W_k is its k-th power read off the one
+    eigensystem; other runs take one stacked `unitary_exp`, which forms no
+    eigensystem.  A step whose phase spread lambda_max(G_k) - lambda_min(G_k)
+    reaches pi, where the grid aliases the fastest coherence and the step
+    leaves the Magnus convergence region, aborts the run before any
+    exponential; the spreads are read bound first (`_phase_spreads`), so
+    only a step that may fail takes an eigensystem, and the reported spread
+    is exact.  A non-finite step exponent also aborts, with the failure the
+    tail gives the sample it would spoil.
     """
     H = H[:3] if constant else H
     G = _magnus_exponents(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))), grid.dt)
     bad = ~np.all(np.isfinite(G), axis=(-2, -1))
     if np.any(bad):
         raise _non_finite(kind, grid, int(np.argmax(bad)))
-    # W with the step index as the last, contiguous axis, so that applying
-    # it is two einsums over length-n vectors
     if constant:
-        # W_k = exp(i k G): powers of the one exponential, whose rounding
-        # does not grow with k as a running product's does
         lam, V = eigh(G[0])
         spread = lam[-1:] - lam[:1]
-        phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
-        W = np.einsum("im,mn,jm->ijn", V, phases, V.conj())
     else:
-        U, spread = unitary_exp(G, return_spread=True)
-        W = np.ascontiguousarray(np.moveaxis(ordered_product(U), 0, -1))
+        spread = _phase_spreads(G)
     coarse = spread >= np.pi
     if np.any(coarse):
         k = int(np.argmax(coarse))
@@ -299,6 +325,15 @@ def _unitary_flow(
             f"{kind} propagation under-resolved: step phase spread {spread[k]:.4g} "
             f">= pi at t={grid.times[k]:.6g}; refine the grid"
         )
+    # W with the step index as the last, contiguous axis, so that applying
+    # it is two einsums over length-n vectors
+    if constant:
+        # W_k = exp(i k G): powers of the one exponential, whose rounding
+        # does not grow with k as a running product's does
+        phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
+        W = np.einsum("im,mn,jm->ijn", V, phases, V.conj())
+    else:
+        W = np.ascontiguousarray(np.moveaxis(ordered_product(unitary_exp(G)), 0, -1))
     X = np.einsum("ikn,lkn->iln", np.einsum("ijn,jk->ikn", W, X0), W.conj())
     return np.ascontiguousarray(np.moveaxis(X, -1, 0))
 
@@ -388,7 +423,7 @@ def _integrate(
 
     Two choices are made once, for the whole run.  A run whose coupling
     rates vanish at every stage time is closed: there -L^dag = L, and all
-    kinds take the exact-unitary `_unitary_flow`; other runs take RK4
+    kinds take the unitary Magnus flow `_unitary_flow`; other runs take RK4
     (`_rk4_flow`).  A generator constant over the whole run (H alone when
     closed, else H, G and g) takes one step map.
 
@@ -437,8 +472,8 @@ def propagate(
 ) -> OperatorTrajectory:
     """Integrate the master equation (kind='density', generator L) or the
     invariant equation (kind='invariant', generator -L^dag) from the model
-    sampled once at the grid.refined() times: by the exact unitary Magnus
-    flow for a closed model, else by fixed-step RK4; see `_integrate` for
+    sampled once at the grid.refined() times: by the unitary Magnus flow
+    for a closed model, else by fixed-step RK4; see `_integrate` for
     the choice and the checks on the samples."""
     if kind not in ("density", "invariant"):
         raise ValueError("propagate handles 'density' or 'invariant' trajectories")

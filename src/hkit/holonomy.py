@@ -113,7 +113,8 @@ def check_case(blocks: list[list[int]], case_tag: str) -> None:
 
 
 def interval_factors(A: np.ndarray, dt: float) -> np.ndarray:
-    """Midpoint-rule transport factors exp(i dt (A_k + A_{k+1})/2), one per interval."""
+    """Midpoint-rule transport factors exp(i dt (A_k + A_{k+1})/2), one per
+    interval; a non-finite connection sample aborts with NumericalError."""
     return unitary_exp(0.5 * (A[:-1] + A[1:]), dt)
 
 
@@ -121,7 +122,7 @@ def transporter(A_series: ConnectionSeries) -> np.ndarray:
     """Cumulative time-ordered exponential of the connection.
 
     The ordered product of the interval factors, later factors on the left;
-    the result is unitary to machine precision by construction.  Returns
+    the result is unitary to rounding by construction.  Returns
     the full series, identity first.
     """
     return ordered_product(interval_factors(A_series.samples, A_series.grid.dt))

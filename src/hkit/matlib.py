@@ -12,6 +12,8 @@ ordering, and branch-cut conventions are decided in exactly one place:
   ``det U = 1``; larger ones from LAPACK's SVD,
 * stacked products go through `mul`, an explicit sum over the inner index
   for inner sizes 1 and 2,
+* unitary exponentials come from `unitary_exp` alone, by scaling and
+  squaring a Taylor polynomial, with no eigensystem,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -234,29 +236,148 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
     return np.stack([m - r, m + r], axis=-1), V
 
 
-def unitary_exp(A: CMatrix, s: float = 1.0, return_spread: bool = False):
-    """exp(i s A) for Hermitian A (or a stack), via the eigensystem (exactly unitary).
+# unitary_exp evaluates its stack a chunk at a time, as many matrices as
+# hold this many entries, which bounds the work arrays it takes
+_EXP_CHUNK_ENTRIES = 2**14
+# largest 1-norm of a scaled exponent, and the Taylor remainder bound below
+# which the polynomial's degree is chosen
+_EXP_THETA = 0.5
+_EXP_REMAINDER = 2.0**-54
+# each squaring doubles the rounding in the moduli of the eigenvalues, so a
+# chunk with this many squarings or more takes one step back to unitarity
+_EXP_POLISH_SQUARINGS = 4
 
-    The exponential V e^{i s Lambda} V^dag is rebuilt as a sum over the
-    eigen-index m of the outer products e^{i s lam_m} v_m v_m^dag, d
-    elementwise products over the whole stack: several times faster than a
-    stacked matmul on 2x2 stacks, about as fast on 4x4 ones.  With
-    return_spread, also returns the phase spread |s| (lam_max - lam_min) of
-    each exponential, read off the same eigenvalues.
+
+def _stack_mul(A: np.ndarray, B: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = A @ B on stack-last (d, d, n) arrays, as a sum over the inner
+    index of broadcast elementwise products; tmp is a work array of out's
+    shape."""
+    np.multiply(A[:, :1], B[None, 0], out=out)
+    for j in range(1, A.shape[0]):
+        np.multiply(A[:, j : j + 1], B[None, j], out=tmp)
+        out += tmp
+    return out
+
+
+def _taylor_degree(theta: float) -> int:
+    """Least degree m >= 1 whose Taylor remainder bound for exp(B),
+    theta^(m+1)/(m+1)! / (1 - theta/(m+2)) with theta >= |B|_1, is below
+    _EXP_REMAINDER."""
+    m, term = 1, 0.5 * theta * theta  # term = theta^(m+1)/(m+1)!
+    while term > _EXP_REMAINDER * (1.0 - theta / (m + 2)):
+        m += 1
+        term *= theta / (m + 1)
+    return m
+
+
+def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
+    """The degree-m Taylor polynomial of exp on a stack-last (d, d, n) array
+    X, by Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)).
+
+    With powers X^1 ... X^p, the polynomial sum_k X^k/k! is a polynomial in
+    X^p whose coefficients C_j are sums of c_(jp+i) X^i (i < p), evaluated
+    by Horner's rule in X^p: p - 1 products for the powers, m // p for the
+    rule (one fewer when p divides m, since the top coefficient is then a
+    scalar), with p chosen to minimise that count.
+    """
+    p = min(range(1, m + 1), key=lambda q: q - 1 + m // q - (m % q == 0))
+    c = [1.0]
+    for k in range(1, m + 1):
+        c.append(c[-1] / k)
+    d = X.shape[0]
+    P = [None, X]
+    for _ in range(2, p + 1):
+        P.append(_stack_mul(P[-1], X, np.empty_like(X), tmp))
+
+    def add_block(T: np.ndarray, j: int) -> None:
+        # T += C_j
+        for i in range(1, min(p, m - j * p + 1)):
+            np.multiply(P[i], c[j * p + i], out=tmp)
+            T += tmp
+        for i in range(d):
+            T[i, i] += c[j * p]
+
+    r = m // p
+    if m % p == 0:  # C_r = c_m 1: the first Horner step needs no product
+        T = np.multiply(P[p], c[m])
+        r -= 1
+    else:
+        T = np.zeros_like(X)
+    add_block(T, r)
+    prod = np.empty_like(X) if r else None
+    for j in range(r - 1, -1, -1):
+        _stack_mul(P[p], T, prod, tmp)
+        add_block(prod, j)
+        T, prod = prod, T
+    return T
+
+
+def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
+    """exp(i s A) for Hermitian A (or a stack), by scaling and squaring a
+    Taylor polynomial, with no eigensystem; unitary to rounding.
+
+    The trace is split off exactly: with mu = tr(A)/d and the traceless
+    B = i s (A - mu 1), exp(i s A) = e^(i s mu) exp(B).  Each matrix is
+    scaled by 2^-j, with j >= 0 the least power that brings the 1-norm of
+    B 2^-j to _EXP_THETA or below; the Taylor polynomial of least degree
+    whose remainder bound at the largest scaled norm is below 2^-54 is
+    evaluated by Paterson and Stockmeyer and squared j times (Moler and
+    Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy and Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009)).  Each matrix keeps its own j, so a large
+    one in a stack costs the small ones no accuracy.  Each squaring doubles
+    the rounding in the moduli of the eigenvalues, so a chunk squared
+    _EXP_POLISH_SQUARINGS times or more takes one Newton step
+    T (3 - T^dag T)/2 back to unitarity.  The stack is worked stack-last,
+    one chunk of _EXP_CHUNK_ENTRIES entries at a time, with every product
+    an explicit sum over the inner index.  Non-finite input aborts.
     """
     A = np.asarray(A, dtype=complex)
-    dev = herm_defect(A)
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("unitary exponential of non-finite input")
+    d = A.shape[-1]
+    flat = A.reshape(-1, d, d)
+    out = np.empty(flat.shape, dtype=complex)
+    chunk = max(1, _EXP_CHUNK_ENTRIES // (d * d))
+    dev = 0.0  # herm_defect(A), gathered chunk by chunk
+    for lo in range(0, len(flat), chunk):
+        Ac = flat[lo : lo + chunk]
+        X = np.empty((d, d, len(Ac)), dtype=complex)
+        tmp = np.empty_like(X)
+        # X = i s 2^-j (H - mu 1) for the Hermitian part H of each matrix
+        np.conjugate(Ac.transpose(2, 1, 0), out=tmp)
+        np.subtract(Ac.transpose(1, 2, 0), tmp, out=X)
+        dev = max(dev, float(np.max(np.abs(X))))
+        np.add(Ac.transpose(1, 2, 0), tmp, out=X)
+        X *= 0.5
+        mu = sum(X[i, i].real for i in range(d)) / d
+        for i in range(d):
+            X[i, i] -= mu
+        norm = abs(s) * np.abs(X).sum(axis=0).max(axis=0)
+        # least j >= 0 with norm 2^-j <= _EXP_THETA, exactly: with
+        # norm = f 2^e, f in [1/2, 1), it is e - 1 when f = 1/2, else e
+        f, e = np.frexp(norm / _EXP_THETA)
+        j = np.maximum(np.where(f == 0.5, e - 1, e), 0)
+        X *= 1j * np.ldexp(s, -j)
+        T = _taylor(X, _taylor_degree(float(np.max(np.ldexp(norm, -j)))), tmp)
+        for k in range(int(np.max(j, initial=0))):
+            if np.all(j > k):
+                T, X = _stack_mul(T, T, X, tmp), T
+            else:
+                sel = np.flatnonzero(j > k)
+                Ts = T[..., sel]
+                T[..., sel] = _stack_mul(Ts, Ts, np.empty_like(Ts), np.empty_like(Ts))
+        if np.any(j >= _EXP_POLISH_SQUARINGS):
+            # one Newton step to the polar factor, T (3 - T^dag T)/2
+            _stack_mul(T.conj().transpose(1, 0, 2), T, X, tmp)
+            Y = _stack_mul(T, X, np.empty_like(T), tmp)
+            T *= 1.5
+            Y *= 0.5
+            T -= Y
+        phase = np.exp(1j * s * mu)[:, None, None]
+        np.multiply(T.transpose(2, 0, 1), phase, out=out[lo : lo + chunk])
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
-    lam, V = eigh(0.5 * (A + _dagger(A)))
-    Vc = V.conj()
-    V *= np.exp(1j * s * lam)[..., None, :]  # columns e^{i s lam_m} v_m
-    U = V[..., :, 0, None] * Vc[..., None, :, 0]
-    for m in range(1, V.shape[-1]):
-        U += V[..., :, m, None] * Vc[..., None, :, m]
-    if return_spread:
-        return U, abs(s) * (lam[..., -1] - lam[..., 0])
-    return U
+    return out.reshape(A.shape)
 
 
 def ordered_product(F: np.ndarray) -> np.ndarray:

@@ -692,6 +692,32 @@ def test_only_matlib_calls_lapack_eigensolvers_or_svd():
     assert calls == []
 
 
+def test_lapack_eigensolver_call_budget(monkeypatch):
+    """LAPACK's eigh runs only where an eigensystem is the result: a tripod
+    run calls it twice (the start density's positivity check and
+    eigenframes), a two-level run never (2x2 eigensystems are closed-form).
+    Every exponential, the Magnus steps and the transport factors alike,
+    is eigensystem-free."""
+    calls = []
+    lapack_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lapack_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    budget = [
+        ({"scenario": "wilczek_zee", "params": {"loop": 1}}, 2),
+        ({"scenario": "berry_closed", "grid": _grid(801)}, 0),
+        ({"scenario": "two_level_decay", "params": {"gamma": 1e-3}, "grid": _grid(801)}, 0),
+        ({"scenario": "two_level_decay", "frame_source": "analytic", "grid": _grid(801)}, 0),
+    ]
+    for raw, expected in budget:
+        calls.clear()
+        cli.execute(ScenarioConfig.from_dict(raw))
+        assert len(calls) == expected, (raw, calls)
+
+
 def test_unwritable_output_path_exits_with_one_line(tmp_path):
     """--out naming an existing regular file: run and sweep both end in one
     exit-2 line instead of a traceback."""

@@ -345,6 +345,41 @@ def test_under_resolved_closed_run_is_refused():
     dynamics.propagate(model, rho0, TimeGrid(0.0, 1500.0, 1001))  # spread 3.0
 
 
+def _spread(G):
+    lam = np.linalg.eigvalsh(G)
+    return lam[..., -1] - lam[..., 0]
+
+
+def test_phase_spreads_bound_the_spread_and_are_exact_where_the_guard_fires():
+    """The bound sqrt(2) |G - tr(G)/d|_F is never below the spread, equals it
+    on 2x2 stacks and on the tripod's Magnus exponents, and is replaced by
+    the eigensystem's spread wherever it reaches pi."""
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3, 4):
+        M = rng.normal(size=(500, d, d)) + 1j * rng.normal(size=(500, d, d))
+        G = (0.5 * (M + M.conj().swapaxes(1, 2))) * rng.uniform(0.05, 2.0, size=(500, 1, 1))
+        spreads = dynamics._phase_spreads(G)
+        exact = _spread(G)
+        D = G - np.trace(G, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        bound = np.sqrt(2.0) * np.linalg.norm(D, axis=(1, 2))
+        assert np.all(bound >= exact * (1.0 - 1e-14)), d
+        # below pi the bound is reported; from pi on, the eigensystem's spread
+        read = bound >= np.pi
+        assert np.allclose(spreads[~read], bound[~read], rtol=1e-14, atol=0.0), d
+        assert np.allclose(spreads[read], exact[read], rtol=1e-14, atol=0.0), d
+        if d > 1:
+            assert np.any(spreads >= np.pi) and not np.all(spreads >= np.pi), d
+        if d > 2:  # bounds past pi whose spreads are not: the guard stays quiet
+            assert np.any(read & (spreads < np.pi)), d
+        if d == 2:
+            assert np.allclose(spreads, exact, rtol=1e-14, atol=0.0)
+    model = models.wilczek_zee_demo(rabi=1.3, loop=WZ_LOOPS["b"], duration=1500.0)
+    grid = TimeGrid(0.0, 1500.0, 2001)
+    H = model.operators(grid.refined().times)[0]
+    G = dynamics._magnus_exponents(H, grid.dt)
+    assert np.allclose(dynamics._phase_spreads(G), _spread(G), rtol=1e-14, atol=0.0)
+
+
 def test_closed_flow_aborts_on_a_non_finite_generator_with_last_valid_time():
     """H turns NaN at t = 0.5: the step ending there is the first bad one,
     so t = 0.4 is the last valid time."""

@@ -80,6 +80,16 @@ def test_transporter_of_a_constant_connection_is_the_exponential():
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
 
+def test_interval_factors_refuse_a_non_finite_connection():
+    """A NaN connection sample spoils the factors of both intervals it
+    bounds; it must abort, not come back as NaN transport."""
+    for d in (1, 2, 3, 4):
+        A = np.zeros((6, d, d), dtype=complex)
+        A[3, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            holonomy.interval_factors(A, 0.1)
+
+
 def test_transporter_orders_later_factors_to_the_left():
     """Piecewise-constant generator: sigma_x then sigma_z.  Only the
     latest-leftmost product matches; the swapped order misses by a

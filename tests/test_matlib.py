@@ -282,14 +282,45 @@ def test_unitary_exp_of_a_stack_matches_the_loop():
     assert E.shape == A.shape
     for Ai, Ei in zip(A, E):
         assert np.max(np.abs(Ei - matlib.unitary_exp(Ai, 0.7))) < 1e-14
-    E_spread, spread = matlib.unitary_exp(A, -0.7, return_spread=True)
-    lam = np.linalg.eigvalsh(A)
-    assert np.array_equal(E_spread, matlib.unitary_exp(A, -0.7))
-    assert np.allclose(spread, 0.7 * (lam[:, -1] - lam[:, 0]), rtol=1e-14, atol=0.0)
     bad = A.copy()
     bad[3, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
         matlib.unitary_exp(bad)
+
+
+def test_unitary_exp_matches_expm_across_scaling():
+    """Norms from 1e-8 (no squaring) to 50 (seven squarings and more), each
+    size, a large trace offset and a stack mixing one large exponent into
+    small ones, whose own scaling keeps them at rounding level."""
+    rng = np.random.default_rng(37)
+    for d in (1, 2, 3, 4):
+        for norm in (1e-8, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 50.0):
+            A = np.stack([_random_hermitian(rng, d) for _ in range(8)])
+            A *= norm / np.linalg.norm(A, 2, axis=(1, 2))[:, None, None]
+            for s in (1.0, -0.6):
+                U = matlib.unitary_exp(A, s)
+                for Ak, Uk in zip(A, U):
+                    assert np.max(np.abs(Uk - expm(1j * s * Ak))) <= 1e-12, (d, norm, s)
+                    assert matlib.unitary_defect(Uk) <= 1e-14, (d, norm, s)
+        shifted = _random_hermitian(rng, d) + 1e3 * np.eye(d)
+        assert np.max(np.abs(matlib.unitary_exp(shifted, 0.9) - expm(0.9j * shifted))) <= 1e-12
+    small = np.stack([1e-3 * _random_hermitian(rng, 4) for _ in range(40)])
+    mixed = np.concatenate([small[:20], 50.0 * _random_hermitian(rng, 4)[None], small[20:]])
+    U = matlib.unitary_exp(mixed)
+    assert np.max(np.abs(U[20] - expm(1j * mixed[20]))) <= 1e-12
+    for Ak, Uk in zip(small, np.delete(U, 20, axis=0)):
+        assert np.max(np.abs(Uk - expm(1j * Ak))) <= 1e-13
+
+
+def test_unitary_exp_rejects_non_finite_input():
+    for d in (1, 2, 3, 4):
+        for value in (np.nan, np.inf, -np.inf):
+            A = np.stack([np.eye(d, dtype=complex)] * 3)
+            A[1, -1, -1] = value
+            with pytest.raises(matlib.NumericalError, match="non-finite"):
+                matlib.unitary_exp(A)
+            with pytest.raises(matlib.NumericalError, match="non-finite"):
+                matlib.unitary_exp(A[1])
 
 
 def test_ordered_product_puts_later_factors_on_the_left():
