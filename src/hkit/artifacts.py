@@ -26,22 +26,23 @@ _FMT_TIE_MARGIN = 1e-6
 _DEKKER_SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _slot_word(text: str) -> int:
-    """Eight bytes of a formatter slot: the ASCII of ``text`` from the lowest
-    byte up, zero filled; NUL characters in ``text`` are pads."""
-    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
-
-
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, ...]:
     """Lookup tables of _format_certified, built on first use, not at import.
 
-    Row ``_FMT_EXP_MAX - E`` for each decimal exponent E from _FMT_EXP_MAX
-    down to _FMT_EXP_MIN holds ``10**(17 - E)`` as the unevaluated
-    double-double sum ``hi + lo`` (both rounded once from the exact
-    rational, so within about 2**-106 of the power) and the slot word
-    ``e+HTU`` of the exponent.  Row ``D`` of the last table is the slot word
-    ``-D.D`` of the leading two digits.
+    The first three have one row per decimal exponent E, row
+    ``_FMT_EXP_MAX - E`` for E from _FMT_EXP_MAX down to _FMT_EXP_MIN:
+
+    * ``10**(17 - E)`` as the unevaluated double-double sum ``hi + lo``
+      (both rounded once from the exact rational, so within about 2**-106
+      of the power) and the Dekker split of ``hi``, as the columns
+      ``hi, hi_hi, hi_lo, lo``;
+    * the ASCII of ``e+TU``: the exponent's sign, tens and units;
+    * the ASCII of ``e+HTU``, with a NUL for a hundreds digit of 0.
+
+    Entry ``D + 100 s`` of the lead table is a NUL (s = 0) or ``-`` (s = 1)
+    and then ``D.D`` of the leading two digits; entry ``k`` of the digit
+    table is ``k`` as four ASCII digits.
     """
     exps = range(_FMT_EXP_MAX, _FMT_EXP_MIN - 1, -1)
     hi, lo = [], []
@@ -52,12 +53,21 @@ def _format_tables() -> tuple[np.ndarray, ...]:
         hi.append(num / den)
         h_num, h_den = hi[-1].as_integer_ratio()
         lo.append((num * h_den - h_num * den) / (den * h_den))
-    exp_words = [_slot_word("e%s%03d" % ("-" if e < 0 else "+", abs(e))) for e in exps]
-    lead_words = [_slot_word("\0\0\0\0-%d.%d" % divmod(d, 10)) for d in range(100)]
-    tables = (
-        np.array(hi), np.array(lo),
-        np.array(exp_words, dtype=np.uint64), np.array(lead_words, dtype=np.uint64),
+    hi = np.array(hi)
+    powers = np.stack([hi, *_dekker_split(hi), np.array(lo)], axis=1)
+
+    def words(texts, dtype):
+        return np.frombuffer(b"".join(t.encode() for t in texts), dtype=dtype)
+
+    signs = ["e-" if e < 0 else "e+" for e in exps]
+    exp_words = words([f"{c}{abs(e) % 100:02d}" for c, e in zip(signs, exps)], "<u4")
+    hundreds = ["%d" % (abs(e) // 100) if abs(e) >= 100 else "\0" for e in exps]
+    exp_fields = words(
+        [f"{c}{h}{abs(e) % 100:02d}" for c, h, e in zip(signs, hundreds, exps)], "V5"
     )
+    lead_words = words([f"{s}{d // 10}.{d % 10}" for s in "\0-" for d in range(100)], "<u4")
+    digit_words = words([f"{k:04d}" for k in range(10**4)], "<u4")
+    tables = (powers, exp_words, exp_fields, lead_words, digit_words)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -70,25 +80,6 @@ def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _ascii8(v: np.ndarray) -> np.ndarray:
-    """The eight decimal digits of each ``v < 10**8`` as ASCII, packed into a
-    uint64 whose little-endian bytes read most significant digit first.
-
-    Lane arithmetic within one word: 4 + 4 digits in the 32-bit halves,
-    then 2 + 2 in each 16-bit quarter, then 1 + 1 in each byte.  The
-    multiply-shift quotients (y * 10486 >> 20 = y // 100 for y < 10**4,
-    w * 103 >> 10 = w // 10 for w < 100) never carry across a lane.
-    """
-    u = np.uint64
-    hi = v // u(10000)
-    x = hi | ((v - hi * u(10000)) << u(32))
-    q = ((x * u(10486)) >> u(20)) & u(0x0000007F0000007F)
-    x = q | ((x - q * u(100)) << u(16))
-    q = ((x * u(103)) >> u(10)) & u(0x000F000F000F000F)
-    x = q | ((x - q * u(10)) << u(8))
-    return x + u(0x3030303030303030)
-
-
 def _scaled(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floor (int64) and fraction of ``a * 10**(17 - E)``, E of table row
     ``row``, to an absolute error below 1e-13 for products in [2**53,
@@ -96,22 +87,21 @@ def _scaled(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi)`` a whole number and ``t`` the exact rounding error of ``p``
     (Dekker's two-product; numpy has no fused multiply-add) plus ``a * lo``.
     Its own function, so that its temporaries are freed on return."""
-    pow_hi, pow_lo, _, _ = _format_tables()
-    h = pow_hi[row]
+    h, h_hi, h_lo, lo = _format_tables()[0].take(row, axis=0).T
     p = a * h
     a_hi, a_lo = _dekker_split(a)
-    h_hi, h_lo = _dekker_split(h)
-    t = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
-    t += a * pow_lo[row]
+    t = a_hi * h_hi
+    t -= p
+    t += a_hi * h_lo
+    t += a_lo * h_hi
+    t += a_lo * h_lo
+    lo *= a
+    t += lo
     t_int = np.floor(t)
-    return p.astype(np.int64) + t_int.astype(np.int64), t - t_int
-
-
-# A value's text is built in a slot of four little-endian words:
-# "____-D.D", eight digits, eight digits, "e+HTU,__" (pads "_").  Its bytes
-# 4-29 are text, less a plus sign and a zero hundreds digit of the exponent.
-_SLOT_TEXT = np.array([0] * 4 + [1] * 26 + [0] * 2, dtype=bool)
-_SLOT_SIGN, _SLOT_EXP_HUNDREDS = 4, 26
+    t -= t_int
+    below = p.astype(np.int64)
+    below += t_int.astype(np.int64)
+    return below, t
 
 
 def _format_certified(block: np.ndarray) -> bytes | None:
@@ -127,42 +117,60 @@ def _format_certified(block: np.ndarray) -> bytes | None:
     scaled value and ``N`` have 18 digits before the point (a miss of
     ``log10`` next to a power of ten gives 17 or 19).  NaN, infinities,
     subnormals and exact ties such as ``2**-26`` are left to the caller.
+
+    Each value's text is assembled in a slot of 25 bytes, or of 26 when the
+    block holds a three-digit exponent: the sign or a NUL, ``D.D``, four
+    groups of four digits read from the digit table, ``e+TU`` (``e+HTU`` in
+    a 26-byte slot, a NUL for a hundreds digit of 0) and the separator.
+    Each field is written through an unaligned strided view of one byte
+    buffer, and one ``bytes.replace`` squeezes the NUL pads out.
     """
     x = block.ravel()
     a = np.abs(x)
     zero = a == 0.0
-    if not np.all(zero | ((a >= 1e-270) & (a < 1e290))):
+    a[zero] = 1.0  # scaled as E = 0, N = 10**17, and printed with lead 0 below
+    if not (a.min() >= 1e-270 and a.max() < 1e290):  # False for NaN too
         return None
-    a[zero] = 1.0  # formatted as E = 0, N = 0 below
-    E = np.clip(np.floor(np.log10(a)).astype(np.int64), _FMT_EXP_MIN, _FMT_EXP_MAX)
-    row = _FMT_EXP_MAX - E
+    E = np.floor(np.log10(a))
+    np.clip(E, _FMT_EXP_MIN, _FMT_EXP_MAX, out=E)
+    row = (_FMT_EXP_MAX - E).astype(np.intp)
     below, frac = _scaled(a, row)
-    if np.any(np.abs(frac - 0.5) <= _FMT_TIE_MARGIN):
+    frac -= 0.5
+    if np.abs(frac).min() <= _FMT_TIE_MARGIN:
         return None
     # the scaled value itself, not only N, must have 18 digits: 10**17 - 0.4
     # (from a log10 miss at 10**E) rounds to 10**17, but % prints it with
     # the exponent E - 1
-    N = below + (frac > 0.5)
-    if np.any(~zero & ((below < 10**17) | (N >= 10**18))):
+    N = below + (frac > 0.0)
+    if below.min() < 10**17 or N.max() >= 10**18:
         return None
-    N = N.astype(np.uint64)
-    N[zero] = 0
 
-    _, _, exp_words, lead_words = _format_tables()
-    u = np.uint64
-    slots = np.empty((x.size, 4), dtype="<u8")
-    lead = N // u(10**16)
-    rest = N - lead * u(10**16)
-    slots[:, 0] = lead_words[lead]
-    mid = rest // u(10**8)
-    slots[:, 1:3] = _ascii8(np.stack([mid, rest - mid * u(10**8)], axis=1))
-    sep = np.full(block.shape, ord(",") << 40, dtype=np.uint64)
-    sep[:, -1] = ord("\n") << 40
-    slots[:, 3] = exp_words[row] | sep.ravel()
-    keep = np.tile(_SLOT_TEXT, (x.size, 1))
-    keep[:, _SLOT_SIGN] = np.signbit(x)
-    keep[:, _SLOT_EXP_HUNDREDS] = np.abs(E) >= 100
-    return slots.view(np.uint8)[keep].tobytes()
+    _, exp_words, exp_fields, lead_words, digit_words = _format_tables()
+    n, width = x.size, 26 if E.max() >= 100 or E.min() <= -100 else 25
+    buf = bytearray(n * width)
+
+    def field(offset: int, dtype: str, shape=(n,), strides=(width,)) -> np.ndarray:
+        return np.ndarray(shape, dtype, buffer=buf, offset=offset, strides=strides)
+
+    # N = lead 10**16 + mid 10**8 + low: 2 + 8 + 8 digits, and mid and low
+    # two groups of four each
+    top = N // 10**8
+    lead = top // 10**8
+    mid = top - lead * 10**8
+    lead += 100 * np.signbit(x) - 10 * zero  # a zero's N is 10**17
+    field(0, "<u4")[:] = lead_words.take(lead)
+    for offset, eight in ((4, mid), (12, N - top * 10**8)):
+        upper = eight // 10**4
+        field(offset, "<u4")[:] = digit_words.take(upper)
+        field(offset + 4, "<u4")[:] = digit_words.take(eight - upper * 10**4)
+    if width == 25:
+        field(20, "<u4")[:] = exp_words.take(row)
+    else:
+        field(20, "V5")[:] = exp_fields.take(row)
+    sep = field(width - 1, "u1", block.shape, (width * block.shape[1], width))
+    sep[:] = ord(",")
+    sep[:, -1] = ord("\n")
+    return bytes(buf).replace(b"\0", b"")
 
 
 def _format_rows(block: np.ndarray) -> bytes:

@@ -12,8 +12,12 @@ ordering, and branch-cut conventions are decided in exactly one place:
   ``det U = 1``; larger ones from LAPACK's SVD,
 * stacked products go through `mul`, an explicit sum over the inner index
   for inner sizes 1 and 2,
-* unitary exponentials come from `unitary_exp` alone, by scaling and
-  squaring a Taylor polynomial, with no eigensystem,
+* unitary exponentials come from `unitary_exp` alone, with no
+  eigensystem: in closed form on 1x1 and 2x2 stacks, ``e^(i s mu)
+  (cos(s r) 1 + i s sinc(s r/pi) B)`` for the traceless part B with
+  ``B^2 = r^2 1``; larger ones by scaling and squaring a Taylor polynomial,
+* cumulative time-ordered products come from `ordered_product`: np.cumprod
+  on 1x1 stacks, a blocked prefix on larger ones,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -312,11 +316,94 @@ def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
     return T
 
 
-def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
-    """exp(i s A) for Hermitian A (or a stack), by scaling and squaring a
-    Taylor polynomial, with no eigensystem; unitary to rounding.
+def _closed_exp(Ac: np.ndarray, s: float, out: np.ndarray) -> float:
+    """exp(i s A) on a (n, d, d) stack of 1x1 or 2x2 matrices in closed
+    form, written into out; returns herm_defect of the stack.
 
-    The trace is split off exactly: with mu = tr(A)/d and the traceless
+    A 1x1 matrix is its own phase exp(i s a).  A 2x2 matrix, with mu the
+    mean of its diagonal and the traceless Hermitian part B = [[z, conj(b)],
+    [b, -z]], has B^2 = r^2 1, r = hypot(z, |b|), so
+
+        exp(i s A) = e^(i s mu) (cos(s r) 1 + i s sinc(s r/pi) B),
+
+    with s sinc(s r/pi) = sin(s r)/r formed as that quotient (s at r = 0).
+    """
+    if Ac.shape[-1] == 1:
+        # + 0.0 turns the imaginary part -0.0 of exp(-0j) into +0.0, so a
+        # zero phase does not carry the sign of s or of a zero diagonal
+        np.exp(1j * s * Ac.real, out=out)
+        out += 0.0
+        return 2.0 * float(np.max(np.abs(Ac.imag), initial=0.0))
+    a, d = Ac[:, 0, 0], Ac[:, 1, 1]
+    lower, upper = Ac[:, 1, 0], Ac[:, 0, 1]
+    dev = max(
+        2.0 * float(np.max(np.maximum(np.abs(a.imag), np.abs(d.imag)), initial=0.0)),
+        float(np.max(np.abs(lower - upper.conj()), initial=0.0)),
+    )
+    b = 0.5 * (lower + upper.conj())
+    z = 0.5 * (a.real - d.real)
+    r = np.hypot(z, np.abs(b))
+    k = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0.0)
+    c = np.cos(s * r)
+    phase = np.exp(1j * s * (0.5 * (a.real + d.real)))
+    ikz = 1j * k * z
+    out[:, 0, 0] = phase * (c + ikz)
+    out[:, 1, 1] = phase * (c - ikz)
+    phase *= 1j * k
+    out[:, 1, 0] = phase * b
+    out[:, 0, 1] = phase * b.conj()
+    return dev
+
+
+def _taylor_exp(Ac: np.ndarray, s: float, out: np.ndarray) -> float:
+    """exp(i s A) on a (n, d, d) stack by scaling and squaring a Taylor
+    polynomial (see unitary_exp), written into out; returns herm_defect of
+    the stack."""
+    d = Ac.shape[-1]
+    X = np.empty((d, d, len(Ac)), dtype=complex)
+    tmp = np.empty_like(X)
+    # X = i s 2^-j (H - mu 1) for the Hermitian part H of each matrix
+    np.conjugate(Ac.transpose(2, 1, 0), out=tmp)
+    np.subtract(Ac.transpose(1, 2, 0), tmp, out=X)
+    dev = float(np.max(np.abs(X)))
+    np.add(Ac.transpose(1, 2, 0), tmp, out=X)
+    X *= 0.5
+    mu = sum(X[i, i].real for i in range(d)) / d
+    for i in range(d):
+        X[i, i] -= mu
+    norm = abs(s) * np.abs(X).sum(axis=0).max(axis=0)
+    # least j >= 0 with norm 2^-j <= _EXP_THETA, exactly: with
+    # norm = f 2^e, f in [1/2, 1), it is e - 1 when f = 1/2, else e
+    f, e = np.frexp(norm / _EXP_THETA)
+    j = np.maximum(np.where(f == 0.5, e - 1, e), 0)
+    X *= 1j * np.ldexp(s, -j)
+    T = _taylor(X, _taylor_degree(float(np.max(np.ldexp(norm, -j)))), tmp)
+    for k in range(int(np.max(j, initial=0))):
+        if np.all(j > k):
+            T, X = _stack_mul(T, T, X, tmp), T
+        else:
+            sel = np.flatnonzero(j > k)
+            Ts = T[..., sel]
+            T[..., sel] = _stack_mul(Ts, Ts, np.empty_like(Ts), np.empty_like(Ts))
+    if np.any(j >= _EXP_POLISH_SQUARINGS):
+        # one Newton step to the polar factor, T (3 - T^dag T)/2
+        _stack_mul(T.conj().transpose(1, 0, 2), T, X, tmp)
+        Y = _stack_mul(T, X, np.empty_like(T), tmp)
+        T *= 1.5
+        Y *= 0.5
+        T -= Y
+    phase = np.exp(1j * s * mu)[:, None, None]
+    np.multiply(T.transpose(2, 0, 1), phase, out=out)
+    return dev
+
+
+def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
+    """exp(i s A) for Hermitian A (or a stack), with no eigensystem; unitary
+    to rounding.
+
+    Stacks of 1x1 and 2x2 matrices are exponentiated in closed form
+    (_closed_exp).  Larger ones scale and square a Taylor polynomial: the
+    trace is split off exactly, with mu = tr(A)/d and the traceless
     B = i s (A - mu 1), exp(i s A) = e^(i s mu) exp(B).  Each matrix is
     scaled by 2^-j, with j >= 0 the least power that brings the 1-norm of
     B 2^-j to _EXP_THETA or below; the Taylor polynomial of least degree
@@ -327,9 +414,12 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     one in a stack costs the small ones no accuracy.  Each squaring doubles
     the rounding in the moduli of the eigenvalues, so a chunk squared
     _EXP_POLISH_SQUARINGS times or more takes one Newton step
-    T (3 - T^dag T)/2 back to unitarity.  The stack is worked stack-last,
-    one chunk of _EXP_CHUNK_ENTRIES entries at a time, with every product
-    an explicit sum over the inner index.  Non-finite input aborts.
+    T (3 - T^dag T)/2 back to unitarity.  These are worked stack-last, with
+    every product an explicit sum over the inner index.  Either way the
+    stack is taken one chunk of _EXP_CHUNK_ENTRIES entries at a time, and
+    the Hermitian part of each matrix is exponentiated.  Non-finite input
+    aborts before any work; a matrix further than HERM_TOL from its
+    Hermitian part raises ValueError.
     """
     A = np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(A)):
@@ -337,44 +427,11 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     d = A.shape[-1]
     flat = A.reshape(-1, d, d)
     out = np.empty(flat.shape, dtype=complex)
+    exp_chunk = _closed_exp if d <= 2 else _taylor_exp
     chunk = max(1, _EXP_CHUNK_ENTRIES // (d * d))
     dev = 0.0  # herm_defect(A), gathered chunk by chunk
     for lo in range(0, len(flat), chunk):
-        Ac = flat[lo : lo + chunk]
-        X = np.empty((d, d, len(Ac)), dtype=complex)
-        tmp = np.empty_like(X)
-        # X = i s 2^-j (H - mu 1) for the Hermitian part H of each matrix
-        np.conjugate(Ac.transpose(2, 1, 0), out=tmp)
-        np.subtract(Ac.transpose(1, 2, 0), tmp, out=X)
-        dev = max(dev, float(np.max(np.abs(X))))
-        np.add(Ac.transpose(1, 2, 0), tmp, out=X)
-        X *= 0.5
-        mu = sum(X[i, i].real for i in range(d)) / d
-        for i in range(d):
-            X[i, i] -= mu
-        norm = abs(s) * np.abs(X).sum(axis=0).max(axis=0)
-        # least j >= 0 with norm 2^-j <= _EXP_THETA, exactly: with
-        # norm = f 2^e, f in [1/2, 1), it is e - 1 when f = 1/2, else e
-        f, e = np.frexp(norm / _EXP_THETA)
-        j = np.maximum(np.where(f == 0.5, e - 1, e), 0)
-        X *= 1j * np.ldexp(s, -j)
-        T = _taylor(X, _taylor_degree(float(np.max(np.ldexp(norm, -j)))), tmp)
-        for k in range(int(np.max(j, initial=0))):
-            if np.all(j > k):
-                T, X = _stack_mul(T, T, X, tmp), T
-            else:
-                sel = np.flatnonzero(j > k)
-                Ts = T[..., sel]
-                T[..., sel] = _stack_mul(Ts, Ts, np.empty_like(Ts), np.empty_like(Ts))
-        if np.any(j >= _EXP_POLISH_SQUARINGS):
-            # one Newton step to the polar factor, T (3 - T^dag T)/2
-            _stack_mul(T.conj().transpose(1, 0, 2), T, X, tmp)
-            Y = _stack_mul(T, X, np.empty_like(T), tmp)
-            T *= 1.5
-            Y *= 0.5
-            T -= Y
-        phase = np.exp(1j * s * mu)[:, None, None]
-        np.multiply(T.transpose(2, 0, 1), phase, out=out[lo : lo + chunk])
+        dev = max(dev, exp_chunk(flat[lo : lo + chunk], s, out[lo : lo + chunk]))
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
     return out.reshape(A.shape)
@@ -386,9 +443,10 @@ def ordered_product(F: np.ndarray) -> np.ndarray:
     Later factors multiply from the left; for n factors of shape (d, d)
     the result has n + 1 entries, identity first.
 
-    A blocked two-level prefix: the factors are cut into about sqrt(n)
-    blocks of equal length, the last one padded with identities.  One
-    batched product per in-block position forms every block's running
+    A 1x1 stack is a running product of scalars, np.cumprod.  Larger
+    stacks take a blocked two-level prefix: the factors are cut into about
+    sqrt(n) blocks of equal length, the last one padded with identities.
+    One batched product per in-block position forms every block's running
     products at once, a sequential pass over the block totals forms each
     block's carry (the product of all earlier blocks), and one batched
     product applies the carries.  The block index is kept as the last,
@@ -401,6 +459,11 @@ def ordered_product(F: np.ndarray) -> np.ndarray:
     """
     F = np.asarray(F)
     n, dim = F.shape[0], F.shape[-1]
+    if dim == 1:
+        out = np.empty((n + 1, 1, 1), dtype=complex)
+        out[0] = 1.0
+        np.cumprod(F[:, 0, 0], dtype=complex, out=out[1:, 0, 0])
+        return out
     size = max(1, int(np.ceil(np.sqrt(n))))  # block length
     m = -(-n // size)  # block count
     eye = np.eye(dim, dtype=complex)

@@ -718,6 +718,29 @@ def test_lapack_eigensolver_call_budget(monkeypatch):
         assert len(calls) == expected, (raw, calls)
 
 
+def test_two_level_exponentials_take_the_closed_form(monkeypatch):
+    """Two-level runs exponentiate 1x1 and 2x2 stacks in closed form and
+    never reach the Taylor polynomial; the tripod's larger stacks still do."""
+    calls = []
+    taylor = matlib._taylor
+
+    def counting_taylor(X, *args, **kwargs):
+        calls.append(X.shape[:2])
+        return taylor(X, *args, **kwargs)
+
+    monkeypatch.setattr(matlib, "_taylor", counting_taylor)
+    for raw in (
+        {"scenario": "berry_closed", "grid": _grid(801)},
+        {"scenario": "two_level_decay", "params": {"gamma": 1e-3}, "grid": _grid(801)},
+        {"scenario": "two_level_decay", "frame_source": "analytic", "grid": _grid(801)},
+    ):
+        calls.clear()
+        cli.execute(ScenarioConfig.from_dict(raw))
+        assert calls == [], raw
+    cli.execute(ScenarioConfig.from_dict({"scenario": "wilczek_zee", "params": {"loop": 1}}))
+    assert calls and all(d > 2 for d, _ in calls), calls
+
+
 def test_unwritable_output_path_exits_with_one_line(tmp_path):
     """--out naming an existing regular file: run and sweep both end in one
     exit-2 line instead of a traceback."""

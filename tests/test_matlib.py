@@ -1,6 +1,8 @@
 """Unit tests for the dense linear-algebra helpers."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -276,16 +278,24 @@ def test_unitary_exp_matches_dense_expm():
 
 
 def test_unitary_exp_of_a_stack_matches_the_loop():
+    """Closed form (1x1, 2x2) and Taylor form (3x3) alike: the first
+    matrices and those on both sides of a chunk boundary against their own
+    single-matrix calls, and the ValueError of a non-Hermitian matrix, its
+    deviation herm_defect, for an off-diagonal and a diagonal entry."""
     rng = np.random.default_rng(19)
-    A = np.stack([_random_hermitian(rng, 3) for _ in range(5)])
-    E = matlib.unitary_exp(A, 0.7)
-    assert E.shape == A.shape
-    for Ai, Ei in zip(A, E):
-        assert np.max(np.abs(Ei - matlib.unitary_exp(Ai, 0.7))) < 1e-14
-    bad = A.copy()
-    bad[3, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="not Hermitian"):
-        matlib.unitary_exp(bad)
+    for d in (1, 2, 3):
+        A = np.stack([_random_hermitian(rng, d) for _ in range(4100)])
+        E = matlib.unitary_exp(A, 0.7)
+        assert E.shape == A.shape
+        chunk = matlib._EXP_CHUNK_ENTRIES // (d * d)
+        for k in list(range(5)) + list(range(chunk - 3, min(chunk + 3, len(A)))):
+            assert np.max(np.abs(E[k] - matlib.unitary_exp(A[k], 0.7))) < 1e-14, (d, k)
+        for entry in ((d - 1, 0), (0, 0)):
+            bad = A[:5].copy()
+            bad[(3,) + entry] += 1e-6j
+            message = f"generator is not Hermitian (deviation {matlib.herm_defect(bad):.3e})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                matlib.unitary_exp(bad)
 
 
 def test_unitary_exp_matches_expm_across_scaling():
@@ -323,6 +333,32 @@ def test_unitary_exp_rejects_non_finite_input():
                 matlib.unitary_exp(A[1])
 
 
+def _closed_form_stack(rng, d, size, s, count=6):
+    """``count`` Hermitian d x d matrices with |s| |A - mu 1|_2 = size and a
+    random trace mu; a 1x1 matrix is all trace, so there |s a| = size."""
+    if d == 1:
+        return (size / abs(s)) * rng.choice([-1.0, 1.0], size=(count, 1, 1)) + 0j
+    A = np.stack([_random_hermitian(rng, 2) for _ in range(count)])
+    B = A - 0.5 * np.trace(A, axis1=1, axis2=2)[:, None, None] * np.eye(2)
+    B *= size / (abs(s) * np.linalg.norm(B, 2, axis=(1, 2)))[:, None, None]
+    return B + rng.normal(size=count)[:, None, None] * np.eye(2)
+
+
+def test_closed_form_unitary_exp_matches_expm():
+    """1x1 and 2x2 stacks take the closed form e^(i s mu) (cos(s r) 1 +
+    i s sinc(s r/pi) B): against expm for s|A - mu| of exactly 0 (sinc(0),
+    a multiple of the identity), 1e-12, 1e-6, 1, 1e2 and 1e3."""
+    rng = np.random.default_rng(41)
+    for d in (1, 2):
+        for size in (0.0, 1e-12, 1e-6, 1.0, 1e2, 1e3):
+            for s in (1.0, -0.6):
+                A = _closed_form_stack(rng, d, size, s)
+                U = matlib.unitary_exp(A, s)
+                for Ak, Uk in zip(A, U):
+                    assert np.max(np.abs(Uk - expm(1j * s * Ak))) <= 1e-12, (d, size, s)
+                    assert matlib.unitary_defect(Uk) <= 1e-15, (d, size, s)
+
+
 def test_ordered_product_puts_later_factors_on_the_left():
     rng = np.random.default_rng(29)
     F = np.stack([_random_unitary(rng, 2) for _ in range(4)])
@@ -335,7 +371,8 @@ def test_ordered_product_puts_later_factors_on_the_left():
 
 def test_ordered_product_matches_the_sequential_loop():
     """The blocked prefix against the plain loop, over unpadded (16) and
-    padded (15, 17, 20 000) last blocks and the degenerate lengths 0 to 3."""
+    padded (15, 17, 20 000) last blocks and the degenerate lengths 0 to 3,
+    and np.cumprod's running product of a 1x1 stack."""
 
     def loop(F):
         out = np.empty((len(F) + 1,) + F.shape[1:], dtype=complex)
