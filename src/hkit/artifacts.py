@@ -13,6 +13,10 @@ if TYPE_CHECKING:
     from .cli import RunResult
 
 FLOAT_FMT = "%.17e"
+# report.txt prints a witness value below this floor as "<1e-12": there it is
+# rounding noise (an Abelian run's gap is asserted below it), and printing its
+# digits would make every rounding change rewrite the report
+WITNESS_FLOOR = 1e-12
 # values per formatted block of trajectory.csv: about 100 kB of text, so the
 # block's transient arrays and strings do not raise the peak memory of a run
 _WRITE_CHUNK_VALUES = 4096
@@ -243,6 +247,11 @@ def write_holonomy(path: Path, res: RunResult) -> None:
     path.write_text(json.dumps(_holonomy_payload(res), indent=2, sort_keys=True) + "\n")
 
 
+def _witness(x: float) -> str:
+    """A witness value for report.txt: .3e, or "<1e-12" below WITNESS_FLOOR."""
+    return f"<{WITNESS_FLOOR:.0e}" if x < WITNESS_FLOOR else f"{x:.3e}"
+
+
 def write_report(path: Path, res: RunResult) -> None:
     cfg = res.config
     lines = [
@@ -254,8 +263,8 @@ def write_report(path: Path, res: RunResult) -> None:
         "eigenphases (rad): " + " ".join(f"{x:+.9f}" for x in res.holo.eigenphases),
         f"trace O: {res.holo.trace_O.real:+.9f} {res.holo.trace_O.imag:+.9f}j "
         f"(|trace| {abs(res.holo.trace_O):.9f})",
-        f"non-Abelian witness: commutator_max={res.witness['commutator_max']:.3e} "
-        f"reversal_gap={res.witness['reversal_gap']:.3e}",
+        f"non-Abelian witness: commutator_max={_witness(res.witness['commutator_max'])} "
+        f"reversal_gap={_witness(res.witness['reversal_gap'])}",
         f"parallel transport residual: {res.residual:.3e}",
         f"invariant expectation drift: {res.expectation_drift:.3e}",
     ]

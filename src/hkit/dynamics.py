@@ -45,7 +45,11 @@ grid.refined() times and decides once per run how to step them:
   time and steps each chunk in blocks of s ~ sqrt(chunk) steps: batched
   products form the block totals, the totals carry the block starts, and
   batched matrix-vector products across the blocks write the samples, so
-  no loop runs per step here either.
+  no loop runs per step here either.  This branch works stack-last, on
+  (D, D, n) arrays (D = d^2) with the step or block index last: the
+  Liouvillian is written entry by entry, with no einsum, and every product
+  (RK4 stages, block totals, replay, and the moving-basis generator) is
+  matlib's explicit sum over the inner index, with no stacked matmul.
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
@@ -67,9 +71,9 @@ import numpy as np
 from .matlib import (
     CMatrix,
     NumericalError,
+    _stack_mul,
     eigh,
     herm_defect,
-    mul,
     ordered_product,
     unitary_exp,
 )
@@ -189,21 +193,40 @@ class OperatorTrajectory:
 def liouvillian(H: np.ndarray, G: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Master-equation superoperator L on row-major vec(rho).
 
-    H (..., d, d), jump operators G (..., m, d, d) and rates g (..., m, m)
-    share their leading (time) axes; returns L (..., d^2, d^2).  The
+    H (n, d, d), jump operators G (n, m, d, d) and rates g (n, m, m) share
+    their time axis; returns L (n, d^2, d^2) as a view of a stack-last
+    (d^2, d^2, n) array, so that L.transpose(1, 2, 0) is contiguous.  The
     invariant generator is -L^dag.
+
+    L is written directly, with no matrix product over the stack: with
+    C_i = 2 sum_j g_ij conj(G_j), the jump terms are the outer products
+    G_i kron C_i, the dissipator D = sum_i C_i^T G_i / 2 is an explicit
+    sum over the inner index, and -i H - D and (i H - D)^T enter as the
+    identity-Kronecker blocks K kron 1 and 1 kron K^T.
     """
-    H = np.asarray(H, dtype=complex)
-    G = np.asarray(G, dtype=complex)
-    d = H.shape[-1]
-    D = np.einsum("...ij,...jba,...ibc->...ac", g, G.conj(), G)
-    eye = np.eye(d)
-    L = (
-        np.einsum("...ac,bd->...abcd", -1j * H - D, eye)
-        + np.einsum("ac,...db->...abcd", eye, 1j * H - D)
-        + 2.0 * np.einsum("...ij,...iac,...jbd->...abcd", g, G, G.conj())
-    )
-    return L.reshape(H.shape[:-2] + (d * d, d * d))
+    H = np.ascontiguousarray(np.transpose(H, (1, 2, 0)), dtype=complex)
+    G = np.ascontiguousarray(np.transpose(G, (1, 2, 3, 0)), dtype=complex)
+    g = np.ascontiguousarray(np.transpose(g, (1, 2, 0)), dtype=float)
+    m, d, n = G.shape[0], H.shape[0], H.shape[-1]
+    C = [sum((2.0 * g[i, j]) * G[j].conj() for j in range(m)) for i in range(m)]
+    D = np.zeros((d, d, n), dtype=complex)
+    tmp = np.empty_like(D)
+    for Gi, Ci in zip(G, C):
+        D += _stack_mul(Ci.transpose(1, 0, 2), Gi, np.empty_like(D), tmp)
+    D *= 0.5
+    # L[a, b, c, e] is the entry at row a d + b and column c d + e; it
+    # starts as the jump terms G_i kron C_i, broadcast outer products
+    pairs = [(Gi[:, None, :, None], Ci[None, :, None, :]) for Gi, Ci in zip(G, C)]
+    L = np.multiply(*pairs[0]) if m else np.zeros((d, d, d, d, n), dtype=complex)
+    for pair in pairs[1:]:
+        L += np.multiply(*pair)
+    K = -1j * H - D
+    for b in range(d):  # K kron 1
+        L[:, b, :, b] += K
+    K = (1j * H - D).transpose(1, 0, 2)
+    for a in range(d):  # 1 kron K, K = (i H - D)^T
+        L[a, :, a, :] += K
+    return L.reshape(d * d, d * d, n).transpose(2, 0, 1)
 
 
 def _validate_initial(X0: CMatrix, dim: int, kind: str) -> CMatrix:
@@ -237,13 +260,36 @@ def _non_finite(kind: str, grid: TimeGrid, k: int) -> NumericalError:
 
 def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
     """RK4 step matrices P_k = 1 + dt/6 (K1 + 2 K2 + 2 K3 + K4) for
-    dx/dt = L(t) x, from generators at the 2n + 1 stage times of n steps."""
-    eye = np.eye(L.shape[-1])
-    K1 = L[:-1:2]
-    K2 = L[1::2] @ (eye + 0.5 * dt * K1)
-    K3 = L[1::2] @ (eye + 0.5 * dt * K2)
-    K4 = L[2::2] @ (eye + dt * K3)
-    return eye + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    dx/dt = L(t) x, from generators L (2n + 1, D, D) at the 2n + 1 stage
+    times of n steps.
+
+    The work is stack-last: L is read as its (D, D, 2n + 1) view, each
+    stage product is matlib's explicit sum over the inner index, and P
+    (n, D, D) is returned as a view of a stack-last (D, D, n) array.  The
+    sum K1 + 2 K2 + 2 K3 + K4 is gathered as the stages are formed, in
+    that order, so four work arrays of P's size are held.
+    """
+    L = L.transpose(1, 2, 0)
+    D, n = L.shape[0], L.shape[-1] // 2
+    X, K, tmp = (np.empty((D, D, n), dtype=complex) for _ in range(3))
+
+    def stage(Ls: np.ndarray, Kprev: np.ndarray, h: float) -> None:
+        # K = Ls (1 + h Kprev); the diagonal of X is every (D + 1)-th row
+        np.multiply(h, Kprev, out=X)
+        X.reshape(D * D, n)[:: D + 1] += 1.0
+        _stack_mul(Ls, X, K, tmp)
+
+    K1, Lm = L[..., :-1:2], L[..., 1::2]
+    stage(Lm, K1, 0.5 * dt)  # K2
+    P = 2.0 * K
+    P += K1
+    stage(Lm, K, 0.5 * dt)  # K3
+    P += np.multiply(2.0, K, out=tmp)
+    stage(L[..., 2::2], K, dt)  # K4
+    P += K
+    P *= dt / 6.0
+    P.reshape(D * D, n)[:: D + 1] += 1.0
+    return P.transpose(2, 0, 1)
 
 
 def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
@@ -358,13 +404,19 @@ def _rk4_flow(
     total, one matrix-vector product per block carries each block start to
     the next, and s - 1 batched matrix-vector products, each across all
     blocks, step every block from its start, x_(js+i) = P_(js+i-1) x_(js+i-1).
-    Each product runs over a stack, not a single step.
+    Each product runs over a stack, not a single step.  The chunk works
+    stack-last: the step matrices come as `_rk4_matrices`' (D, D, c) array,
+    and are laid out (s, D, D, m) with the block index last, so that each
+    batched product is one `_stack_mul` over the m blocks; the products
+    keep the stepwise order, so the first non-finite sample is the
+    stepwise loop's.
     """
     n, d = grid.n_steps, X0.shape[0]
 
     def step_matrices(lo: int, hi: int) -> np.ndarray:
         L = liouvillian(*(a[2 * lo : 2 * hi + 1] for a in (H, G, g)))
-        L = -np.conj(np.swapaxes(L, -1, -2)) if kind == "invariant" else L
+        if kind == "invariant":  # -L^dag, in place
+            L = np.negative(np.conjugate(L, out=L), out=L).swapaxes(-1, -2)
         return _rk4_matrices(L, grid.dt)
 
     if constant:
@@ -393,24 +445,32 @@ def _rk4_flow(
         c = hi - lo
         s = int(np.ceil(np.sqrt(c)))  # block length
         m = -(-c // s)  # block count
-        # steps[i, j] is the matrix of step lo + j s + i, with the block index
-        # second so that each in-block position is one contiguous stack; the
-        # last block is padded with zeros, which reach no kept sample
-        steps = np.zeros((s, m, D, D), dtype=complex)
-        k = np.arange(c)
-        steps[k % s, k // s] = step_matrices(lo, hi)
-        totals = steps[0]
+        # steps[i, :, :, j] is the matrix of step lo + j s + i, stack-last
+        # with the block index last, so that each in-block position is one
+        # contiguous stack; the last block is padded with zeros, which
+        # reach no kept sample
+        P = step_matrices(lo, hi).transpose(1, 2, 0)
+        steps = np.zeros((s, D, D, m), dtype=complex)
+        by_block = steps.transpose(1, 2, 3, 0)
+        by_block[:, :, : m - 1] = P[..., : (m - 1) * s].reshape(D, D, m - 1, s)
+        by_block[:, :, m - 1, : c - (m - 1) * s] = P[..., (m - 1) * s :]
+        tmp = np.empty((D, D, m), dtype=complex)
+        totals, spare = steps[0].copy(), np.empty_like(tmp)
         for i in range(1, s):
-            totals = steps[i] @ totals
-        # x[i, j] is sample lo + j s + i; column m holds only the start of the
-        # block after the last, which is sample hi when the last block is full
-        x = np.empty((s, m + 1, D), dtype=complex)
-        x[0, 0] = samples[lo]
+            totals, spare = _stack_mul(steps[i], totals, spare, tmp), totals
+        # starts[j] is sample lo + j s; row m is the start of the block after
+        # the last, which is sample hi when the last block is full
+        starts = np.empty((m + 1, D), dtype=complex)
+        starts[0] = samples[lo]
         for j in range(m):
-            np.dot(totals[j], x[0, j], out=x[0, j + 1])
+            np.dot(totals[..., j], starts[j], out=starts[j + 1])
+        # x[i, :, j] is sample lo + j s + i
+        x = np.empty((s, D, m + 1), dtype=complex)
+        x[0] = starts.T
+        vec = tmp[:, :1]
         for i in range(1, s):
-            np.matmul(steps[i - 1], x[i - 1, :m, :, None], out=x[i, :m, :, None])
-        samples[lo + 1 : hi + 1] = x.transpose(1, 0, 2).reshape(-1, D)[1 : c + 1]
+            _stack_mul(steps[i - 1], x[i - 1, :, None, :m], x[i, :, None, :m], vec)
+        samples[lo + 1 : hi + 1] = x.transpose(2, 0, 1).reshape(-1, D)[1 : c + 1]
     return samples.reshape(n, d, d)
 
 
@@ -520,12 +580,21 @@ def propagate_coefficients(
         raise ValueError("frames must be sampled on grid.refined()")
     c = _validate_initial(c0, model.dim, "coefficient")
     H, G, g = model.operators(fine.times)
-    # the connection first, while no other stack is held, and V^dag dropped
-    # before stepping: this keeps the peak memory near the connection's own
-    HV = -connection(frames).samples
-    V = frames.vectors
-    Vh = np.conj(np.swapaxes(V, -1, -2))
-    HV += mul(mul(Vh, H), V)
-    GV = mul(mul(Vh[:, None], G), V[:, None])
-    del Vh
-    return _integrate(HV, GV, g, c, grid, "coefficient")
+    # the connection first, while no other stack is held; then V^dag X V
+    # stack-last, with V read in place and A dropped once subtracted
+    A = connection(frames).samples.transpose(1, 2, 0)
+    V = frames.vectors.transpose(1, 2, 0)
+    Vh = np.conjugate(frames.vectors.transpose(2, 1, 0), order="C")
+    VhX, tmp = np.empty_like(Vh), np.empty_like(Vh)
+
+    def sandwich(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _stack_mul(_stack_mul(Vh, X, VhX, tmp), V, out, tmp)
+
+    HV = sandwich(H.transpose(1, 2, 0), np.empty_like(Vh))
+    HV -= A
+    del A
+    GV = np.empty((G.shape[1],) + Vh.shape, dtype=complex)
+    for Gi, out in zip(G.transpose(1, 2, 3, 0), GV):
+        sandwich(Gi, out)
+    del Vh, VhX, tmp
+    return _integrate(HV.transpose(2, 0, 1), GV.transpose(3, 0, 1, 2), g, c, grid, "coefficient")

@@ -11,7 +11,10 @@ ordering, and branch-cut conventions are decided in exactly one place:
   ``e = det W/|det W|``, and a rank-deficient 2x2 input completed to
   ``det U = 1``; larger ones from LAPACK's SVD,
 * stacked products go through `mul`, an explicit sum over the inner index
-  for inner sizes 1 and 2,
+  for inner sizes 1 and 2, or, on stack-last (d, d, n) arrays, through
+  `_stack_mul`, an explicit sum over the inner index for every size,
+  shared by unitary_exp's Taylor polynomials and the time-dependent RK4
+  of `dynamics`,
 * unitary exponentials come from `unitary_exp` alone, with no
   eigensystem: in closed form on 1x1 and 2x2 stacks, ``e^(i s mu)
   (cos(s r) 1 + i s sinc(s r/pi) B)`` for the traceless part B with
@@ -255,7 +258,8 @@ _EXP_POLISH_SQUARINGS = 4
 def _stack_mul(A: np.ndarray, B: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = A @ B on stack-last (d, d, n) arrays, as a sum over the inner
     index of broadcast elementwise products; tmp is a work array of out's
-    shape."""
+    shape.  B may have one column, (d, 1, n), for a stack of matrix-vector
+    products.  out must share memory with neither A nor B."""
     np.multiply(A[:, :1], B[None, 0], out=out)
     for j in range(1, A.shape[0]):
         np.multiply(A[:, j : j + 1], B[None, j], out=tmp)

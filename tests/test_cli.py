@@ -262,6 +262,24 @@ def test_berry_run_writes_the_expected_phases(tmp_path):
     assert "re_rho_01" in header and "expect_I" in header
 
 
+def test_report_prints_witness_noise_as_below_its_floor(tmp_path):
+    """The default berry_closed witness is rounding noise: report.txt prints
+    both values as <1e-12, while holonomy.json keeps the raw floats.  A value
+    at or above the floor keeps its digits."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenario": "berry_closed"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "holonomy.json").read_text())["metadata"]
+    for name in ("witness_commutator_max", "witness_reversal_gap"):
+        assert isinstance(meta[name], float) and meta[name] < artifacts.WITNESS_FLOOR
+    report = (out / "report.txt").read_text()
+    assert "\nnon-Abelian witness: commutator_max=<1e-12 reversal_gap=<1e-12\n" in report
+    assert artifacts._witness(9.99e-13) == "<1e-12"
+    assert artifacts._witness(1e-12) == "1.000e-12"
+    assert artifacts._witness(4.99e-2) == "4.990e-02"
+
+
 def test_closed_limit_phases_over_seeded_parameters():
     """The cyclic closed-system eigenphases are +/- pi (1 - cos theta0) at
     check_berry_limit's 1e-5, for seeded (theta0, phi0) in the validity window."""

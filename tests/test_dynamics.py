@@ -138,6 +138,66 @@ def test_liouvillian_matches_the_master_and_invariant_equations():
         assert abs(rate) < 1e-12
 
 
+def _kron_liouvillian(H, G, g):
+    """The module docstring's L, sample by sample, with np.kron."""
+    one = np.eye(H.shape[-1])
+    out = []
+    for Hk, Gk, gk in zip(H, G, g):
+        Lk = -1j * (np.kron(Hk, one) - np.kron(one, Hk.T))
+        for i, Gi in enumerate(Gk):
+            for j, Gj in enumerate(Gk):
+                Dij = Gj.conj().T @ Gi
+                Lk = Lk + gk[i, j] * (
+                    2.0 * np.kron(Gi, Gj.conj()) - np.kron(Dij, one) - np.kron(one, Dij.T)
+                )
+        out.append(Lk)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("varying", [False, True])
+def test_liouvillian_matches_its_kronecker_formula(d, m, varying):
+    """The directly assembled L equals the docstring formula built with
+    np.kron, on the read-only broadcast views that LindbladModel.operators
+    returns and on writable copies, with off-diagonal rates and with
+    constant or time-varying H, G and g, and writes to none of its inputs.
+    The first jump operator holds the shared constant models.SIGMA_MINUS
+    (the constant qubit model returns that very array)."""
+    rng = np.random.default_rng(10 * d + m + varying)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    M = cplx(2, d, d)
+    H0, H1 = 0.25 * (M + np.conj(np.swapaxes(M, -1, -2)))
+    J = [models.SIGMA_MINUS if d == 2 else np.pad(models.SIGMA_MINUS, (0, d - 2))]
+    J += [0.5 * cplx(d, d) for _ in range(1, m)]
+    K = 0.3 * cplx(m, d, d)
+    R = rng.uniform(0.1, 0.5, size=(m, m))
+    rates = R + R.T
+    if varying:
+        w = lambda t: np.cos(1.3 * t)[:, None, None]
+        hamiltonian = lambda t: H0 + w(t) * H1
+        jumps = [lambda t, i=i: J[i] + w(t) * K[i] for i in range(m)]
+        couplings = lambda t: (1.0 + 0.5 * w(t)) * rates
+    else:
+        hamiltonian, couplings = (lambda t: H0), (lambda t: rates)
+        jumps = [lambda t, i=i: J[i] for i in range(m)]
+    model = LindbladModel(dim=d, hamiltonian=hamiltonian, jump_ops=jumps, couplings=couplings)
+    sigma_minus = models.SIGMA_MINUS.copy()
+    views = model.operators(np.linspace(0.0, 2.0, 7))
+    ref = _kron_liouvillian(*views)
+    for args in (views, tuple(np.array(a) for a in views)):
+        before = [np.array(a) for a in args]
+        L = dynamics.liouvillian(*args)
+        assert L.shape == (7, d * d, d * d)
+        assert np.max(np.abs(L - ref)) < 1e-13
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+    assert not views[1].flags.writeable and not views[2].flags.writeable
+    assert np.array_equal(models.SIGMA_MINUS, sigma_minus)
+
+
 def test_invariant_generator_reduces_to_commutator_when_closed():
     model = models.two_level_model(_decay(gamma=0.0))
     I = np.array([[0.2, 0.3 - 0.1j], [0.3 + 0.1j, -0.2]])
@@ -243,6 +303,52 @@ def _stepwise_propagate(model, X0, grid, kind="density"):
             )
         samples.append(X)
     return np.array(samples)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_rk4_matrices_match_the_per_step_stages(d):
+    """The stack-last step matrices equal K1 ... K4 formed step by step with
+    np.matmul, for D = d^2 = 4 and 16 on an odd step count, read from a
+    stack-last L (as liouvillian returns it) and from a C-ordered one.
+    _stepwise_propagate calls _rk4_matrices itself, so no flow test could
+    catch a fault here."""
+    rng = np.random.default_rng(d)
+    D, n, dt = d * d, 37, 0.05
+    L = rng.normal(size=(2 * n + 1, D, D)) + 1j * rng.normal(size=(2 * n + 1, D, D))
+    one = np.eye(D)
+    ref = []
+    for k in range(n):
+        K1 = L[2 * k]
+        K2 = np.matmul(L[2 * k + 1], one + 0.5 * dt * K1)
+        K3 = np.matmul(L[2 * k + 1], one + 0.5 * dt * K2)
+        K4 = np.matmul(L[2 * k + 2], one + dt * K3)
+        ref.append(one + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4))
+    stack_last = np.ascontiguousarray(L.transpose(1, 2, 0)).transpose(2, 0, 1)
+    for arg in (stack_last, L):
+        P = dynamics._rk4_matrices(arg, dt)
+        assert P.shape == (n, D, D)
+        assert np.max(np.abs(P - np.array(ref))) < 1e-14
+
+
+def test_time_dependent_open_flow_calls_no_einsum_or_matmul(monkeypatch):
+    """The coefficient equation's step matrices, block totals and replay are
+    explicit sums over stack-last arrays: one 8001-step
+    propagate_coefficients on the decay qubit calls neither np.einsum nor
+    np.matmul (the stacked forms called them 32 and 245 times)."""
+    params = _decay(gamma=4e-3, theta0=1.1)
+    model = models.two_level_model(params)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 8001)
+    fr = models.analytic_frames(params, grid.refined())
+    calls = {"einsum": 0, "matmul": 0}
+    for name, kernel in [(name, getattr(np, name)) for name in calls]:
+
+        def counted(*args, name=name, kernel=kernel, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    dynamics.propagate_coefficients(model, fr, np.diag([0.7, 0.3]), grid)
+    assert calls == {"einsum": 0, "matmul": 0}
 
 
 def _switched_model(switch_t, which):
