@@ -252,6 +252,13 @@ def _witness(x: float) -> str:
     return f"<{WITNESS_FLOOR:.0e}" if x < WITNESS_FLOOR else f"{x:.3e}"
 
 
+def _fixed(x: float) -> str:
+    """x as +.9f for report.txt; a value that rounds to zero prints as
+    +0.000000000 whatever the sign of the rounding noise behind it."""
+    text = f"{x:+.9f}"
+    return "+0.000000000" if float(text) == 0.0 else text
+
+
 def write_report(path: Path, res: RunResult) -> None:
     cfg = res.config
     lines = [
@@ -260,8 +267,8 @@ def write_report(path: Path, res: RunResult) -> None:
         f"grid: t0={res.grid.t0:.6g} t1={res.grid.t1:.6g} n_steps={res.grid.n_steps} "
         f"dt={res.grid.dt:.6e}",
         f"case: {res.holo.case_tag}   frame source: {cfg.frame_source}",
-        "eigenphases (rad): " + " ".join(f"{x:+.9f}" for x in res.holo.eigenphases),
-        f"trace O: {res.holo.trace_O.real:+.9f} {res.holo.trace_O.imag:+.9f}j "
+        "eigenphases (rad): " + " ".join(_fixed(x) for x in res.holo.eigenphases),
+        f"trace O: {_fixed(res.holo.trace_O.real)} {_fixed(res.holo.trace_O.imag)}j "
         f"(|trace| {abs(res.holo.trace_O):.9f})",
         f"non-Abelian witness: commutator_max={_witness(res.witness['commutator_max'])} "
         f"reversal_gap={_witness(res.witness['reversal_gap'])}",

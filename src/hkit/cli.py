@@ -76,7 +76,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r} (choose from {tuple(SCENARIOS)})"
             )

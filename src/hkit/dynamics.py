@@ -38,18 +38,17 @@ grid.refined() times and decides once per run how to step them:
 * open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
 * a generator constant over the whole run takes one step map, and its
   powers give the flow: one Magnus exponential, whose powers are read off
-  its eigensystem, or one RK4 step matrix P, whose powers P^0 ... P^(s-1)
-  and P^s step the samples in blocks of s ~ sqrt(n) steps, with no
-  per-step loop;
+  its eigensystem, or one RK4 step matrix P, whose powers P^0 ... P^s and
+  block starts x_(js) are two `ordered_product` calls (s ~ sqrt(n)), with
+  no per-step loop;
 * a time-dependent open generator forms its step matrices a chunk at a
-  time and steps each chunk in blocks of s ~ sqrt(chunk) steps: batched
-  products form the block totals, the totals carry the block starts, and
-  batched matrix-vector products across the blocks write the samples, so
-  no loop runs per step here either.  This branch works stack-last, on
-  (D, D, n) arrays (D = d^2) with the step or block index last: the
-  Liouvillian is written entry by entry, with no einsum, and every product
-  (RK4 stages, block totals, replay, and the moving-basis generator) is
-  matlib's explicit sum over the inner index, with no stacked matmul.
+  time, and each chunk's samples are one `ordered_product` of its step
+  matrices from the chunk's first vec(X), so no loop runs per step here
+  either.  This branch works stack-last, on (D, D, n) arrays (D = d^2)
+  with the step index last: the Liouvillian is written entry by entry,
+  with no einsum, and every product (RK4 stages, the moving-basis
+  generator, and ordered_product's block totals and replay) is matlib's
+  explicit sum over the inner index, with no stacked matmul.
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
@@ -85,8 +84,7 @@ DENSITY_ENTRY_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
 # time-dependent open runs form their RK4 step matrices a chunk of steps at
 # a time, as many as hold this many matrix entries, which bounds the memory
-# they take on long grids; each chunk is stepped in blocks (constant
-# generators take blocked powers of one step matrix)
+# they take on long grids; each chunk is one ordered product
 _CHUNK_ENTRIES = 2**14
 
 
@@ -393,25 +391,19 @@ def _rk4_flow(
     times.
 
     A constant generator takes one step matrix P, and the samples are its
-    powers applied to X0 in blocks of s = ceil(sqrt(n - 1)) steps: s - 1
-    products form P^0 ... P^(s-1), P^s carries each block start x_(js) to
-    the next, and one product writes every x_(js+i) = P^i x_(js).
+    powers applied to X0 in blocks of s = ceil(sqrt(n - 1)) steps: one
+    ordered product of s factors P gives P^0 ... P^s, one of factors P^s
+    from vec(X0) gives the block starts x_(js), and one product writes
+    every x_(js+i) = P^i x_(js).
 
     Otherwise the step matrices are formed a chunk at a time, at most
     _CHUNK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
-    model), and each chunk of c steps is cut into blocks of
-    s = ceil(sqrt(c)) steps: s - 1 batched products form every block's
-    total, one matrix-vector product per block carries each block start to
-    the next, and s - 1 batched matrix-vector products, each across all
-    blocks, step every block from its start, x_(js+i) = P_(js+i-1) x_(js+i-1).
-    Each product runs over a stack, not a single step.  The chunk works
-    stack-last: the step matrices come as `_rk4_matrices`' (D, D, c) array,
-    and are laid out (s, D, D, m) with the block index last, so that each
-    batched product is one `_stack_mul` over the m blocks; the products
-    keep the stepwise order, so the first non-finite sample is the
-    stepwise loop's.
+    model), and each chunk's samples are the ordered product of its step
+    matrices from the chunk's first sample, which keeps the stepwise order
+    of every product, so the first non-finite sample is the stepwise loop's.
     """
     n, d = grid.n_steps, X0.shape[0]
+    D = d * d
 
     def step_matrices(lo: int, hi: int) -> np.ndarray:
         L = liouvillian(*(a[2 * lo : 2 * hi + 1] for a in (H, G, g)))
@@ -420,57 +412,24 @@ def _rk4_flow(
         return _rk4_matrices(L, grid.dt)
 
     if constant:
-        P = step_matrices(0, 1)[0]
         s = int(np.ceil(np.sqrt(n - 1)))  # block length
-        powers = np.empty((s, d * d, d * d), dtype=complex)
-        powers[0] = np.eye(d * d)
-        for i in range(1, s):
-            np.dot(P, powers[i - 1], out=powers[i])
-        jump = P @ powers[-1]  # P^s
-        starts = np.empty((-(-n // s), d * d), dtype=complex)
-        starts[0] = X0.reshape(-1)
-        for j in range(1, len(starts)):
-            np.dot(jump, starts[j - 1], out=starts[j])
-        # row j holds x_(js+i) at columns i d^2 ... (i + 1) d^2 - 1; the last
+        # P^0 ... P^s for the one step matrix P
+        powers = ordered_product(np.broadcast_to(step_matrices(0, 1), (s, D, D)))
+        # x_(js) for every block start j, carried by P^s
+        starts = ordered_product(
+            np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), X0.reshape(D, 1)
+        )
+        # row j holds x_(js+i) at columns i D ... (i + 1) D - 1; the last
         # block runs past the grid, and its surplus samples are dropped
-        blocks = starts @ powers.reshape(s * d * d, d * d).T
+        blocks = starts[..., 0] @ powers[:-1].reshape(s * D, D).T
         return blocks.reshape(-1, d, d)[:n]
 
-    D = d * d
-    samples = np.empty((n, D), dtype=complex)
-    samples[0] = X0.reshape(-1)
+    samples = np.empty((n, D, 1), dtype=complex)
+    samples[0] = X0.reshape(D, 1)
     chunk = max(1, _CHUNK_ENTRIES // D**2)  # steps
     for lo in range(0, n - 1, chunk):
         hi = min(lo + chunk, n - 1)
-        c = hi - lo
-        s = int(np.ceil(np.sqrt(c)))  # block length
-        m = -(-c // s)  # block count
-        # steps[i, :, :, j] is the matrix of step lo + j s + i, stack-last
-        # with the block index last, so that each in-block position is one
-        # contiguous stack; the last block is padded with zeros, which
-        # reach no kept sample
-        P = step_matrices(lo, hi).transpose(1, 2, 0)
-        steps = np.zeros((s, D, D, m), dtype=complex)
-        by_block = steps.transpose(1, 2, 3, 0)
-        by_block[:, :, : m - 1] = P[..., : (m - 1) * s].reshape(D, D, m - 1, s)
-        by_block[:, :, m - 1, : c - (m - 1) * s] = P[..., (m - 1) * s :]
-        tmp = np.empty((D, D, m), dtype=complex)
-        totals, spare = steps[0].copy(), np.empty_like(tmp)
-        for i in range(1, s):
-            totals, spare = _stack_mul(steps[i], totals, spare, tmp), totals
-        # starts[j] is sample lo + j s; row m is the start of the block after
-        # the last, which is sample hi when the last block is full
-        starts = np.empty((m + 1, D), dtype=complex)
-        starts[0] = samples[lo]
-        for j in range(m):
-            np.dot(totals[..., j], starts[j], out=starts[j + 1])
-        # x[i, :, j] is sample lo + j s + i
-        x = np.empty((s, D, m + 1), dtype=complex)
-        x[0] = starts.T
-        vec = tmp[:, :1]
-        for i in range(1, s):
-            _stack_mul(steps[i - 1], x[i - 1, :, None, :m], x[i, :, None, :m], vec)
-        samples[lo + 1 : hi + 1] = x.transpose(2, 0, 1).reshape(-1, D)[1 : c + 1]
+        samples[lo : hi + 1] = ordered_product(step_matrices(lo, hi), samples[lo])
     return samples.reshape(n, d, d)
 
 

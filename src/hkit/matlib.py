@@ -13,14 +13,17 @@ ordering, and branch-cut conventions are decided in exactly one place:
 * stacked products go through `mul`, an explicit sum over the inner index
   for inner sizes 1 and 2, or, on stack-last (d, d, n) arrays, through
   `_stack_mul`, an explicit sum over the inner index for every size,
-  shared by unitary_exp's Taylor polynomials and the time-dependent RK4
-  of `dynamics`,
+  shared by unitary_exp's Taylor polynomials, ordered_product's blocks and
+  the time-dependent RK4 of `dynamics`,
 * unitary exponentials come from `unitary_exp` alone, with no
   eigensystem: in closed form on 1x1 and 2x2 stacks, ``e^(i s mu)
   (cos(s r) 1 + i s sinc(s r/pi) B)`` for the traceless part B with
   ``B^2 = r^2 1``; larger ones by scaling and squaring a Taylor polynomial,
-* cumulative time-ordered products come from `ordered_product`: np.cumprod
-  on 1x1 stacks, a blocked prefix on larger ones,
+* cumulative time-ordered products [X0, F0 X0, F1 F0 X0, ...] come from
+  `ordered_product` alone, transporters and open RK4 flows alike:
+  np.cumprod on 1x1 stacks, on larger ones a blocked prefix whose block
+  totals carry X0 to each block start and whose in-block replay keeps the
+  stepwise order,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -258,8 +261,9 @@ _EXP_POLISH_SQUARINGS = 4
 def _stack_mul(A: np.ndarray, B: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = A @ B on stack-last (d, d, n) arrays, as a sum over the inner
     index of broadcast elementwise products; tmp is a work array of out's
-    shape.  B may have one column, (d, 1, n), for a stack of matrix-vector
-    products.  out must share memory with neither A nor B."""
+    shape.  B may have any number of columns, (d, k, n), k = 1 for a stack
+    of matrix-vector products.  out must share memory with neither A nor
+    B."""
     np.multiply(A[:, :1], B[None, 0], out=out)
     for j in range(1, A.shape[0]):
         np.multiply(A[:, j : j + 1], B[None, j], out=tmp)
@@ -441,59 +445,61 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     return out.reshape(A.shape)
 
 
-def ordered_product(F: np.ndarray) -> np.ndarray:
-    """Cumulative time-ordered product [1, F0, F1 F0, F2 F1 F0, ...].
+def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative time-ordered product [X0, F0 X0, F1 F0 X0, ...].
 
     Later factors multiply from the left; for n factors of shape (d, d)
-    the result has n + 1 entries, identity first.
+    and a start X0 of shape (d, k), the identity by default, the result
+    has shape (n + 1, d, k), X0 first.
 
     A 1x1 stack is a running product of scalars, np.cumprod.  Larger
-    stacks take a blocked two-level prefix: the factors are cut into about
-    sqrt(n) blocks of equal length, the last one padded with identities.
-    One batched product per in-block position forms every block's running
-    products at once, a sequential pass over the block totals forms each
-    block's carry (the product of all earlier blocks), and one batched
-    product applies the carries.  The block index is kept as the last,
-    contiguous axis, so each batched product works on length-m vectors
-    rather than m separate small matrix products: the in-block steps are
-    einsums, and the carries are applied as an explicit sum over the inner
-    index, written straight into the result.  Besides the result, one array
-    of the factors' size is held, and while the carries are applied one
-    product of the result's size.
+    stacks take a blocked two-level prefix: the factors are cut into
+    s = ceil(sqrt(n)) blocks of s factors, the last one padded with zeros,
+    which reach no kept entry.  s - 1 batched products form every block's
+    total, one sequential pass carries X0 over the totals to each block's
+    start, and s - 1 batched products replay every block from its start,
+    x_(js+i) = F_(js+i-1) x_(js+i-1), so each entry is formed in the
+    stepwise order and the first non-finite entry is the stepwise loop's.
+    The block index is kept as the last, contiguous axis, so that each
+    batched product is one `_stack_mul` across the blocks rather than m
+    separate small matrix products.
     """
     F = np.asarray(F)
-    n, dim = F.shape[0], F.shape[-1]
-    if dim == 1:
-        out = np.empty((n + 1, 1, 1), dtype=complex)
-        out[0] = 1.0
-        np.cumprod(F[:, 0, 0], dtype=complex, out=out[1:, 0, 0])
-        return out
-    size = max(1, int(np.ceil(np.sqrt(n))))  # block length
-    m = -(-n // size)  # block count
-    eye = np.eye(dim, dtype=complex)
-    # within[j, :, :, i] starts as factor j of block i and becomes the
-    # product of that block's factors 0..j
-    within = np.empty((size, dim, dim, m), dtype=complex)
-    k = np.arange(m * size)
-    within[k[:n] % size, :, :, k[:n] // size] = F
-    within[k[n:] % size, :, :, k[n:] // size] = eye
-    step = np.empty((dim, dim, m), dtype=complex)
-    for j in range(1, size):
-        np.einsum("ijm,jkm->ikm", within[j], within[j - 1], out=step)
-        within[j] = step
-    carry = np.empty((dim, dim, m), dtype=complex)
-    acc = eye
-    for i in range(m):
-        carry[..., i] = acc
-        acc = within[-1, :, :, i] @ acc
-    out = np.empty((1 + m * size, dim, dim), dtype=complex)
-    out[0] = eye
-    # out[1 + i size + s] = within[s] carry[i], summed over the inner index
-    # straight into the result, seen with the block index last
-    res = out[1:].reshape(m, size, dim, dim).transpose(1, 2, 3, 0)
-    np.multiply(within[:, :, 0, None], carry[0], out=res)
-    for j in range(1, dim):
-        res += within[:, :, j, None] * carry[j]
+    n, d = F.shape[0], F.shape[-1]
+    X0 = np.eye(d, dtype=complex) if X0 is None else np.asarray(X0, dtype=complex)
+    if d == 1:
+        out = np.empty((n + 1,) + X0.shape, dtype=complex)
+        out[0] = X0
+        out[1:] = F
+        return np.cumprod(out, axis=0, out=out)
+    s = max(1, int(np.ceil(np.sqrt(n))))  # block length
+    m = max(1, -(-n // s))  # block count; n = 0 takes one empty block
+    # steps[i, :, :, j] is factor j s + i
+    steps = np.zeros((s, d, d, m), dtype=complex)
+    by_block = steps.transpose(3, 0, 1, 2)
+    by_block[: m - 1] = F[: (m - 1) * s].reshape(m - 1, s, d, d)
+    by_block[m - 1, : n - (m - 1) * s] = F[(m - 1) * s :]
+    tmp = np.empty((d, d, m), dtype=complex)
+    totals, spare = steps[0].copy(), np.empty_like(tmp)
+    for i in range(1, s):
+        totals, spare = _stack_mul(steps[i], totals, spare, tmp), totals
+    # starts[j] is entry j s; row m is the start of the block after the
+    # last, which is entry n when the last block is full
+    k = X0.shape[-1]
+    starts = np.empty((m + 1, d, k), dtype=complex)
+    starts[0] = X0
+    totals = np.ascontiguousarray(totals.transpose(2, 0, 1))
+    for j in range(m):
+        np.dot(totals[j], starts[j], out=starts[j + 1])
+    # x[i, ..., j] is entry j s + i
+    x = np.empty((s, d, k, m), dtype=complex)
+    x[0] = starts[:m].transpose(1, 2, 0)
+    work = np.empty((d, k, m), dtype=complex)
+    for i in range(1, s):
+        _stack_mul(steps[i - 1], x[i - 1], x[i], work)
+    out = np.empty((m * s + 1, d, k), dtype=complex)
+    out[:-1].reshape(m, s, d, k)[...] = x.transpose(3, 0, 1, 2)
+    out[-1] = starts[m]
     return out[: n + 1]
 
 

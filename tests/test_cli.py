@@ -98,6 +98,8 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
             },
             "normalization denominator",
         ),
+        ({"scenario": ["berry_closed"]}, "unknown scenario ['berry_closed']"),
+        ({"scenario": {"x": 1}}, "unknown scenario {'x': 1}"),
         ({"outputs": 5}, "invalid outputs"),
         ({"outputs": "report"}, "invalid outputs"),
         ({"outputs": ["report", 3]}, "invalid outputs"),
@@ -278,6 +280,28 @@ def test_report_prints_witness_noise_as_below_its_floor(tmp_path):
     assert artifacts._witness(9.99e-13) == "<1e-12"
     assert artifacts._witness(1e-12) == "1.000e-12"
     assert artifacts._witness(4.99e-2) == "4.990e-02"
+
+
+def test_report_prints_rounded_zeros_without_a_sign(tmp_path):
+    """An eigenphase or trace field that rounds to zero at nine digits is
+    printed +0.000000000 whatever the sign of its rounding noise, while
+    holonomy.json keeps the raw floats.  The decaying qubit's trace O has
+    such an imaginary part."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenario": "two_level_decay", "params": {"gamma": 4e-3}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "holonomy.json").read_text())
+    im = payload["trace_O"]["im"]
+    assert isinstance(im, float) and abs(im) < 5e-10
+    report = (out / "report.txt").read_text()
+    assert f"{payload['trace_O']['re']:+.9f} +0.000000000j" in report
+    assert "-0.000000000" not in report
+    for x in (-0.0, 0.0, -1e-12, 1e-12, -4.9e-10):
+        assert artifacts._fixed(x) == "+0.000000000"
+    assert artifacts._fixed(-5.1e-10) == "-0.000000001"
+    assert artifacts._fixed(1.5) == "+1.500000000"
+    assert artifacts._fixed(-np.pi) == "-3.141592654"
 
 
 def test_closed_limit_phases_over_seeded_parameters():

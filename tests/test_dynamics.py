@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hkit import cli, dynamics, frames, models
+from hkit import cli, dynamics, frames, matlib, models
 from hkit.dynamics import LindbladModel, OperatorTrajectory, TimeGrid
 from hkit.matlib import NumericalError, eigh, herm_defect
 from hkit.models import WZ_LOOPS
@@ -349,6 +349,34 @@ def test_time_dependent_open_flow_calls_no_einsum_or_matmul(monkeypatch):
         monkeypatch.setattr(np, name, counted)
     dynamics.propagate_coefficients(model, fr, np.diag([0.7, 0.3]), grid)
     assert calls == {"einsum": 0, "matmul": 0}
+
+
+def test_open_flows_step_through_the_one_ordered_product(monkeypatch):
+    """Both open RK4 branches take their samples from matlib.ordered_product
+    and block nothing themselves: an 8001-step propagate_coefficients on the
+    decay qubit calls it once per 1024-step chunk, each call started from
+    the chunk's first vec(c), and a constant open propagate calls it twice,
+    for the powers P^0 ... P^s and for the block starts."""
+    starts = []
+
+    def counted(F, X0=None):
+        starts.append(None if X0 is None else X0.shape)
+        return matlib.ordered_product(F, X0)
+
+    monkeypatch.setattr(dynamics, "ordered_product", counted)
+    params = _decay(gamma=4e-3, theta0=1.1)
+    model = models.two_level_model(params)
+    grid = TimeGrid(0.0, 2.0 * np.pi, 8001)
+    fr = models.analytic_frames(params, grid.refined())
+    dynamics.propagate_coefficients(model, fr, np.diag([0.7, 0.3]), grid)
+    assert starts == [(4, 1)] * 8
+    for kind, X0 in (("density", np.diag([0.7, 0.3])), ("invariant", np.diag([1.0, -1.0]))):
+        starts.clear()
+        dynamics.propagate(_random_open_model(np.random.default_rng(3), 4), np.eye(4) / 4, grid, kind)
+        assert starts == [None, (16, 1)]
+        starts.clear()
+        dynamics.propagate(model, X0, grid, kind)
+        assert starts == [None, (4, 1)]
 
 
 def _switched_model(switch_t, which):

@@ -372,11 +372,13 @@ def test_ordered_product_puts_later_factors_on_the_left():
 def test_ordered_product_matches_the_sequential_loop():
     """The blocked prefix against the plain loop, over unpadded (16) and
     padded (15, 17, 20 000) last blocks and the degenerate lengths 0 to 3,
-    and np.cumprod's running product of a 1x1 stack."""
+    and np.cumprod's running product of a 1x1 stack; from the identity and
+    from start operands X0 of shapes (d, 1) and (d, d), where n = 0 gives
+    [X0]."""
 
-    def loop(F):
-        out = np.empty((len(F) + 1,) + F.shape[1:], dtype=complex)
-        out[0] = np.eye(F.shape[-1])
+    def loop(F, X0):
+        out = np.empty((len(F) + 1,) + X0.shape, dtype=complex)
+        out[0] = X0
         for k in range(len(F)):
             out[k + 1] = F[k] @ out[k]
         return out
@@ -385,12 +387,20 @@ def test_ordered_product_matches_the_sequential_loop():
     for d in (1, 2, 4):
         G = rng.normal(size=(20000, d, d)) + 1j * rng.normal(size=(20000, d, d))
         factors = matlib.unitary_exp(0.5 * (G + G.conj().swapaxes(1, 2)), 0.3)
+        starts = [rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)) for k in (1, d)]
         for n in (0, 1, 2, 3, 15, 16, 17, 20000):
             F = factors[:n]
             P = matlib.ordered_product(F)
             assert P.shape == (n + 1, d, d)
             assert np.array_equal(P[0], np.eye(d))
-            assert np.max(np.abs(P - loop(F))) <= 1e-13, (n, d)
+            assert np.max(np.abs(P - loop(F, np.eye(d)))) <= 1e-13, (n, d)
+            for X0 in starts:
+                P = matlib.ordered_product(F, X0)
+                assert P.shape == (n + 1,) + X0.shape
+                assert np.array_equal(P[0], X0)
+                assert np.max(np.abs(P - loop(F, X0))) <= 1e-13 * np.max(np.abs(X0)), (n, d)
+                if n == 0:
+                    assert np.array_equal(P, X0[None])
 
 
 def test_series_derivative_exact_on_quadratics():
