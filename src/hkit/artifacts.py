@@ -190,22 +190,21 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 def write_trajectory(path: Path, res: RunResult) -> None:
     dim = res.rho_traj.dim
-    cols = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            cols += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+    cols = ["t"] + [f"{part}_rho_{i}{j}" for i, j in np.ndindex(dim, dim) for part in ("re", "im")]
     cols += [f"lam_{i}" for i in range(dim)] + ["expect_I"]
-    n = res.grid.n_steps
-    # a complex array viewed as floats interleaves re and im, as the columns do
-    rho = np.ascontiguousarray(res.rho_traj.samples).reshape(n, -1).view(np.float64)
-    parts = (res.grid.times[:, None], rho, res.frames.eigenvalues, res.expectation[:, None])
+    parts = (res.grid.times[:, None], res.rho_traj.samples, res.frames.eigenvalues,
+             res.expectation[:, None])
     # whole rows, one chunk at a time, so neither the text nor a table of the
-    # whole file is ever held at once
+    # whole file (nor a row-major copy of the stack-last density) is ever held
+    # at once
     rows = max(1, _WRITE_CHUNK_VALUES // len(cols))
     with path.open("wb") as fh:
         fh.write((",".join(cols) + "\n").encode())
-        for lo in range(0, n, rows):
-            fh.write(_format_rows(np.hstack([part[lo : lo + rows] for part in parts])))
+        for lo in range(0, res.grid.n_steps, rows):
+            # a row-major complex chunk viewed as floats interleaves re and im,
+            # as the columns do
+            block = [np.ascontiguousarray(part[lo : lo + rows]).view(np.float64) for part in parts]
+            fh.write(_format_rows(np.hstack([b.reshape(len(b), -1) for b in block])))
 
 
 def _matrix_payload(M: np.ndarray) -> dict:

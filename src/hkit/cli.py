@@ -17,8 +17,10 @@ check that runs a whole scenario goes through ``execute``.
 
 Exit codes: run 0/2/3 (ok / config error / numerical failure),
 verify 0/1/2, sweep 0/2; run and sweep also exit 2 on an unwritable output
-path ("output error").  Identical config + seed produce byte-identical
-CSV/JSON output; the env var HKIT_SEED overrides the config seed.
+path ("output error") and on a run too large to allocate ("config error":
+a grid with more steps than memory holds).  Identical config + seed produce
+byte-identical CSV/JSON output; the env var HKIT_SEED overrides the config
+seed.
 """
 from __future__ import annotations
 
@@ -114,6 +116,8 @@ class ScenarioConfig:
             g = raw["grid"]
             if not isinstance(g, dict):
                 raise ConfigError("invalid grid: expected an object with 't1' and 'n_steps'")
+            if set(g) - {"t0", "t1", "n_steps"}:
+                raise ConfigError(f"unknown grid keys: {sorted(set(g) - {'t0', 't1', 'n_steps'})}")
             try:
                 grid = TimeGrid(
                     _parse_float("t0", g.get("t0", 0.0)),
@@ -419,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # reading the config turns its OSError into a ConfigError: this is --out
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: run too large to allocate: {exc}", file=sys.stderr)
         return 2
 
 

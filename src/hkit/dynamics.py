@@ -30,25 +30,30 @@ grid.refined() times and decides once per run how to step them:
 * closed runs (no jump operators, or every rate zero at every stage time)
   have -L^dag = L, so all three are the unitary flow X -> U X U^dag.  It is
   stepped by 4th-order Magnus exponentials, one batched exponential
-  (scaling and squaring of a Taylor polynomial, no eigensystem) and one
-  ordered product per trajectory, and keeps the spectrum of X to rounding.
+  (scaling and squaring of a Taylor polynomial, no eigensystem), one
+  ordered product W and one application mul(mul(W, X0), W^dag) per
+  trajectory, with no einsum, and keeps the spectrum of X to rounding.
   Each step's phase spread is read bound first: sqrt(2) |G - tr(G)/d|_F,
   and an eigensystem only where that bound reaches pi, the spread at which
   the run is refused as under-resolved;
 * open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
 * a generator constant over the whole run takes one step map, and its
-  powers give the flow: one Magnus exponential, whose powers are read off
-  its eigensystem, or one RK4 step matrix P, whose powers P^0 ... P^s and
-  block starts x_(js) are two `ordered_product` calls (s ~ sqrt(n)), with
-  no per-step loop;
+  powers give the flow: one Magnus exponential exp(i G), G = V diag(lam)
+  V^dag, whose powers give every sample as one (d^2, d^2) @ (d^2, n)
+  product, or one RK4 step matrix P, whose powers P^0 ... P^s and block
+  starts x_(js) are two `ordered_product` calls (s ~ sqrt(n)) and whose
+  samples P^i x_(js) are one `mul`, with no per-step loop;
 * a time-dependent open generator forms its step matrices a chunk at a
   time, and each chunk's samples are one `ordered_product` of its step
   matrices from the chunk's first vec(X), so no loop runs per step here
-  either.  This branch works stack-last, on (D, D, n) arrays (D = d^2)
-  with the step index last: the Liouvillian is written entry by entry,
-  with no einsum, and every product (RK4 stages, the moving-basis
-  generator, and ordered_product's block totals and replay) is matlib's
-  explicit sum over the inner index, with no stacked matmul.
+  either.
+
+Every branch works stack-last (D = d^2), on (n, D, D) views of contiguous
+(D, D, n) arrays, and returns its samples so: the Liouvillian is written
+entry by entry, and every product (Magnus commutators, RK4 stages, the
+moving-basis generator, ordered_product's block totals and replay) is
+matlib's `mul`, an explicit sum over the inner index, with no einsum and
+no stacked matmul.
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
@@ -70,10 +75,11 @@ import numpy as np
 from .matlib import (
     CMatrix,
     NumericalError,
-    _stack_mul,
     eigh,
     herm_defect,
+    mul,
     ordered_product,
+    stack_last,
     unitary_exp,
 )
 
@@ -208,9 +214,8 @@ def liouvillian(H: np.ndarray, G: np.ndarray, g: np.ndarray) -> np.ndarray:
     m, d, n = G.shape[0], H.shape[0], H.shape[-1]
     C = [sum((2.0 * g[i, j]) * G[j].conj() for j in range(m)) for i in range(m)]
     D = np.zeros((d, d, n), dtype=complex)
-    tmp = np.empty_like(D)
     for Gi, Ci in zip(G, C):
-        D += _stack_mul(Ci.transpose(1, 0, 2), Gi, np.empty_like(D), tmp)
+        D += mul(Ci.transpose(2, 1, 0), Gi.transpose(2, 0, 1)).transpose(1, 2, 0)
     D *= 0.5
     # L[a, b, c, e] is the entry at row a d + b and column c d + e; it
     # starts as the jump terms G_i kron C_i, broadcast outer products
@@ -261,33 +266,32 @@ def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
     dx/dt = L(t) x, from generators L (2n + 1, D, D) at the 2n + 1 stage
     times of n steps.
 
-    The work is stack-last: L is read as its (D, D, 2n + 1) view, each
-    stage product is matlib's explicit sum over the inner index, and P
-    (n, D, D) is returned as a view of a stack-last (D, D, n) array.  The
-    sum K1 + 2 K2 + 2 K3 + K4 is gathered as the stages are formed, in
-    that order, so four work arrays of P's size are held.
+    The work is stack-last, as `liouvillian` returns L: each stage product
+    is `mul`, and P is stack-last.  The sum K1 + 2 K2 + 2 K3 + K4 is
+    gathered as the stages are formed, in that order, so four work arrays
+    of P's size are held.
     """
-    L = L.transpose(1, 2, 0)
-    D, n = L.shape[0], L.shape[-1] // 2
-    X, K, tmp = (np.empty((D, D, n), dtype=complex) for _ in range(3))
+    n, D = L.shape[0] // 2, L.shape[-1]
+    X, K, tmp = (stack_last((n, D, D)) for _ in range(3))
 
     def stage(Ls: np.ndarray, Kprev: np.ndarray, h: float) -> None:
         # K = Ls (1 + h Kprev); the diagonal of X is every (D + 1)-th row
+        # of its (D^2, n) memory
         np.multiply(h, Kprev, out=X)
-        X.reshape(D * D, n)[:: D + 1] += 1.0
-        _stack_mul(Ls, X, K, tmp)
+        np.moveaxis(X, 0, -1).reshape(D * D, n)[:: D + 1] += 1.0
+        mul(Ls, X, K, tmp)
 
-    K1, Lm = L[..., :-1:2], L[..., 1::2]
+    K1, Lm = L[:-1:2], L[1::2]
     stage(Lm, K1, 0.5 * dt)  # K2
     P = 2.0 * K
     P += K1
     stage(Lm, K, 0.5 * dt)  # K3
     P += np.multiply(2.0, K, out=tmp)
-    stage(L[..., 2::2], K, dt)  # K4
+    stage(L[2::2], K, dt)  # K4
     P += K
     P *= dt / 6.0
-    P.reshape(D * D, n)[:: D + 1] += 1.0
-    return P.transpose(2, 0, 1)
+    np.moveaxis(P, 0, -1).reshape(D * D, n)[:: D + 1] += 1.0
+    return P
 
 
 def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
@@ -302,7 +306,7 @@ def _magnus_exponents(H: np.ndarray, dt: float) -> np.ndarray:
     exactly Hermitian.
     """
     H0, Hm, H1 = H[:-1:2], H[1::2], H[2::2]
-    C = H0 @ H1
+    C = mul(H0, H1)
     return -(dt / 6.0) * (H0 + 4.0 * Hm + H1) - 1j * (dt * dt / 12.0) * (
         C - np.conj(np.swapaxes(C, -1, -2))
     )
@@ -342,10 +346,13 @@ def _unitary_flow(
 
     Each step is unitary to rounding, so the spectrum of X is kept and a
     degenerate invariant stays degenerate.  Constant H takes one
-    exponential exp(i G), and W_k is its k-th power read off the one
-    eigensystem; other runs take one stacked `unitary_exp`, which forms no
-    eigensystem.  A step whose phase spread lambda_max(G_k) - lambda_min(G_k)
-    reaches pi, where the grid aliases the fastest coherence and the step
+    exponential exp(i G), G = V diag(lam) V^dag, and W_k is its k-th power:
+    every sample is X_k = sum_ml (V_m Y_ml V_l^dag) e^(i k lam_m)
+    e^(-i k lam_l), Y = V^dag X0 V, one (d^2, d^2) @ (d^2, n) product;
+    other runs take one stacked `unitary_exp`, which forms no eigensystem,
+    and X = mul(mul(W, X0), W^dag).  The samples are stack-last.  A step
+    whose phase spread lambda_max(G_k) - lambda_min(G_k) reaches pi, where
+    the grid aliases the fastest coherence and the step
     leaves the Magnus convergence region, aborts the run before any
     exponential; the spreads are read bound first (`_phase_spreads`), so
     only a step that may fail takes an eigensystem, and the reported spread
@@ -369,17 +376,17 @@ def _unitary_flow(
             f"{kind} propagation under-resolved: step phase spread {spread[k]:.4g} "
             f">= pi at t={grid.times[k]:.6g}; refine the grid"
         )
-    # W with the step index as the last, contiguous axis, so that applying
-    # it is two einsums over length-n vectors
-    if constant:
-        # W_k = exp(i k G): powers of the one exponential, whose rounding
-        # does not grow with k as a running product's does
-        phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
-        W = np.einsum("im,mn,jm->ijn", V, phases, V.conj())
-    else:
-        W = np.ascontiguousarray(np.moveaxis(ordered_product(unitary_exp(G)), 0, -1))
-    X = np.einsum("ikn,lkn->iln", np.einsum("ijn,jk->ikn", W, X0), W.conj())
-    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
+    if not constant:
+        W = ordered_product(unitary_exp(G))
+        return mul(mul(W, X0), W.conj().swapaxes(1, 2))
+    # W_k = exp(i k G) = V e^(i k lam) V^dag: powers of the one exponential,
+    # whose rounding does not grow with k as a running product's does, so
+    # X_k = sum_ml (V_m Y_ml V_l^dag) e^(i k lam_m) e^(-i k lam_l) with
+    # Y = V^dag X0 V, one (d^2, d^2) @ (d^2, n) product written stack-last
+    phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
+    terms = V[:, None, :, None] * (V.conj().T @ X0 @ V) * V.conj()[None, :, None, :]
+    X = terms.reshape(X0.size, -1) @ (phases[:, None] * phases.conj()).reshape(X0.size, -1)
+    return X.reshape(X0.shape + (-1,)).transpose(2, 0, 1)
 
 
 def _rk4_flow(
@@ -419,12 +426,11 @@ def _rk4_flow(
         starts = ordered_product(
             np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), X0.reshape(D, 1)
         )
-        # row j holds x_(js+i) at columns i D ... (i + 1) D - 1; the last
+        # entry [j, i] is x_(js+i), stack-last in sample order; the last
         # block runs past the grid, and its surplus samples are dropped
-        blocks = starts[..., 0] @ powers[:-1].reshape(s * D, D).T
-        return blocks.reshape(-1, d, d)[:n]
+        return mul(powers[None, :-1], starts[:, None]).reshape(-1, d, d)[:n]
 
-    samples = np.empty((n, D, 1), dtype=complex)
+    samples = stack_last((n, D, 1))
     samples[0] = X0.reshape(D, 1)
     chunk = max(1, _CHUNK_ENTRIES // D**2)  # steps
     for lo in range(0, n - 1, chunk):
@@ -511,7 +517,8 @@ def invariant_expectation(
     """
     if I_traj.grid.n_steps != rho_traj.grid.n_steps:
         raise ValueError("trajectories must share a grid")
-    vals = np.einsum("kij,kji->k", I_traj.samples, rho_traj.samples)
+    I, rho = I_traj.samples, rho_traj.samples
+    vals = sum(I[:, i, j] * rho[:, j, i] for i, j in np.ndindex(I.shape[1:]))
     worst = float(np.max(np.abs(vals.imag)))
     if worst > EXPECTATION_IMAG_TOL:
         raise NumericalError(f"expectation value has imaginary part {worst:.3e}")
@@ -539,21 +546,20 @@ def propagate_coefficients(
         raise ValueError("frames must be sampled on grid.refined()")
     c = _validate_initial(c0, model.dim, "coefficient")
     H, G, g = model.operators(fine.times)
-    # the connection first, while no other stack is held; then V^dag X V
-    # stack-last, with V read in place and A dropped once subtracted
-    A = connection(frames).samples.transpose(1, 2, 0)
-    V = frames.vectors.transpose(1, 2, 0)
-    Vh = np.conjugate(frames.vectors.transpose(2, 1, 0), order="C")
-    VhX, tmp = np.empty_like(Vh), np.empty_like(Vh)
+    # the connection first, while no other stack is held; then V^dag X V,
+    # with V read in place and A dropped once subtracted
+    A, V = connection(frames).samples, frames.vectors
+    Vh, VhX, tmp = V.conj().swapaxes(1, 2), np.empty_like(A), np.empty_like(A)
 
-    def sandwich(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return _stack_mul(_stack_mul(Vh, X, VhX, tmp), V, out, tmp)
+    def sandwich(X: np.ndarray, out=None) -> np.ndarray:
+        return mul(mul(Vh, X, VhX, tmp), V, out, tmp)
 
-    HV = sandwich(H.transpose(1, 2, 0), np.empty_like(Vh))
+    HV = sandwich(H)
     HV -= A
     del A
-    GV = np.empty((G.shape[1],) + Vh.shape, dtype=complex)
-    for Gi, out in zip(G.transpose(1, 2, 3, 0), GV):
-        sandwich(Gi, out)
+    # G_i -> V^dag G_i V, laid out as liouvillian reads the jump operators
+    GV = np.empty((G.shape[1],) + VhX.shape[1:] + VhX.shape[:1], dtype=complex)
+    for i, out in enumerate(GV):
+        sandwich(G[:, i], np.moveaxis(out, -1, 0))
     del Vh, VhX, tmp
-    return _integrate(HV.transpose(2, 0, 1), GV.transpose(3, 0, 1, 2), g, c, grid, "coefficient")
+    return _integrate(HV, np.moveaxis(GV, -1, 0), g, c, grid, "coefficient")

@@ -182,10 +182,12 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
     """
     V = frames.vectors
     dV = series_derivative(V, frames.grid.dt)
-    A_raw = mul(V.conj().swapaxes(1, 2), dV)
-    A_raw *= 1j
-    dev = float(np.max(np.abs(A_raw - np.conj(np.swapaxes(A_raw, 1, 2)))))
-    A = 0.5 * (A_raw + np.conj(np.swapaxes(A_raw, 1, 2)))
+    A = mul(V.conj().swapaxes(1, 2), dV)
+    A *= 1j
+    Ah = np.conj(np.swapaxes(A, 1, 2))
+    dev = float(np.max(np.abs(A - Ah)))
+    # Hermitized in place, which keeps the stack-last layout of mul's result
+    A = np.multiply(0.5, np.add(A, Ah, out=A), out=A)
     return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=dev)
 
 

@@ -220,8 +220,7 @@ def geometric_phase(
         conn = connection(frames)
     groups = case_groups(frames.blocks, case_tag)
     A_r = case_restrict(conn.samples, frames.blocks, case_tag)
-    factors = np.zeros((n - 1,) + A_r.shape[1:], dtype=complex)
-    transport = np.zeros(A_r.shape, dtype=complex)
+    factors, transport = np.zeros_like(A_r[1:]), np.zeros_like(A_r)
     for g in groups:
         idx = _group_index(g)
         F = interval_factors(A_r[idx], conn.grid.dt)
@@ -310,17 +309,18 @@ def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, flo
     difference between the ordered product of its interval factors and the
     product of the same factors in reversed order, over the whole grid.
     Both vanish for Abelian (commuting-connection) transport.  Every probe
-    product P_a P_b comes from one (p d x d)(d x p d) product of the
-    stacked probes.  The forward product is the end of the holonomy's
-    stored transport series; the reversed one is formed group by group, as
-    the forward one was, by a pairwise reduction of the group's factors.
+    product P_a P_b comes from one (p d x d)(d x p d) matrix product of the
+    stacked probes, a plain BLAS product with no stack to batch over.  The
+    forward product is the end of the holonomy's stored transport series;
+    the reversed one is formed group by group, as the forward one was, by a
+    pairwise reduction of the group's factors.
     """
     A, F = holo.connection, holo.factors
     n, d = A.shape[0], A.shape[-1]
     P = A[np.linspace(0, n - 1, min(n, n_probe)).astype(int)]
     p = P.shape[0]
     # AB[a, i, b, l] = (P_a P_b)_il
-    AB = mul(P.reshape(p * d, d), P.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
+    AB = (P.reshape(p * d, d) @ P.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
     comm = float(np.max(np.abs(AB - AB.transpose(2, 1, 0, 3))))
 
     forward = holo.transport[-1]

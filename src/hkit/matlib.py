@@ -10,11 +10,11 @@ ordering, and branch-cut conventions are decided in exactly one place:
   and 2x2 stacks, ``U = (W + e adj(W)^dag)/(s1 + s2)`` with
   ``e = det W/|det W|``, and a rank-deficient 2x2 input completed to
   ``det U = 1``; larger ones from LAPACK's SVD,
-* stacked products go through `mul`, an explicit sum over the inner index
-  for inner sizes 1 and 2, or, on stack-last (d, d, n) arrays, through
-  `_stack_mul`, an explicit sum over the inner index for every size,
-  shared by unitary_exp's Taylor polynomials, ordered_product's blocks and
-  the time-dependent RK4 of `dynamics`,
+* stacked products go through `mul` alone, an explicit sum over the inner
+  index for every size, with no matmul; its results, and every other
+  (n, d, d) series the package allocates (`stack_last`), are stack-last:
+  views of contiguous (d, d, n) arrays, so each elementwise product runs
+  over the contiguous stack axis,
 * unitary exponentials come from `unitary_exp` alone, with no
   eigensystem: in closed form on 1x1 and 2x2 stacks, ``e^(i s mu)
   (cos(s r) 1 + i s sinc(s r/pi) B)`` for the traceless part B with
@@ -47,22 +47,42 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B over broadcast leading axes.
+def stack_last(shape: tuple, alloc=np.empty, dtype=complex) -> np.ndarray:
+    """An array of `shape` (..., m, p) from alloc (np.empty or np.zeros)
+    laid out stack-last: a view of a C-contiguous (m, p, ...) array, so
+    np.moveaxis(out, (-2, -1), (0, 1)) is contiguous."""
+    x = alloc(tuple(shape[-2:]) + tuple(shape[:-2]), dtype=dtype)
+    return x.transpose(tuple(range(2, x.ndim)) + (0, 1))
 
-    With an inner size of 1 or 2 the product is an explicit sum over the
-    inner index of broadcast elementwise products, accumulated in place:
+
+def mul(A: np.ndarray, B: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """A @ B over broadcast leading axes, as an explicit sum over the inner
+    index of broadcast elementwise products, accumulated in place.
+
+    The matrix axes are moved first, so each product runs over the leading
+    (stack) axes, contiguous for stack-last operands, and the result is
+    stack-last (`stack_last`).  On stacks of matrices up to 4x4 this is
     several times faster than numpy's stacked matmul, which pays a
-    per-matrix overhead on stacks of 2x2 matrices.  Other sizes call
-    np.matmul.
+    per-matrix overhead.  out, when given, receives the product and shares
+    memory with neither A nor B; tmp is a work array of out's shape and
+    layout, allocated when omitted.
     """
     A, B = np.asarray(A), np.asarray(B)
-    k = A.shape[-1]
-    if k > 2 or min(A.ndim, B.ndim) < 2 or B.shape[-2] != k:
-        return np.matmul(A, B)
-    out = np.multiply(A[..., :, :1], B[..., :1, :])
-    if k == 2:
-        out += A[..., :, 1:] * B[..., 1:, :]
+    k, nd = A.shape[-1], max(A.ndim, B.ndim)
+    if min(A.ndim, B.ndim) < 2 or B.shape[-2] != k:
+        raise ValueError(f"mul: shapes {A.shape} and {B.shape} do not chain")
+    # matrix axes first, the shorter leading shape padded as broadcasting pads it
+    first = (nd - 2, nd - 1) + tuple(range(nd - 2))
+    a, b = (M[(None,) * (nd - M.ndim)].transpose(first) for M in (A, B))
+    if out is None:
+        lead = tuple(x if y == 1 else y for x, y in zip(a.shape[2:], b.shape[2:]))
+        out = stack_last(lead + (a.shape[0], b.shape[1]), dtype=np.promote_types(A.dtype, B.dtype))
+    o = out.transpose(first)
+    np.multiply(a[:, :1], b[None, 0], out=o)
+    t = np.empty_like(o) if tmp is None else tmp.transpose(first)
+    for j in range(1, k):
+        np.multiply(a[:, j : j + 1], b[None, j], out=t)
+        o += t
     return out
 
 
@@ -155,10 +175,10 @@ def polar_svd(W: CMatrix) -> tuple[CMatrix, np.ndarray]:
         return np.divide(W, mod, out=np.ones_like(W), where=mod > 0.0), mod[..., 0]
     if W.shape[-2:] != (2, 2):
         P, sig, Qh = np.linalg.svd(W)
-        return P @ Qh, sig
+        return mul(P, Qh), sig
     det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
     mod = np.abs(det)
-    U = np.empty(W.shape, dtype=complex)  # e adj(W)^dag, then U
+    U = stack_last(W.shape)  # e adj(W)^dag, then U
     U[..., 0, 0] = W[..., 1, 1].conj()
     U[..., 0, 1] = -W[..., 1, 0].conj()
     U[..., 1, 0] = -W[..., 0, 1].conj()
@@ -216,7 +236,8 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
     its norm sqrt(2 r) sqrt(r + |z|); for an upper vector (p, q) the lower
     one is (-conj(q), conj(p)).  A diagonal matrix in ascending order
     (b = 0, z <= 0, which includes r = 0) gives V = 1.  A 1x1 stack is its
-    own eigenvalue with vector 1.  Other sizes call LAPACK.  Non-finite
+    own eigenvalue with vector 1.  Other sizes call LAPACK.  The vectors
+    are stack-last (`stack_last`), LAPACK's copied so.  Non-finite
     input, and LAPACK's failure to converge, abort.
     """
     A = np.asarray(A)
@@ -225,10 +246,12 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
     if A.shape[-2:] == (1, 1):
         return A[..., 0, :].real.copy(), np.ones(A.shape, dtype=complex)
     if A.shape[-2:] != (2, 2):
+        V = stack_last(A.shape)
         try:
-            return np.linalg.eigh(A)
+            lam, V[...] = np.linalg.eigh(A)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensystem: {exc}") from exc
+        return lam, V
     a, d, b = A[..., 0, 0].real, A[..., 1, 1].real, A[..., 1, 0]
     m = 0.5 * (a + d)
     z = 0.5 * (a - d)
@@ -237,7 +260,7 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
     norm = np.where(r == 0.0, 1.0, np.sqrt(2.0 * r) * np.sqrt(r + np.abs(z)))
     p = np.where(upper, z + r, b.conj()) / norm
     q = np.where(upper, b, r - z) / norm
-    V = np.empty(A.shape, dtype=complex)
+    V = stack_last(A.shape)
     V[..., 0, 0] = -q.conj()
     V[..., 1, 0] = p.conj()
     V[..., 0, 1] = p
@@ -258,19 +281,6 @@ _EXP_REMAINDER = 2.0**-54
 _EXP_POLISH_SQUARINGS = 4
 
 
-def _stack_mul(A: np.ndarray, B: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = A @ B on stack-last (d, d, n) arrays, as a sum over the inner
-    index of broadcast elementwise products; tmp is a work array of out's
-    shape.  B may have any number of columns, (d, k, n), k = 1 for a stack
-    of matrix-vector products.  out must share memory with neither A nor
-    B."""
-    np.multiply(A[:, :1], B[None, 0], out=out)
-    for j in range(1, A.shape[0]):
-        np.multiply(A[:, j : j + 1], B[None, j], out=tmp)
-        out += tmp
-    return out
-
-
 def _taylor_degree(theta: float) -> int:
     """Least degree m >= 1 whose Taylor remainder bound for exp(B),
     theta^(m+1)/(m+1)! / (1 - theta/(m+2)) with theta >= |B|_1, is below
@@ -283,8 +293,9 @@ def _taylor_degree(theta: float) -> int:
 
 
 def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
-    """The degree-m Taylor polynomial of exp on a stack-last (d, d, n) array
-    X, by Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)).
+    """The degree-m Taylor polynomial of exp on a stack-last (n, d, d) stack
+    X, by Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)); tmp is a
+    work array like X.
 
     With powers X^1 ... X^p, the polynomial sum_k X^k/k! is a polynomial in
     X^p whose coefficients C_j are sums of c_(jp+i) X^i (i < p), evaluated
@@ -296,10 +307,10 @@ def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
     c = [1.0]
     for k in range(1, m + 1):
         c.append(c[-1] / k)
-    d = X.shape[0]
+    d = X.shape[-1]
     P = [None, X]
     for _ in range(2, p + 1):
-        P.append(_stack_mul(P[-1], X, np.empty_like(X), tmp))
+        P.append(mul(P[-1], X, np.empty_like(X), tmp))
 
     def add_block(T: np.ndarray, j: int) -> None:
         # T += C_j
@@ -307,7 +318,7 @@ def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
             np.multiply(P[i], c[j * p + i], out=tmp)
             T += tmp
         for i in range(d):
-            T[i, i] += c[j * p]
+            T[:, i, i] += c[j * p]
 
     r = m // p
     if m % p == 0:  # C_r = c_m 1: the first Horner step needs no product
@@ -318,7 +329,7 @@ def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
     add_block(T, r)
     prod = np.empty_like(X) if r else None
     for j in range(r - 1, -1, -1):
-        _stack_mul(P[p], T, prod, tmp)
+        mul(P[p], T, prod, tmp)
         add_block(prod, j)
         T, prod = prod, T
     return T
@@ -368,40 +379,37 @@ def _taylor_exp(Ac: np.ndarray, s: float, out: np.ndarray) -> float:
     polynomial (see unitary_exp), written into out; returns herm_defect of
     the stack."""
     d = Ac.shape[-1]
-    X = np.empty((d, d, len(Ac)), dtype=complex)
-    tmp = np.empty_like(X)
+    X, tmp = stack_last(Ac.shape), stack_last(Ac.shape)
     # X = i s 2^-j (H - mu 1) for the Hermitian part H of each matrix
-    np.conjugate(Ac.transpose(2, 1, 0), out=tmp)
-    np.subtract(Ac.transpose(1, 2, 0), tmp, out=X)
+    np.conjugate(Ac.swapaxes(1, 2), out=tmp)
+    np.subtract(Ac, tmp, out=X)
     dev = float(np.max(np.abs(X)))
-    np.add(Ac.transpose(1, 2, 0), tmp, out=X)
+    np.add(Ac, tmp, out=X)
     X *= 0.5
-    mu = sum(X[i, i].real for i in range(d)) / d
+    mu = sum(X[:, i, i].real for i in range(d)) / d
     for i in range(d):
-        X[i, i] -= mu
-    norm = abs(s) * np.abs(X).sum(axis=0).max(axis=0)
+        X[:, i, i] -= mu
+    norm = abs(s) * np.abs(X).sum(axis=1).max(axis=1)
     # least j >= 0 with norm 2^-j <= _EXP_THETA, exactly: with
     # norm = f 2^e, f in [1/2, 1), it is e - 1 when f = 1/2, else e
     f, e = np.frexp(norm / _EXP_THETA)
     j = np.maximum(np.where(f == 0.5, e - 1, e), 0)
-    X *= 1j * np.ldexp(s, -j)
+    X *= 1j * np.ldexp(s, -j)[:, None, None]
     T = _taylor(X, _taylor_degree(float(np.max(np.ldexp(norm, -j)))), tmp)
     for k in range(int(np.max(j, initial=0))):
         if np.all(j > k):
-            T, X = _stack_mul(T, T, X, tmp), T
+            T, X = mul(T, T, X, tmp), T
         else:
             sel = np.flatnonzero(j > k)
-            Ts = T[..., sel]
-            T[..., sel] = _stack_mul(Ts, Ts, np.empty_like(Ts), np.empty_like(Ts))
+            T[sel] = mul(T[sel], T[sel])
     if np.any(j >= _EXP_POLISH_SQUARINGS):
         # one Newton step to the polar factor, T (3 - T^dag T)/2
-        _stack_mul(T.conj().transpose(1, 0, 2), T, X, tmp)
-        Y = _stack_mul(T, X, np.empty_like(T), tmp)
+        mul(T.conj().swapaxes(1, 2), T, X, tmp)
+        Y = mul(T, X, np.empty_like(T), tmp)
         T *= 1.5
         Y *= 0.5
         T -= Y
-    phase = np.exp(1j * s * mu)[:, None, None]
-    np.multiply(T.transpose(2, 0, 1), phase, out=out)
+    np.multiply(T, np.exp(1j * s * mu)[:, None, None], out=out)
     return dev
 
 
@@ -423,18 +431,18 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     the rounding in the moduli of the eigenvalues, so a chunk squared
     _EXP_POLISH_SQUARINGS times or more takes one Newton step
     T (3 - T^dag T)/2 back to unitarity.  These are worked stack-last, with
-    every product an explicit sum over the inner index.  Either way the
+    every product a `mul`.  Either way the
     stack is taken one chunk of _EXP_CHUNK_ENTRIES entries at a time, and
     the Hermitian part of each matrix is exponentiated.  Non-finite input
-    aborts before any work; a matrix further than HERM_TOL from its
-    Hermitian part raises ValueError.
+    aborts before any work; the result is stack-last.  A matrix further
+    than HERM_TOL from its Hermitian part raises ValueError.
     """
     A = np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(A)):
         raise NumericalError("unitary exponential of non-finite input")
     d = A.shape[-1]
     flat = A.reshape(-1, d, d)
-    out = np.empty(flat.shape, dtype=complex)
+    out = stack_last(flat.shape)
     exp_chunk = _closed_exp if d <= 2 else _taylor_exp
     chunk = max(1, _EXP_CHUNK_ENTRIES // (d * d))
     dev = 0.0  # herm_defect(A), gathered chunk by chunk
@@ -460,45 +468,41 @@ def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
     start, and s - 1 batched products replay every block from its start,
     x_(js+i) = F_(js+i-1) x_(js+i-1), so each entry is formed in the
     stepwise order and the first non-finite entry is the stepwise loop's.
-    The block index is kept as the last, contiguous axis, so that each
-    batched product is one `_stack_mul` across the blocks rather than m
-    separate small matrix products.
+    Each batched product is one `mul` across the blocks, stack-last, rather
+    than m separate small matrix products; the result is stack-last.
     """
     F = np.asarray(F)
     n, d = F.shape[0], F.shape[-1]
     X0 = np.eye(d, dtype=complex) if X0 is None else np.asarray(X0, dtype=complex)
+    k = X0.shape[-1]
     if d == 1:
-        out = np.empty((n + 1,) + X0.shape, dtype=complex)
+        out = stack_last((n + 1,) + X0.shape)
         out[0] = X0
         out[1:] = F
         return np.cumprod(out, axis=0, out=out)
     s = max(1, int(np.ceil(np.sqrt(n))))  # block length
     m = max(1, -(-n // s))  # block count; n = 0 takes one empty block
-    # steps[i, :, :, j] is factor j s + i
-    steps = np.zeros((s, d, d, m), dtype=complex)
-    by_block = steps.transpose(3, 0, 1, 2)
+    # steps[i, j] is factor j s + i, each steps[i] stack-last over the blocks
+    steps = np.zeros((s, d, d, m), dtype=complex).transpose(0, 3, 1, 2)
+    by_block = steps.swapaxes(0, 1)
     by_block[: m - 1] = F[: (m - 1) * s].reshape(m - 1, s, d, d)
     by_block[m - 1, : n - (m - 1) * s] = F[(m - 1) * s :]
-    tmp = np.empty((d, d, m), dtype=complex)
-    totals, spare = steps[0].copy(), np.empty_like(tmp)
+    totals, spare, tmp = steps[0].copy(order="K"), stack_last((m, d, d)), stack_last((m, d, d))
     for i in range(1, s):
-        totals, spare = _stack_mul(steps[i], totals, spare, tmp), totals
+        totals, spare = mul(steps[i], totals, spare, tmp), totals
     # starts[j] is entry j s; row m is the start of the block after the
     # last, which is entry n when the last block is full
-    k = X0.shape[-1]
     starts = np.empty((m + 1, d, k), dtype=complex)
     starts[0] = X0
-    totals = np.ascontiguousarray(totals.transpose(2, 0, 1))
     for j in range(m):
         np.dot(totals[j], starts[j], out=starts[j + 1])
-    # x[i, ..., j] is entry j s + i
-    x = np.empty((s, d, k, m), dtype=complex)
-    x[0] = starts[:m].transpose(1, 2, 0)
-    work = np.empty((d, k, m), dtype=complex)
+    # x[i, j] is entry j s + i, each x[i] stack-last over the blocks
+    x = np.empty((s, d, k, m), dtype=complex).transpose(0, 3, 1, 2)
+    x[0] = starts[:m]
     for i in range(1, s):
-        _stack_mul(steps[i - 1], x[i - 1], x[i], work)
-    out = np.empty((m * s + 1, d, k), dtype=complex)
-    out[:-1].reshape(m, s, d, k)[...] = x.transpose(3, 0, 1, 2)
+        mul(steps[i - 1], x[i - 1], x[i], tmp[..., :k])
+    out = stack_last((m * s + 1, d, k))
+    out[:-1].reshape(m, s, d, k)[...] = x.swapaxes(0, 1)
     out[-1] = starts[m]
     return out[: n + 1]
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import holonomy
 from .dynamics import LindbladModel, OperatorTrajectory, TimeGrid
 from .frames import ConnectionSeries, FrameTrajectory
-from .matlib import CMatrix, principal_phase
+from .matlib import CMatrix, principal_phase, stack_last
 
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -133,7 +133,7 @@ def analytic_frames(params: TwoLevelDecayParams, grid: TimeGrid) -> FrameTraject
     w = w0 * t + params.phi0
     off = params.r0 * s * np.exp(-1j * w)
     norm = 1.0 / np.sqrt(denom)
-    vectors = np.empty((grid.n_steps, 2, 2), dtype=complex)
+    vectors = stack_last((grid.n_steps, 2, 2))
     vectors[:, 0, 0] = norm * f
     vectors[:, 1, 0] = norm * off
     vectors[:, 0, 1] = norm * np.conj(off)
@@ -159,7 +159,7 @@ def analytic_connection(params: TwoLevelDecayParams, grid: TimeGrid) -> Connecti
     beta = -n2 * params.r0 * s * np.exp(1j * (w0 * t + params.phi0)) * (
         w0 * f + 1j * fdot
     )
-    A = np.empty((grid.n_steps, 2, 2), dtype=complex)
+    A = stack_last((grid.n_steps, 2, 2))
     A[:, 0, 0] = alpha
     A[:, 1, 1] = -alpha
     A[:, 0, 1] = beta
@@ -344,7 +344,7 @@ def tripod_hamiltonian(rabi: float, theta, phi, chi=0.0) -> np.ndarray:
     non-Abelian.
     """
     theta, phi, chi = np.broadcast_arrays(theta, phi, chi)
-    H = np.zeros(theta.shape + (4, 4), dtype=complex)
+    H = stack_last(theta.shape + (4, 4), np.zeros)
     H[..., 1, 0] = rabi * (np.sin(theta) * np.cos(phi) * np.exp(1j * chi))
     H[..., 2, 0] = rabi * (np.sin(theta) * np.sin(phi))
     H[..., 3, 0] = rabi * np.cos(theta)

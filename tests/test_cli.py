@@ -136,11 +136,30 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         ({"grid": {"t1": True, "n_steps": 30}}, "t1 must be a number"),
         ({"scenario": "wilczek_zee", "params": {"duration": 0}}, "duration must be positive"),
         ({"scenario": "wilczek_zee", "params": {"rabi": 1e-200}}, "too fast for the adiabatic"),
+        ({"grid": {"t1": 6.28, "n_steps": 30, "t_0": 1.0}}, "unknown grid keys: ['t_0']"),
     ]
     for i, (overrides, needle) in enumerate(malformed):
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
     monkeypatch.setenv("HKIT_SEED", "seven")
     exits_with_one_line(_write_config(tmp_path), "invalid HKIT_SEED")
+
+
+def test_run_too_large_to_allocate_exits_with_config_code(tmp_path, capsys, monkeypatch):
+    """A grid too long for the host's memory ends run and sweep in one
+    exit-2 line.  The allocation failure is simulated: a real oversized
+    request need not fail at once where the kernel overcommits memory."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array with shape (99999999999, 2, 2)")
+
+    monkeypatch.setattr(cli.frames, "connection", out_of_memory)
+    cfg = str(_write_config(tmp_path, grid=_grid(301)))
+    sweep = ["--axis", "theta0", "--values", "1.0,1.2"]
+    for argv in (["run", "--config", cfg], ["sweep", "--config", cfg, *sweep]):
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "too large to allocate" in err and "2.91 TiB" in err
 
 
 def test_case_tags_that_do_not_fit_the_spectrum_are_config_errors(tmp_path, capsys):
@@ -732,6 +751,39 @@ def test_only_matlib_calls_lapack_eigensolvers_or_svd():
             if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
                 calls.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
     assert calls == []
+
+
+def test_only_checks_call_einsum():
+    """Every stacked product of the pipeline is matlib.mul's explicit sum;
+    np.einsum is left to the acceptance checks' oracles."""
+    calls = []
+    for path in sorted(Path(hkit.__file__).parent.glob("*.py")):
+        if path.name == "checks.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "einsum":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
+def test_pipeline_series_are_stack_last():
+    """Every (n, d, d) series a run produces is a view of a contiguous
+    (d, d, n) array, the layout in which matlib.mul's elementwise products
+    run over the contiguous stack axis."""
+    for raw in (
+        {"scenario": "berry_closed", "grid": _grid(801)},
+        {"scenario": "wilczek_zee", "params": {"loop": 1}},
+    ):
+        res = cli.execute(ScenarioConfig.from_dict(raw))
+        series = {
+            "rho_traj": res.rho_traj.samples,
+            "I_traj": res.I_traj.samples,
+            "frames": res.frames.vectors,
+            "conn": res.conn.samples,
+            "transport": res.holo.transport,
+        }
+        for name, x in series.items():
+            assert np.moveaxis(x, 0, -1).flags.c_contiguous, (raw["scenario"], name)
 
 
 def test_lapack_eigensolver_call_budget(monkeypatch):

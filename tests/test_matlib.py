@@ -40,27 +40,37 @@ def _stack(rng, *shape):
         ((5, 1, 2), (5, 2, 1)),
         ((7, 1, 1), (7, 1, 1)),
         ((1, 1), (7, 1, 1)),
+        ((6, 3, 3), (3, 3)),  # inner sizes 3 and 4
+        ((6, 1, 3, 3), (1, 6, 3, 3)),
+        ((6, 4, 4), (4, 4)),
+        ((6, 1, 4, 4), (1, 6, 4, 4)),
+        ((4, 4), (6, 4, 4)),
+        ((8, 4), (4, 8)),  # the witness's stacked probe products
+        ((6, 4, 4), (6, 4, 1)),  # matrix-vector products
     ],
 )
 def test_mul_of_small_stacks_matches_matmul(a_shape, b_shape):
-    """Inner size 1 or 2 is an explicit sum over the inner index: it agrees
-    with np.matmul to rounding, over the broadcast shapes in use."""
+    """Every inner size is an explicit sum over the inner index: it agrees
+    with np.matmul to rounding, over the broadcast shapes in use, and its
+    result is stack-last."""
     rng = np.random.default_rng(len(a_shape) + 10 * len(b_shape) + a_shape[-1])
     A, B = _stack(rng, *a_shape), _stack(rng, *b_shape)
     got, want = matlib.mul(A, B), np.matmul(A, B)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.moveaxis(got, (-2, -1), (0, 1)).flags.c_contiguous
     # a read-only broadcast view, as LindbladModel.operators returns
     view = np.broadcast_to(B, want.shape[:-2] + B.shape[-2:])
     assert np.max(np.abs(matlib.mul(A, view) - np.matmul(A, view))) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_mul_of_larger_matrices_is_matmul(d):
-    rng = np.random.default_rng(d)
-    A, B = _stack(rng, 6, d, d), _stack(rng, d, d)
-    assert np.array_equal(matlib.mul(A, B), A @ B)
-    assert np.array_equal(matlib.mul(A[:, None], A[None]), A[:, None] @ A[None])
+def test_mul_writes_into_a_given_output():
+    """out and tmp of any layout receive the product in place."""
+    rng = np.random.default_rng(3)
+    A, B = _stack(rng, 5, 4, 4), _stack(rng, 5, 4, 2)
+    out, tmp = np.empty((5, 4, 2), dtype=complex), np.empty((5, 4, 2), dtype=complex)
+    assert matlib.mul(A, B, out, tmp) is out
+    assert np.max(np.abs(out - A @ B)) <= 1e-15 * np.max(np.abs(out))
 
 
 def test_mul_refuses_mismatched_inner_sizes():
