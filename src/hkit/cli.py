@@ -230,17 +230,6 @@ def _build_tripod(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
     return grid, I_traj, rho_traj, frame_traj, []
 
 
-def _build_synthetic(p: dict[str, float], cfg: ScenarioConfig) -> tuple:
-    model = models.synthetic_rotation_model(p["omega"], p["lam1"], p["lam2"])
-    if cfg.grid is None and p["omega"] == 0.0:
-        raise ValueError("synthetic_rotation with omega = 0 needs a grid (the default is 2 pi/omega)")
-    grid = cfg.grid or TimeGrid(0.0, 2.0 * np.pi / p["omega"], 2001)
-    I0 = np.diag([p["lam1"], p["lam2"]]).astype(complex)
-    I_traj = dynamics.propagate(model, I0, grid, kind="invariant")
-    rho_traj = dynamics.propagate(model, np.diag([1.0, 0.0]).astype(complex), grid, kind="density")
-    return grid, I_traj, rho_traj, frames.eigenframes(I_traj), []
-
-
 _TWO_LEVEL_DEFAULTS = asdict(models.TwoLevelDecayParams())
 
 SCENARIOS: dict[str, Scenario] = {
@@ -255,10 +244,6 @@ SCENARIOS: dict[str, Scenario] = {
     "wilczek_zee": Scenario(
         defaults={"rabi": 1.0, "duration": 1500.0, "loop": 0.0}, analytic=False, dim=4,
         build=_build_tripod, case=lambda p: "t_d",
-    ),
-    "synthetic_rotation": Scenario(
-        defaults={"omega": 1.0, "lam1": 1.0, "lam2": 2.0}, analytic=False, dim=2,
-        build=_build_synthetic, case=lambda p: "general",
     ),
 }
 
@@ -282,12 +267,7 @@ def execute(cfg: ScenarioConfig) -> RunResult:
     conn = frames.connection(frame_traj)
     holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case, conn)
     witness = holonomy.nonabelian_witness(holo)
-    # a case that restricts nothing has already formed the transporter of conn
-    if np.array_equal(holo.connection, conn.samples):
-        transport = holo.transport
-    else:
-        transport = holonomy.transporter(conn)
-    residual = holonomy.parallel_residual(frame_traj, transport)
+    residual = holonomy.parallel_residual(frame_traj, holo)
     expectation = dynamics.invariant_expectation(I_traj, rho_traj)
     flags = []
     if conn.herm_deviation > frames.CONNECTION_HERM_TOL:
@@ -330,6 +310,9 @@ def cmd_sweep(config_path: str, axis: str, values: list[float], out_dir: str) ->
         if not values:
             raise ConfigError("empty sweep values")
         base = ScenarioConfig.from_file(config_path)
+        known = sorted(SCENARIOS[base.scenario].defaults)
+        if axis not in known:
+            raise ConfigError(f"unknown sweep axis {axis!r}: {base.scenario} params are {known}")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:

@@ -408,6 +408,7 @@ def _rk4_flow(
     model), and each chunk's samples are the ordered product of its step
     matrices from the chunk's first sample, which keeps the stepwise order
     of every product, so the first non-finite sample is the stepwise loop's.
+    Both branches return the samples stack-last.
     """
     n, d = grid.n_steps, X0.shape[0]
     D = d * d
@@ -426,9 +427,11 @@ def _rk4_flow(
         starts = ordered_product(
             np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), X0.reshape(D, 1)
         )
-        # entry [j, i] is x_(js+i), stack-last in sample order; the last
-        # block runs past the grid, and its surplus samples are dropped
-        return mul(powers[None, :-1], starts[:, None]).reshape(-1, d, d)[:n]
+        # entry [j, i] is x_(js+i) in sample order; the last block runs past
+        # the grid, and its surplus samples are left out of the stack-last copy
+        samples = stack_last((n, d, d))
+        samples[...] = mul(powers[None, :-1], starts[:, None]).reshape(-1, d, d)[:n]
+        return samples
 
     samples = stack_last((n, D, 1))
     samples[0] = X0.reshape(D, 1)

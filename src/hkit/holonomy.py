@@ -14,10 +14,7 @@ may mix (``case_groups``):
                Abelian phase),
 * ``t_d``    - transitions within degenerate blocks: each degeneracy block
                (Wilczek-Zee),
-* ``t_nd``   - transitions, nondegenerate: all levels as one group,
-* ``general``- all levels as one group (complete-frame transport; O is
-               trivial for a complete frame and useful mainly for
-               diagnostics).
+* ``t_nd``   - transitions, nondegenerate: all levels as one group.
 
 The connection and the overlap keep only entries within a group, and the
 overlap is polar-split group by group, so every case is the holonomy of
@@ -46,7 +43,7 @@ from .matlib import (
     unitary_exp,
 )
 
-CASE_TAGS = ("general", "t_d", "t_nd", "nt_nd")
+CASE_TAGS = ("t_d", "t_nd", "nt_nd")
 OVERLAP_MODULUS_MIN = 1e-12
 
 
@@ -197,7 +194,7 @@ def _restricted_polar(W: CMatrix, groups: list[list[int]]) -> tuple[CMatrix, CMa
 def geometric_phase(
     frames: FrameTrajectory,
     k: int,
-    case_tag: str = "general",
+    case_tag: str,
     conn: ConnectionSeries | None = None,
 ) -> HolonomyResult:
     """Holonomy data O(t_k, 0) = U(t_k, 0) @ Vpar(t_k) for one case.
@@ -272,18 +269,22 @@ def noncyclic_abelian_gp(
     return float(principal_phase(total))
 
 
-def parallel_residual(frames: FrameTrajectory, Vpar_series: np.ndarray) -> float:
-    """Largest connection entry of the transported frame T = V @ Vpar.
+def parallel_residual(frames: FrameTrajectory, holo: HolonomyResult) -> float:
+    """Largest in-group connection entry of the transported frame T = V @ T_c,
+    with T_c the case's own transport series ``holo.transport``.
 
-    Parallel transport means i T^dag dT/dt vanishes; the returned value is
-    the max-norm of that matrix over the grid (central differences inside,
-    one-sided second-order stencils at the ends).
+    Parallel transport within each level group means the in-group entries
+    of i T^dag dT/dt vanish; the returned value is their max-norm over the
+    grid (central differences inside, one-sided second-order stencils at
+    the ends).  Entries between groups are the transitions the case leaves
+    out, and are not counted.
     """
-    if Vpar_series.shape != frames.vectors.shape:
-        raise ValueError("transporter series does not match the frames")
-    T = mul(frames.vectors, Vpar_series)
+    if holo.transport.shape != frames.vectors.shape:
+        raise ValueError("transport series does not match the frames")
+    T = mul(frames.vectors, holo.transport)
     dT = series_derivative(T, frames.grid.dt)
-    return float(np.max(np.abs(mul(T.conj().swapaxes(1, 2), dT))))
+    M = mul(T.conj().swapaxes(1, 2), dT)
+    return float(np.max(np.abs(M[:, block_mask(holo.groups, frames.dim)])))
 
 
 def _product(F: np.ndarray) -> CMatrix:

@@ -1,5 +1,4 @@
-"""Concrete scenarios: decaying two-level system, driven tripod, and a
-synthetically rotated invariant.
+"""Concrete scenarios: decaying two-level system and driven tripod.
 
 The two-level scenario is a qubit with Hamiltonian H0 = (omega0/2) sigma_z
 (basis ordered (g, e), sigma_z = diag(-1, +1)), a single jump operator
@@ -417,24 +416,3 @@ def adiabatic_invariant_trajectory(model: LindbladModel, grid: TimeGrid) -> Oper
     provides the basis trajectory for the transport pipeline.
     """
     return OperatorTrajectory(grid=grid, samples=model.operators(grid.times)[0], kind="invariant")
-
-
-# --- synthetic rotation (frame pipeline fixture) --------------------------
-
-
-def synthetic_rotation_model(omega: float, lam1: float, lam2: float) -> LindbladModel:
-    """Closed qubit with constant H = omega sigma_y, whose exact invariant
-    is a rigidly rotated diag(lam1, lam2)."""
-    if not lam1 < lam2:
-        raise ValueError("need lam1 < lam2 (distinct eigenvalues)")
-    H = omega * np.array([[0.0, -1j], [1j, 0.0]])
-    return LindbladModel(dim=2, hamiltonian=lambda t: H)
-
-
-def synthetic_rotation_invariant(
-    omega: float, lam1: float, lam2: float, t: float
-) -> CMatrix:
-    """Exact invariant R(omega t) diag(lam1, lam2) R(omega t)^T."""
-    c, s = np.cos(omega * t), np.sin(omega * t)
-    R = np.array([[c, -s], [s, c]])
-    return (R @ np.diag([lam1, lam2]) @ R.T).astype(complex)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hkit
-from hkit import artifacts, checks, cli, matlib, models
+from hkit import artifacts, checks, cli, holonomy, matlib, models
 from hkit.checks import CheckResult
 from hkit.cli import ConfigError, ScenarioConfig
 from hkit.matlib import NumericalError
@@ -112,15 +113,10 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
             {"scenario": "wilczek_zee", "params": {}, "frame_source": "analytic"},
             "no analytic frame source",
         ),
-        (
-            {"scenario": "synthetic_rotation", "params": {}, "frame_source": "analytic"},
-            "no analytic frame source",
-        ),
         ({"scenario": "wilczek_zee", "params": {"loop": 3}}, "'loop' must be 0 (a)"),
         ({"scenario": "wilczek_zee", "params": {}, "grid": _grid(101)}, "must span [0, duration]"),
-        ({"scenario": "synthetic_rotation", "params": {"lam1": 3.0}}, "need lam1 < lam2"),
-        ({"scenario": "synthetic_rotation", "params": {"omega": -1.0}}, "t1 must exceed t0"),
-        ({"scenario": "synthetic_rotation", "params": {"omega": 0}}, "omega = 0 needs a grid"),
+        ({"scenario": "synthetic_rotation"}, "unknown scenario 'synthetic_rotation'"),
+        ({"case_tag": "general"}, "unknown case_tag 'general'"),
         (
             {"scenario": "two_level_decay", "params": {"gamma": 0.001}, "grid": _grid(2, t1=0.1)},
             "n_steps must be at least 3",
@@ -482,7 +478,6 @@ def test_trajectory_csv_matches_the_per_value_writer(tmp_path):
             "scenario": "wilczek_zee", "params": {"loop": 1, "rabi": 1.3, "duration": 1500.0},
             "grid": _grid(2001, t1=1500.0),
         },
-        "synthetic": {"scenario": "synthetic_rotation"},
     }
     for name, raw in configs.items():
         res = cli.execute(ScenarioConfig.from_dict({"grid": _grid(2001), **raw}))
@@ -552,18 +547,10 @@ def test_wilczek_zee_run_reports_a_four_level_holonomy(tmp_path):
     assert len(payload["eigenphases"]) == 4
 
 
-def test_synthetic_rotation_run_uses_the_complete_frame(tmp_path):
-    cfg = _write_config(tmp_path, scenario="synthetic_rotation", params={})
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    payload = json.loads((out / "holonomy.json").read_text())
-    assert payload["case_tag"] == "general"
-    # a complete frame transports trivially (up to discretization)
-    assert np.max(np.abs(np.array(payload["eigenphases"]))) < 1e-4
-
-
 def test_each_flag_is_reported_once(tmp_path):
-    cfg = _write_config(tmp_path, scenario="synthetic_rotation", params={}, grid=_grid(40))
+    """A 5-step berry loop is too coarse for the connection's second-order
+    derivative: its Hermiticity deviation, about 1.5e-1, raises the flag."""
+    cfg = _write_config(tmp_path, grid=_grid(5))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     flags = json.loads((out / "holonomy.json").read_text())["metadata"]["flags"]
@@ -625,13 +612,12 @@ def test_sweep_keeps_going_past_a_failing_point(tmp_path):
     assert "theta0" in rows[1]["message"]
     assert "," not in rows[1]["message"]
 
-    # omega = 0 has no default grid (one period 2 pi/omega), but runs on a given one
-    for grid, statuses in ((None, ["ok", "error"]), (_grid(301, t1=1.0), ["ok", "ok"])):
-        cfg = _write_config(tmp_path, "rot.json", scenario="synthetic_rotation", params={}, grid=grid)
-        argv = ["sweep", "--config", str(cfg), "--axis", "omega", "--values", "1,0", "--out", str(out)]
-        assert cli.main(argv) == 0
-        _, rows = _read_sweep(out)
-        assert [r["status"] for r in rows] == statuses
+    # a point the scenario's build refuses (berry_closed needs gamma = 0) is one row
+    argv = ["sweep", "--config", str(cfg), "--axis", "gamma", "--values", "0,0.1"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    _, rows = _read_sweep(out)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert "gamma = 0" in rows[1]["message"]
 
     # a tripod at rabi 1e200 passes the rate probe and fails at the check for a
     # non-finite Magnus exponent, before any exponential is formed, as one row
@@ -649,6 +635,20 @@ def test_sweep_argument_errors(tmp_path, capsys):
     assert "empty sweep" in capsys.readouterr().err
     assert cli.main(base + ["--values", "1.0,up"]) == 2
     assert "invalid sweep values" in capsys.readouterr().err
+
+
+def test_sweep_axis_outside_the_scenario_params_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """An axis that no param of the scenario carries ends the sweep in one
+    exit-2 line before any point runs, and writes no sweep.csv."""
+    monkeypatch.setattr(cli, "execute", lambda cfg: pytest.fail("a point ran"))
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(cfg), "--axis", "nope", "--values", "1,2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "'nope'" in err and "theta0" in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_verify_rejects_unknown_suites(capsys):
@@ -766,6 +766,20 @@ def test_only_checks_call_einsum():
     assert calls == []
 
 
+def test_readme_lists_the_case_tags_and_scenarios():
+    """The README's case table has one row per holonomy.CASE_TAGS entry, and
+    its Scenarios sentence names every row of cli.SCENARIOS and nothing
+    else (its other code spans are params or conditions)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.search(r"\| case \| level groups \|.*?\n((?:\|.*\n)+)", readme).group(1)
+    rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(rows) == sorted(holonomy.CASE_TAGS)
+    sentence = re.search(r"^Scenarios: (.*?\.)\s", readme, flags=re.M | re.S).group(1)
+    params = {k for row in cli.SCENARIOS.values() for k in row.defaults}
+    names = [w for w in re.findall(r"`([^`]+)`", sentence) if w.isidentifier()]
+    assert sorted(set(names) - params) == sorted(cli.SCENARIOS)
+
+
 def test_pipeline_series_are_stack_last():
     """Every (n, d, d) series a run produces is a view of a contiguous
     (d, d, n) array, the layout in which matlib.mul's elementwise products
@@ -773,6 +787,8 @@ def test_pipeline_series_are_stack_last():
     for raw in (
         {"scenario": "berry_closed", "grid": _grid(801)},
         {"scenario": "wilczek_zee", "params": {"loop": 1}},
+        # a constant open generator: RK4 powers of one step matrix
+        {"scenario": "two_level_decay", "params": {"gamma": 4e-3}, "grid": _grid(801)},
     ):
         res = cli.execute(ScenarioConfig.from_dict(raw))
         series = {

@@ -96,9 +96,7 @@ def test_eigenframes_abort_when_the_grid_is_too_coarse():
     grid = TimeGrid(0.0, 1.0, 3)
     coarse = [
         # quarter-turn per step: successive eigenvectors nearly orthogonal
-        np.array(
-            [models.synthetic_rotation_invariant(np.pi, 1.0, 2.0, t) for t in grid.times]
-        ),
+        _rotated([1.0, 2.0], (0, 1), [0.0, 0.5 * np.pi, np.pi]),
         # nondegenerate levels with per-step overlap 0.2: only the subspace
         # rule mean(sigma^2) < BLOCK_OVERLAP_MIN catches it
         _rotated([1.0, 2.0], (0, 1), [0.0, np.arccos(0.2), 2.0 * np.arccos(0.2)]),

@@ -2,6 +2,8 @@
 holonomy assembly."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,8 +42,6 @@ def test_case_restrict_masks_follow_the_block_structure():
     assert holonomy.case_groups(blocks, "nt_nd") == [[0], [1], [2]]
     assert holonomy.case_groups(blocks, "t_d") == [[0, 1], [2]]
     assert holonomy.case_groups(blocks, "t_nd") == [[0, 1, 2]]
-    assert holonomy.case_groups(blocks, "general") == [[0, 1, 2]]
-    assert np.array_equal(holonomy.case_restrict(M, blocks, "general"), M)
     assert np.array_equal(holonomy.case_restrict(M, blocks, "t_nd"), M)
     nt = holonomy.case_restrict(M, blocks, "nt_nd")
     assert np.array_equal(nt, np.diag([1.0, 5.0, 9.0]))
@@ -51,8 +51,9 @@ def test_case_restrict_masks_follow_the_block_structure():
     # stacked input restricts every sample
     stack = holonomy.case_restrict(np.stack([M, 2.0 * M]), blocks, "t_d")
     assert np.array_equal(stack[1], 2.0 * expect)
-    with pytest.raises(ValueError, match="case tag"):
-        holonomy.case_restrict(M, blocks, "diag")
+    for tag in ("diag", "general"):
+        with pytest.raises(ValueError, match="case tag"):
+            holonomy.case_restrict(M, blocks, tag)
 
 
 def test_case_tags_are_checked_against_the_spectrum_structure():
@@ -113,7 +114,7 @@ def test_unrestricted_transport_of_a_complete_frame_is_trivial():
     grid = TimeGrid(0.0, 2.0 * np.pi, 4001)
     samples = np.array([models.chi_closed_form(params, t) for t in grid.times])
     fr = frames.eigenframes(dynamics.OperatorTrajectory(grid, samples, "invariant"))
-    res = holonomy.geometric_phase(fr, 4000, "general")
+    res = holonomy.geometric_phase(fr, 4000, "t_nd")
     assert np.max(np.abs(res.O - np.eye(2))) < 1e-5
     assert np.max(np.abs(res.eigenphases)) < 1e-5
 
@@ -198,14 +199,33 @@ def test_parallel_residual_flags_untransported_frames():
     params = _params(gamma=0.0)
     grid = TimeGrid(0.0, 2.0 * np.pi, 2001)
     fr = models.analytic_frames(params, grid)
-    conn = frames.connection(fr)
-    Vpar = holonomy.transporter(conn)
-    assert holonomy.parallel_residual(fr, Vpar) < 1e-4
+    holo = holonomy.geometric_phase(fr, -1, "t_nd")
+    assert holonomy.parallel_residual(fr, holo) < 1e-4
     # the raw frames are not parallel-transported: residual ~ ||A||
-    plain = np.broadcast_to(np.eye(2, dtype=complex), Vpar.shape).copy()
-    assert holonomy.parallel_residual(fr, plain) > 0.1
+    plain = np.broadcast_to(np.eye(2, dtype=complex), holo.transport.shape).copy()
+    assert holonomy.parallel_residual(fr, replace(holo, transport=plain)) > 0.1
     with pytest.raises(ValueError, match="match"):
-        holonomy.parallel_residual(fr, Vpar[:100])
+        holonomy.parallel_residual(fr, replace(holo, transport=holo.transport[:100]))
+
+
+def test_parallel_residual_is_that_of_the_case_transport():
+    """The residual reads the in-group entries of the case's own transport.
+    With one group of all levels (t_nd) that is every entry of the
+    transporter of the full connection, bit for bit; on the tripod's
+    palindrome loop (t_d) the in-group condition holds to discretization."""
+    fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 801))
+    conn = frames.connection(fr)
+    T = matlib.mul(fr.vectors, holonomy.transporter(conn))
+    dT = matlib.series_derivative(T, fr.grid.dt)
+    full = float(np.max(np.abs(matlib.mul(T.conj().swapaxes(1, 2), dT))))
+    holo = holonomy.geometric_phase(fr, -1, "t_nd", conn)
+    assert holonomy.parallel_residual(fr, holo) == full
+
+    res = cli.execute(cli.ScenarioConfig.from_dict({
+        "scenario": "wilczek_zee", "params": {"loop": 2, "rabi": 1.3, "duration": 1500.0},
+        "grid": {"t1": 1500.0, "n_steps": 4001},
+    }))
+    assert res.holo.case_tag == "t_d" and res.residual < 1e-6
 
 
 def test_holonomy_keeps_one_transport_series():
@@ -216,28 +236,58 @@ def test_holonomy_keeps_one_transport_series():
         res = holonomy.geometric_phase(fr, 250, case, conn)
         assert res.transport.shape == (501, 2, 2)
         assert np.array_equal(res.Vpar, res.transport[250])
-    full = holonomy.geometric_phase(fr, -1, "general", conn)
+    full = holonomy.geometric_phase(fr, -1, "t_nd", conn)
     assert np.array_equal(full.transport, holonomy.transporter(conn))
 
 
-@pytest.mark.parametrize("case", ["general", "t_nd"])
-def test_full_connection_runs_form_the_transporter_once(monkeypatch, case):
-    """execute hands the holonomy's series to parallel_residual instead of
-    calling transporter again, and that series is transporter(conn) exactly."""
-    residual, transporter = holonomy.parallel_residual, holonomy.transporter
-    series, calls = [], []
-    monkeypatch.setattr(
-        holonomy, "parallel_residual", lambda fr, V: series.append(V) or residual(fr, V)
-    )
-    monkeypatch.setattr(holonomy, "transporter", lambda c: calls.append(c) or transporter(c))
-    cfg = cli.ScenarioConfig.from_dict({
-        "scenario": "two_level_decay", "params": {"gamma": 0.01}, "case_tag": case,
+def _every_accepted_run():
+    """Every shipped scenario's default config under each case its spectrum
+    accepts."""
+    for scenario in cli.SCENARIOS:
+        blocks = cli.execute(cli.ScenarioConfig(scenario=scenario)).frames.blocks
+        for case in holonomy.CASE_TAGS:
+            try:
+                holonomy.check_case(blocks, case)
+            except ValueError:
+                continue
+            yield cli.ScenarioConfig(scenario=scenario, case_tag=case)
+
+
+def _full_connection_run():
+    yield cli.ScenarioConfig.from_dict({
+        "scenario": "two_level_decay", "params": {"gamma": 0.01}, "case_tag": "t_nd",
         "grid": {"t1": 2.0 * np.pi, "n_steps": 401},
     })
-    res = cli.execute(cfg)
-    assert calls == [] and len(series) == 1
-    assert np.array_equal(series[0], transporter(res.conn))
-    assert np.array_equal(res.holo.Vpar, series[0][-1])
+
+
+@pytest.mark.parametrize("runs", [
+    pytest.param(_every_accepted_run, id="general"),
+    pytest.param(_full_connection_run, id="t_nd"),
+])
+def test_full_connection_runs_form_the_transporter_once(monkeypatch, runs):
+    """execute forms one connection, calls no transporter besides the
+    holonomy's own series, and hands that holonomy to parallel_residual; the
+    full-connection case's series is transporter(conn) exactly.  ``general``
+    covers every shipped scenario's default run and every accepted case."""
+    connection, transporter = frames.connection, holonomy.transporter
+    residual = holonomy.parallel_residual
+    calls, seen = [], []
+    counted = lambda f: lambda *a: calls.append(f.__name__) or f(*a)  # noqa: E731
+    for module in (frames, holonomy):
+        monkeypatch.setattr(module, "connection", counted(connection))
+    monkeypatch.setattr(holonomy, "transporter", counted(transporter))
+    monkeypatch.setattr(
+        holonomy, "parallel_residual", lambda fr, h: seen.append(h) or residual(fr, h)
+    )
+    for cfg in runs():
+        calls.clear()
+        seen.clear()
+        res = cli.execute(cfg)
+        assert calls == ["connection"], (cfg.scenario, cfg.case_tag, calls)
+        assert len(seen) == 1 and seen[0] is res.holo
+        assert np.array_equal(res.holo.Vpar, res.holo.transport[-1])
+        if cfg.case_tag == "t_nd":
+            assert np.array_equal(res.holo.transport, transporter(res.conn))
 
 
 def test_nondegenerate_transport_is_the_cumulative_midpoint_phase():
@@ -296,7 +346,7 @@ def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
         grid, np.tile([0.0, 1.0, 2.0], (n, 1)), [[0], [1], [2]],
         np.stack([np.eye(3, dtype=complex)] * n), "analytic",
     )
-    holo = holonomy.geometric_phase(fr, -1, "general", ConnectionSeries(grid, A))
+    holo = holonomy.geometric_phase(fr, -1, "t_nd", ConnectionSeries(grid, A))
     w = holonomy.nonabelian_witness(holo, n_probe=n)
     comm = max(
         np.max(np.abs(A[i] @ A[j] - A[j] @ A[i])) for i in range(n) for j in range(i + 1, n)

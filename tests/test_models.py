@@ -310,20 +310,3 @@ def test_adiabatic_invariant_samples_the_hamiltonian():
     traj = models.adiabatic_invariant_trajectory(model, grid)
     assert traj.kind == "invariant"
     assert np.allclose(traj.samples[7], model.hamiltonian(grid.times[7]))
-
-
-def test_synthetic_rotation_invariant_solves_the_invariant_equation():
-    omega, lam1, lam2 = 0.8, -0.5, 1.5
-    model = models.synthetic_rotation_model(omega, lam1, lam2)
-    grid = TimeGrid(0.0, 4.0, 801)
-    traj = dynamics.propagate(
-        model, models.synthetic_rotation_invariant(omega, lam1, lam2, 0.0),
-        grid, kind="invariant",
-    )
-    err = max(
-        np.max(np.abs(traj.samples[k] - models.synthetic_rotation_invariant(omega, lam1, lam2, t)))
-        for k, t in enumerate(grid.times)
-    )
-    assert err < 1e-9
-    with pytest.raises(ValueError, match="lam1 < lam2"):
-        models.synthetic_rotation_model(omega, 1.0, 1.0)
