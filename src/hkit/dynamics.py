@@ -41,19 +41,21 @@ grid.refined() times and decides once per run how to step them:
   powers give the flow: one Magnus exponential exp(i G), G = V diag(lam)
   V^dag, whose powers give every sample as one (d^2, d^2) @ (d^2, n)
   product, or one RK4 step matrix P, whose powers P^0 ... P^s and block
-  starts x_(js) are two `ordered_product` calls (s ~ sqrt(n)) and whose
-  samples P^i x_(js) are one `mul`, with no per-step loop;
+  starts x_(js) are two `ordered_product` calls (s ~ sqrt(n), short
+  enough up to 16 385 steps to be stepped one `@` at a time) and whose
+  samples P^i x_(js) are one `mul`, with no loop over the n steps;
 * a time-dependent open generator forms its step matrices a chunk at a
   time, and each chunk's samples are one `ordered_product` of its step
-  matrices from the chunk's first vec(X), so no loop runs per step here
-  either.
+  matrices from the chunk's first vec(X): a pairwise scan of a few
+  levels over a qubit's 1024-step chunk, and stepwise over a 4-level
+  model's 64-step chunk.
 
 Every branch works stack-last (D = d^2), on (n, D, D) views of contiguous
 (D, D, n) arrays, and returns its samples so: the Liouvillian is written
-entry by entry, and every product (Magnus commutators, RK4 stages, the
-moving-basis generator, ordered_product's block totals and replay) is
-matlib's `mul`, an explicit sum over the inner index, with no einsum and
-no stacked matmul.
+entry by entry, and every stacked product (Magnus commutators, RK4
+stages, the moving-basis generator, ordered_product's pair products and
+odd entries) is matlib's `mul`, an explicit sum over the inner index,
+with no einsum and no stacked matmul.
 
 Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
 and both step maps commute with the adjoint, so the anti-Hermitian rounding
@@ -406,9 +408,14 @@ def _rk4_flow(
     Otherwise the step matrices are formed a chunk at a time, at most
     _CHUNK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
     model), and each chunk's samples are the ordered product of its step
-    matrices from the chunk's first sample, which keeps the stepwise order
-    of every product, so the first non-finite sample is the stepwise loop's.
-    Both branches return the samples stack-last.
+    matrices from the chunk's first sample.  `ordered_product` steps a
+    chunk of up to 128 steps (every chunk of a 4-level model) one `@` at a
+    time, in the stepwise order, so there the first non-finite sample is
+    the stepwise loop's; a qubit's 1024-step chunk is formed by pairs,
+    which round differently.  The test_unstable_* tests check that seeded
+    runs of either branch, overflowing at any point of a chunk or block,
+    stop at the stepwise loop's last valid time.  Both branches return
+    the samples stack-last.
     """
     n, d = grid.n_steps, X0.shape[0]
     D = d * d

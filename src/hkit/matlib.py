@@ -21,9 +21,10 @@ ordering, and branch-cut conventions are decided in exactly one place:
   ``B^2 = r^2 1``; larger ones by scaling and squaring a Taylor polynomial,
 * cumulative time-ordered products [X0, F0 X0, F1 F0 X0, ...] come from
   `ordered_product` alone, transporters and open RK4 flows alike:
-  np.cumprod on 1x1 stacks, on larger ones a blocked prefix whose block
-  totals carry X0 to each block start and whose in-block replay keeps the
-  stepwise order,
+  np.cumprod on 1x1 stacks, on larger ones a pairwise scan of O(log n)
+  `mul` calls as wide as its levels, whose last level of at most
+  _STEPWISE_FACTORS factors, and so any stack that short, is stepped in
+  the stepwise order,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -453,58 +454,62 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     return out.reshape(A.shape)
 
 
+# ordered_product steps a stack of at most this many factors one `@` at a
+# time.  With one BLAS thread on a 2-vCPU x86-64 host, one `@` took 1.5-3
+# us and one `mul` 10-20 us on 2x2 and 4x4 stacks up to 64 wide (ten times
+# that on 16x16 stacks), so a pairwise level pays for itself above a few
+# dozen small factors.  128 also forms every product of up to 128 factors
+# in the stepwise order, such as the powers P^0 ... P^s of the constant
+# open RK4 branch (s <= 128 up to 16 385 steps); with a cut-off of 64 that
+# branch drifts past 1e-12 of the stepwise loop at 8001 steps
+_STEPWISE_FACTORS = 128
+
+
 def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
     """Cumulative time-ordered product [X0, F0 X0, F1 F0 X0, ...].
 
     Later factors multiply from the left; for n factors of shape (d, d)
     and a start X0 of shape (d, k), the identity by default, the result
-    has shape (n + 1, d, k), X0 first.
+    has shape (n + 1, d, k), X0 first, and is stack-last: a view of a
+    contiguous (d, k, n + 1) array.
 
     A 1x1 stack is a running product of scalars, np.cumprod.  Larger
-    stacks take a blocked two-level prefix: the factors are cut into
-    s = ceil(sqrt(n)) blocks of s factors, the last one padded with zeros,
-    which reach no kept entry.  s - 1 batched products form every block's
-    total, one sequential pass carries X0 over the totals to each block's
-    start, and s - 1 batched products replay every block from its start,
-    x_(js+i) = F_(js+i-1) x_(js+i-1), so each entry is formed in the
-    stepwise order and the first non-finite entry is the stepwise loop's.
-    Each batched product is one `mul` across the blocks, stack-last, rather
-    than m separate small matrix products; the result is stack-last.
+    stacks take a pairwise scan (Blelloch, CMU-CS-90-190, 1990): one `mul`
+    pairs the factors, P_j = F_(2j+1) F_(2j), the scan of the n // 2
+    pairs gives the even entries x_(2j), and a second `mul` the odd ones,
+    x_(2j+1) = F_(2j) x_(2j).  Pairing repeats while a level holds more
+    than _STEPWISE_FACTORS factors; the last level is stepped one `@` at a
+    time.  So n factors take about 2 log2(n / _STEPWISE_FACTORS) `mul`
+    calls, each as wide as its level, and a stack of at most
+    _STEPWISE_FACTORS factors is formed in the stepwise order.
     """
     F = np.asarray(F)
     n, d = F.shape[0], F.shape[-1]
     X0 = np.eye(d, dtype=complex) if X0 is None else np.asarray(X0, dtype=complex)
     k = X0.shape[-1]
+    out = stack_last((n + 1,) + X0.shape)
+    out[0] = X0
     if d == 1:
-        out = stack_last((n + 1,) + X0.shape)
-        out[0] = X0
         out[1:] = F
         return np.cumprod(out, axis=0, out=out)
-    s = max(1, int(np.ceil(np.sqrt(n))))  # block length
-    m = max(1, -(-n // s))  # block count; n = 0 takes one empty block
-    # steps[i, j] is factor j s + i, each steps[i] stack-last over the blocks
-    steps = np.zeros((s, d, d, m), dtype=complex).transpose(0, 3, 1, 2)
-    by_block = steps.swapaxes(0, 1)
-    by_block[: m - 1] = F[: (m - 1) * s].reshape(m - 1, s, d, d)
-    by_block[m - 1, : n - (m - 1) * s] = F[(m - 1) * s :]
-    totals, spare, tmp = steps[0].copy(order="K"), stack_last((m, d, d)), stack_last((m, d, d))
-    for i in range(1, s):
-        totals, spare = mul(steps[i], totals, spare, tmp), totals
-    # starts[j] is entry j s; row m is the start of the block after the
-    # last, which is entry n when the last block is full
-    starts = np.empty((m + 1, d, k), dtype=complex)
-    starts[0] = X0
-    for j in range(m):
-        np.dot(totals[j], starts[j], out=starts[j + 1])
-    # x[i, j] is entry j s + i, each x[i] stack-last over the blocks
-    x = np.empty((s, d, k, m), dtype=complex).transpose(0, 3, 1, 2)
-    x[0] = starts[:m]
-    for i in range(1, s):
-        mul(steps[i - 1], x[i - 1], x[i], tmp[..., :k])
-    out = stack_last((m * s + 1, d, k))
-    out[:-1].reshape(m, s, d, k)[...] = x.swapaxes(0, 1)
-    out[-1] = starts[m]
-    return out[: n + 1]
+    # levels[l][j] is the product of factors j 2^l ... (j + 1) 2^l - 1, so
+    # the scan of level l is every 2^l-th entry of the result
+    levels = [F]
+    while len(levels[-1]) > _STEPWISE_FACTORS:
+        G = levels[-1]
+        m = len(G) // 2
+        levels.append(mul(G[1 : 2 * m : 2], G[0 : 2 * m : 2]))
+    top = np.empty((len(levels[-1]) + 1, d, k), dtype=complex)
+    top[0] = X0
+    xs = list(top)
+    for f, a, b in zip(np.ascontiguousarray(levels[-1]), xs, xs[1:]):
+        np.dot(f, a, out=b)
+    out[:: 2 ** (len(levels) - 1)] = top
+    for l in range(len(levels) - 2, -1, -1):
+        G, x = levels[l], out[:: 2**l]
+        odd = len(G) - len(G) // 2  # entries x_(2j+1) of this level
+        mul(G[::2], x[: 2 * odd : 2], x[1::2])
+    return out
 
 
 def series_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
