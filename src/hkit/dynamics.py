@@ -81,6 +81,7 @@ from .matlib import (
     herm_defect,
     mul,
     ordered_product,
+    sample_blocks,
     stack_last,
     unitary_exp,
 )
@@ -159,6 +160,9 @@ class TimeGrid:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
+        span = float(self.t1) - float(self.t0)  # a Python float overflows silently
+        if not np.isfinite(span):
+            raise ValueError(f"t1 - t0 must be finite, got {span!r}")
 
     @property
     def dt(self) -> float:
@@ -352,7 +356,7 @@ def _unitary_flow(
     every sample is X_k = sum_ml (V_m Y_ml V_l^dag) e^(i k lam_m)
     e^(-i k lam_l), Y = V^dag X0 V, one (d^2, d^2) @ (d^2, n) product;
     other runs take one stacked `unitary_exp`, which forms no eigensystem,
-    and X = mul(mul(W, X0), W^dag).  The samples are stack-last.  A step
+    and X = mul(mul(W, X0), W^dag), a block at a time (`sample_blocks`).  The samples are stack-last.  A step
     whose phase spread lambda_max(G_k) - lambda_min(G_k) reaches pi, where
     the grid aliases the fastest coherence and the step
     leaves the Magnus convergence region, aborts the run before any
@@ -380,7 +384,10 @@ def _unitary_flow(
         )
     if not constant:
         W = ordered_product(unitary_exp(G))
-        return mul(mul(W, X0), W.conj().swapaxes(1, 2))
+        X = stack_last(W.shape)
+        for b in sample_blocks(len(W), X0.size):
+            mul(mul(W[b], X0), W[b].conj().swapaxes(1, 2), X[b])
+        return X
     # W_k = exp(i k G) = V e^(i k lam) V^dag: powers of the one exponential,
     # whose rounding does not grow with k as a running product's does, so
     # X_k = sum_ml (V_m Y_ml V_l^dag) e^(i k lam_m) e^(-i k lam_l) with
@@ -462,9 +469,10 @@ def _integrate(
     (`_rk4_flow`).  A generator constant over the whole run (H alone when
     closed, else H, G and g) takes one step map.
 
-    The raw samples then pass one tail.  They are Hermitized, which is
-    exact because both step maps commute with the adjoint, so the
-    anti-Hermitian rounding never feeds the Hermitian part.  The first
+    The raw samples then pass one tail, a block of samples at a time
+    (`sample_blocks`).  They are Hermitized, which is exact because both
+    step maps commute with the adjoint, so the anti-Hermitian rounding
+    never feeds the Hermitian part.  The first
     NaN/Inf sample aborts with the last valid time in the message.  If all
     are finite, the first density sample with an entry of modulus above
     1 + DENSITY_ENTRY_TOL aborts the run as diverged: no density matrix has
@@ -483,10 +491,14 @@ def _integrate(
             X = _unitary_flow(H, X0, grid, kind, constant)
         else:
             X = _rk4_flow(H, G, g, X0, grid, kind, constant)
-        X += np.conj(np.swapaxes(X, -1, -2))
-        X *= 0.5
-        bad = ~np.all(np.isfinite(X[1:]), axis=(1, 2))
-        entry = np.max(np.abs(X[1:]), axis=(1, 2)) if kind == "density" else np.zeros(1)
+        bad, entry = [], []
+        for b in sample_blocks(grid.n_steps, X0.size):
+            x = X[b]
+            x += np.conj(np.swapaxes(x, -1, -2))
+            x *= 0.5
+            bad.append(~np.all(np.isfinite(x), axis=(1, 2)))
+            entry.append(np.max(np.abs(x), axis=(1, 2)) if kind == "density" else np.zeros(len(x)))
+        bad, entry = (np.concatenate(v)[1:] for v in (bad, entry))
     if np.any(bad):
         raise _non_finite(kind, grid, int(np.argmax(bad)))
     over = entry > 1.0 + DENSITY_ENTRY_TOL

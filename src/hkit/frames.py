@@ -28,7 +28,9 @@ from .matlib import (
     mul,
     ordered_product,
     polar_svd,
+    sample_blocks,
     series_derivative,
+    stack_last,
     unitary_exp,
 )
 
@@ -67,8 +69,11 @@ class FrameTrajectory:
             raise ValueError("sample count does not match the grid")
         if sorted(i for b in self.blocks for i in b) != list(range(dim)):
             raise ValueError("blocks must partition the level indices")
-        gram = mul(self.vectors.conj().swapaxes(1, 2), self.vectors)
-        worst = float(np.max(np.abs(gram - np.eye(dim))))
+        V = self.vectors
+        worst = float(np.max([
+            np.max(np.abs(mul(V[b].conj().swapaxes(1, 2), V[b]) - np.eye(dim)))
+            for b in sample_blocks(n, dim * dim)
+        ]))
         if worst > ORTHONORMAL_TOL:
             raise ValueError(f"frame columns are not orthonormal (deviation {worst:.3e})")
 
@@ -115,16 +120,16 @@ def _check_continuity(singular_values: list[np.ndarray], times: np.ndarray) -> N
 def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
     """Continuity-gauged eigenframes of a Hermitian operator trajectory.
 
-    All samples are diagonalized (ascending) in one batched call, and each
-    must keep the degeneracy block structure of the first (gap rule at
-    DEG_TOL); a change aborts and reports the crossing time.  The residual
-    gauge freedom is fixed by discrete parallel transport: each block is
-    polar-aligned to its predecessor, V_k = R_k polar(R_k^dag V_{k-1}), which
-    makes V_k^dag V_{k-1} Hermitian positive (real positive for a
-    nondegenerate level).  Because
-    polar(X M) = polar(X) M for unitary M, that chain is one ordered product
-    of the raw neighbour overlaps B_k = R_k^dag R_{k-1} of the diagonalizer's
-    vectors R_k:
+    The samples are diagonalized (ascending) a block at a time
+    (`sample_blocks`, as the gauge is applied), and each must keep the
+    degeneracy block structure of the first (gap rule at DEG_TOL); a change
+    aborts and reports the crossing time.  The residual gauge freedom is
+    fixed by discrete parallel transport: each block is polar-aligned to its
+    predecessor, V_k = R_k polar(R_k^dag V_{k-1}), which makes
+    V_k^dag V_{k-1} Hermitian positive (real positive for a nondegenerate
+    level).  Because polar(X M) = polar(X) M for unitary M, that chain is
+    one ordered product of the raw neighbour overlaps B_k = R_k^dag R_{k-1}
+    of the diagonalizer's vectors R_k:
 
         V_k = R_k M_k,   M_k = polar(B_k) ... polar(B_1),   M_0 = 1.
 
@@ -133,14 +138,18 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
     """
     if I_traj.kind not in ("invariant", "density"):
         raise ValueError("eigenframes expects an operator trajectory (invariant/density)")
-    times = I_traj.grid.times
-    devs = np.max(np.abs(I_traj.samples - I_traj.samples.conj().transpose(0, 2, 1)), axis=(1, 2))
+    times, X = I_traj.grid.times, I_traj.samples
+    n, d = X.shape[0], X.shape[-1]
+    devs = np.concatenate([
+        np.max(np.abs(X[b] - X[b].conj().transpose(0, 2, 1)), axis=(1, 2))
+        for b in sample_blocks(n, d * d)
+    ])
     if np.max(devs) > 1e-10:
         k = int(np.argmax(devs))
         raise ValueError(f"trajectory sample {k} is not Hermitian ({devs[k]:.3e})")
-    eigenvalues, vectors = eigh(
-        0.5 * (I_traj.samples + I_traj.samples.conj().transpose(0, 2, 1))
-    )
+    eigenvalues, vectors = np.empty((n, d)), stack_last(X.shape)
+    for b in sample_blocks(n, d * d):
+        eigenvalues[b], vectors[b] = eigh(0.5 * (X[b] + X[b].conj().transpose(0, 2, 1)))
 
     joins = degeneracy_joins(eigenvalues, DEG_TOL)
     changed = np.any(joins != joins[0], axis=1)
@@ -163,7 +172,9 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
         sigmas.append(sig)
     _check_continuity(sigmas, times)
     for c, M in zip(cols, factors):
-        vectors[:, :, c] = mul(vectors[:, :, c], ordered_product(M))
+        P = ordered_product(M)
+        for b in sample_blocks(n, d * d):
+            vectors[b, :, c] = mul(vectors[b, :, c], P[b])
     return FrameTrajectory(
         grid=I_traj.grid,
         eigenvalues=eigenvalues,
@@ -178,17 +189,19 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
 
     The raw finite-difference matrix fails Hermiticity only at the
     discretization level; the worst deviation is recorded as
-    herm_deviation (a run flags it above CONNECTION_HERM_TOL).
+    herm_deviation (a run flags it above CONNECTION_HERM_TOL).  The frames
+    are taken a block at a time (`sample_blocks`), each with its halo.
     """
-    V = frames.vectors
-    dV = series_derivative(V, frames.grid.dt)
-    A = mul(V.conj().swapaxes(1, 2), dV)
-    A *= 1j
-    Ah = np.conj(np.swapaxes(A, 1, 2))
-    dev = float(np.max(np.abs(A - Ah)))
-    # Hermitized in place, which keeps the stack-last layout of mul's result
-    A = np.multiply(0.5, np.add(A, Ah, out=A), out=A)
-    return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=dev)
+    V, dt = frames.vectors, frames.grid.dt
+    A, devs = stack_last(V.shape), []
+    for ext, own in sample_blocks(frames.n_steps, frames.dim**2, halo=True):
+        x = V[ext]
+        a = mul(x[own].conj().swapaxes(1, 2), series_derivative(x, dt)[own], A[ext][own])
+        a *= 1j
+        ah = np.conj(np.swapaxes(a, 1, 2))
+        devs.append(np.max(np.abs(a - ah)))
+        np.multiply(0.5, np.add(a, ah, out=a), out=a)
+    return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=float(np.max(devs)))
 
 
 def overlap(frames: FrameTrajectory, k) -> np.ndarray:

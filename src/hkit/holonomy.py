@@ -37,6 +37,7 @@ from .matlib import (
     ordered_product,
     polar_svd,
     principal_phase,
+    sample_blocks,
     series_derivative,
     unitary_defect,
     unitary_eigenphases,
@@ -277,14 +278,19 @@ def parallel_residual(frames: FrameTrajectory, holo: HolonomyResult) -> float:
     of i T^dag dT/dt vanish; the returned value is their max-norm over the
     grid (central differences inside, one-sided second-order stencils at
     the ends).  Entries between groups are the transitions the case leaves
-    out, and are not counted.
+    out, and are not counted: T is formed one group's columns at a time, a
+    block of samples at a time (`sample_blocks`, with halos).
     """
-    if holo.transport.shape != frames.vectors.shape:
+    V, Tc = frames.vectors, holo.transport
+    if Tc.shape != V.shape:
         raise ValueError("transport series does not match the frames")
-    T = mul(frames.vectors, holo.transport)
-    dT = series_derivative(T, frames.grid.dt)
-    M = mul(T.conj().swapaxes(1, 2), dT)
-    return float(np.max(np.abs(M[:, block_mask(holo.groups, frames.dim)])))
+    worst = []
+    for ext, own in sample_blocks(frames.n_steps, frames.dim**2, halo=True):
+        for g in holo.groups:
+            T = mul(V[ext], Tc[ext][:, :, g])  # the group's columns of T
+            dT = series_derivative(T, frames.grid.dt)[own]
+            worst.append(np.max(np.abs(mul(T[own].conj().swapaxes(1, 2), dT))))
+    return float(np.max(worst))
 
 
 def _product(F: np.ndarray) -> CMatrix:

@@ -25,6 +25,10 @@ ordering, and branch-cut conventions are decided in exactly one place:
   `mul` calls as wide as its levels, whose last level of at most
   _STEPWISE_FACTORS factors, and so any stack that short, is stepped in
   the stepwise order,
+* per-sample work on a stack, every step that treats each sample alone,
+  takes it a block of samples at a time from `sample_blocks`, as many as
+  hold _BLOCK_ENTRIES complex entries, so that its work arrays stay
+  block-sized and only the series a run keeps are allocated at full length,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -54,6 +58,29 @@ def stack_last(shape: tuple, alloc=np.empty, dtype=complex) -> np.ndarray:
     np.moveaxis(out, (-2, -1), (0, 1)) is contiguous."""
     x = alloc(tuple(shape[-2:]) + tuple(shape[:-2]), dtype=dtype)
     return x.transpose(tuple(range(2, x.ndim)) + (0, 1))
+
+
+# per-sample work takes a stack this many complex entries at a time
+_BLOCK_ENTRIES = 2**14
+
+
+def sample_blocks(n: int, size: int, halo: bool = False):
+    """Consecutive blocks of range(n) in order, each of
+    max(1, _BLOCK_ENTRIES // size) samples of `size` entries, as slices.
+
+    With halo each block comes as a pair (ext, own): ext widens it by one
+    sample on each side where the series goes on, and to three samples at
+    least, and own is the block's place in ext; series_derivative(x[ext])
+    [own] is then series_derivative(x) on the block, bit for bit.
+    """
+    step = max(1, _BLOCK_ENTRIES // size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if not halo:
+            yield slice(lo, hi)
+            continue
+        a = max(0, min(lo - 1, n - 3))
+        yield slice(a, min(n, max(hi + 1, 3))), slice(lo - a, hi - a)
 
 
 def mul(A: np.ndarray, B: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -270,9 +297,6 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
     return np.stack([m - r, m + r], axis=-1), V
 
 
-# unitary_exp evaluates its stack a chunk at a time, as many matrices as
-# hold this many entries, which bounds the work arrays it takes
-_EXP_CHUNK_ENTRIES = 2**14
 # largest 1-norm of a scaled exponent, and the Taylor remainder bound below
 # which the polynomial's degree is chosen
 _EXP_THETA = 0.5
@@ -432,11 +456,11 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     the rounding in the moduli of the eigenvalues, so a chunk squared
     _EXP_POLISH_SQUARINGS times or more takes one Newton step
     T (3 - T^dag T)/2 back to unitarity.  These are worked stack-last, with
-    every product a `mul`.  Either way the
-    stack is taken one chunk of _EXP_CHUNK_ENTRIES entries at a time, and
-    the Hermitian part of each matrix is exponentiated.  Non-finite input
-    aborts before any work; the result is stack-last.  A matrix further
-    than HERM_TOL from its Hermitian part raises ValueError.
+    every product a `mul`.  Either way the stack is taken a block at a time
+    (`sample_blocks`; each block is a chunk above), and the Hermitian part
+    of each matrix is exponentiated.  Non-finite input aborts before any
+    work; the result is stack-last.  A matrix further than HERM_TOL from its
+    Hermitian part raises ValueError.
     """
     A = np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(A)):
@@ -445,10 +469,9 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     flat = A.reshape(-1, d, d)
     out = stack_last(flat.shape)
     exp_chunk = _closed_exp if d <= 2 else _taylor_exp
-    chunk = max(1, _EXP_CHUNK_ENTRIES // (d * d))
     dev = 0.0  # herm_defect(A), gathered chunk by chunk
-    for lo in range(0, len(flat), chunk):
-        dev = max(dev, exp_chunk(flat[lo : lo + chunk], s, out[lo : lo + chunk]))
+    for blk in sample_blocks(len(flat), d * d):
+        dev = max(dev, exp_chunk(flat[blk], s, out[blk]))
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
     return out.reshape(A.shape)
@@ -522,7 +545,8 @@ def series_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
     if samples.shape[0] < 3:
         raise ValueError("need at least 3 samples for a second-order derivative")
     out = np.empty_like(samples)
-    out[1:-1] = (samples[2:] - samples[:-2]) / (2.0 * dt)
+    np.subtract(samples[2:], samples[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
     out[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2.0 * dt)
     out[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2.0 * dt)
     return out

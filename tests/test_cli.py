@@ -106,6 +106,7 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
         ({"outputs": ["report", 3]}, "invalid outputs"),
         ({"grid": {"t1": "inf", "n_steps": 30}}, "t1 must be finite"),
         ({"grid": {"t0": "nan", "t1": 6.28, "n_steps": 30}}, "t0 must be finite"),
+        ({"grid": {"t0": -1e308, "t1": 1e308, "n_steps": 10}}, "t1 - t0 must be finite, got inf"),
         ({"scenario": "two_level_decay", "params": {"gamma": "inf"}}, "gamma must be finite"),
         ({"params": {"theta0": "nan"}}, "theta0 must be finite"),
         ({"scenario": "wilczek_zee", "params": {"tempo": 1}}, "unknown params for wilczek_zee"),
@@ -804,10 +805,11 @@ def test_pipeline_series_are_stack_last():
 
 def test_lapack_eigensolver_call_budget(monkeypatch):
     """LAPACK's eigh runs only where an eigensystem is the result: a tripod
-    run calls it twice (the start density's positivity check and
-    eigenframes), a two-level run never (2x2 eigensystems are closed-form).
+    run diagonalizes the start density (its positivity check) and each of
+    its 2001 invariant samples once (eigenframes, a block of samples per
+    call), a two-level run nothing (2x2 eigensystems are closed-form).
     Every exponential, the Magnus steps and the transport factors alike,
-    is eigensystem-free."""
+    is eigensystem-free.  The budget counts matrices, not calls."""
     calls = []
     lapack_eigh = np.linalg.eigh
 
@@ -817,7 +819,7 @@ def test_lapack_eigensolver_call_budget(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     budget = [
-        ({"scenario": "wilczek_zee", "params": {"loop": 1}}, 2),
+        ({"scenario": "wilczek_zee", "params": {"loop": 1}}, 1 + 2001),
         ({"scenario": "berry_closed", "grid": _grid(801)}, 0),
         ({"scenario": "two_level_decay", "params": {"gamma": 1e-3}, "grid": _grid(801)}, 0),
         ({"scenario": "two_level_decay", "frame_source": "analytic", "grid": _grid(801)}, 0),
@@ -825,7 +827,7 @@ def test_lapack_eigensolver_call_budget(monkeypatch):
     for raw, expected in budget:
         calls.clear()
         cli.execute(ScenarioConfig.from_dict(raw))
-        assert len(calls) == expected, (raw, calls)
+        assert sum(int(np.prod(shape[:-2])) for shape in calls) == expected, (raw, calls)
 
 
 def test_two_level_exponentials_take_the_closed_form(monkeypatch):

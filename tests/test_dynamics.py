@@ -2,6 +2,8 @@
 equation in a moving basis."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -42,6 +44,11 @@ def test_time_grid_rejects_degenerate_input():
         TimeGrid(0.0, np.inf, 10)
     with pytest.raises(ValueError, match="t0 must be finite"):
         TimeGrid(np.nan, 1.0, 10)
+    for t0, t1 in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t1 - t0 must be finite, got inf"):
+                TimeGrid(t0, t1, 10)
 
 
 def test_model_validation():
@@ -331,10 +338,12 @@ def test_rk4_matrices_match_the_per_step_stages(d):
 
 
 def test_time_dependent_open_flow_calls_no_einsum_or_matmul(monkeypatch):
-    """The coefficient equation's step matrices, block totals and replay are
-    explicit sums over stack-last arrays: one 8001-step
-    propagate_coefficients on the decay qubit calls neither np.einsum nor
-    np.matmul (the stacked forms called them 32 and 245 times)."""
+    """The coefficient equation's step matrices and the pairwise scan of
+    each chunk's ordered product are explicit sums over stack-last arrays
+    (`mul`), and the scan's stepwise level takes np.dot one factor at a
+    time: one 8001-step propagate_coefficients on the decay qubit calls
+    neither np.einsum nor np.matmul (stacked einsum and matmul forms called
+    them 32 and 245 times)."""
     params = _decay(gamma=4e-3, theta0=1.1)
     model = models.two_level_model(params)
     grid = TimeGrid(0.0, 2.0 * np.pi, 8001)
@@ -529,11 +538,14 @@ def test_closed_flow_aborts_on_a_non_finite_generator_with_last_valid_time():
 @pytest.mark.parametrize("which", ["H", "G", "g"])
 def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
     """Each input in turn is constant for the first 1500 steps and changes
-    afterwards, inside a block of the second chunk: only the constant steps
-    may share the first sample's step matrix."""
+    afterwards, inside the second chunk and inside one of the products of
+    chunk / _STEPWISE_FACTORS steps that the chunk's pairwise scan steps
+    through at its last level: only the constant steps may share the first
+    sample's step matrix."""
     grid = TimeGrid(0.0, 4.0, 2501)
     chunk = dynamics._CHUNK_ENTRIES // 4**2
-    assert chunk < 1500 < 2 * chunk and (1500 - chunk) % int(np.ceil(np.sqrt(chunk))) != 0
+    top = chunk // matlib._STEPWISE_FACTORS  # steps per factor of the stepwise level
+    assert chunk < 1500 < 2 * chunk and top > 1 and (1500 - chunk) % top != 0
     model = _switched_model(grid.times[1500], which)
     rho0 = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
     I0 = np.array([[0.5, 0.1j], [-0.1j, -0.5]])
@@ -614,30 +626,43 @@ def _random_starts(rng, d):
     return (("density", rho0), ("invariant", 0.5 * (M + M.conj().T)))
 
 
+_C = matlib._STEPWISE_FACTORS  # 128: longest chunk the scan steps one `@` at a time
+
+
 @pytest.mark.parametrize(
     "d, steps",
     [
-        # 1024-step chunks of a qubit
-        (2, 1000),  # one partial chunk, its last block partial
-        (2, 1024),  # one full chunk of 32 full blocks
+        # 1024-step chunks of a qubit; the scan pairs a level of factors
+        # while it holds more than C, then steps the last level
+        (2, 1000),  # one partial chunk: levels of 1000, 500, 250, 125 factors
+        (2, 1024),  # one full chunk: levels of 1024, 512, 256, 128 factors
         (2, 1025),  # then a chunk of one step
-        (2, 1049),  # then a chunk of 25 steps: 5 full blocks
-        (2, 1052),  # 28 steps: blocks of 6, the last one partial
-        (2, 1055),  # 31 steps: blocks of 6, the last one step long
-        # 64-step chunks of a 4-level model
+        (2, 1049),  # then a stepwise chunk of 25 steps
+        (2, 1052),  # of 28 steps
+        (2, 1055),  # of 31 steps
+        (2, _C - 1),  # one stepwise chunk
+        (2, _C),  # the longest stepwise chunk
+        (2, _C + 1),  # one pairing level: 64 pairs, an odd last factor, 64 stepped
+        # 64-step chunks of a 4-level model, each stepwise
         (4, 64),
         (4, 65),
-        (4, 137),  # two full chunks, then 9 steps: 3 full blocks
-        (4, 136),  # 8 steps: blocks of 3, the last one partial
-        (4, 135),  # 7 steps: blocks of 3, the last one step long
+        (4, 137),  # two full chunks, then 9 steps
+        (4, 136),  # 8 steps
+        (4, 135),  # 7 steps
+        (4, _C - 1),  # a full chunk, then 63 steps
+        (4, _C),  # two full chunks
+        (4, _C + 1),  # two full chunks, then one step
     ],
 )
 def test_time_dependent_open_flow_matches_the_stepwise_reference(d, steps):
     """A time-dependent open generator is stepped a chunk at a time, each
-    chunk in blocks of ceil(sqrt(c)) steps: grids whose last chunk, and its
-    last block, is full, partial or one step long all give the stepwise
-    samples."""
+    chunk one ordered product from the chunk's first sample: a pairwise
+    scan whose last level, of at most C = _STEPWISE_FACTORS factors, is
+    stepped one `@` at a time.  Grids whose last chunk is full, partial or
+    one step long, and chunks at the scan's level boundaries C - 1, C and
+    C + 1, all give the stepwise samples."""
     assert dynamics._CHUNK_ENTRIES // d**4 == {2: 1024, 4: 64}[d]
+    assert _C == 128
     rng = np.random.default_rng(100 * d + steps)
     model = _random_varying_model(rng, d)
     grid = TimeGrid(0.0, 1.0, steps + 1)
@@ -668,6 +693,50 @@ def test_unstable_time_dependent_open_flow_fails_like_the_stepwise_loop():
                     dynamics.propagate(model, X0, grid, kind)
                 assert str(got.value) == str(ref)
     assert failing >= 12
+
+
+@pytest.mark.parametrize(
+    "rate, kind", [(-0.5, "density"), (-500.0, "density"), (500.0, "invariant")]
+)
+def test_blocked_tail_reports_the_whole_array_first_bad_sample(rate, kind):
+    """A negative decay rate makes a density grow: past the entry bound
+    (-0.5), or first past it and then to overflow (-500), where the
+    non-finite sample takes precedence; a fast decay makes an invariant
+    overflow (500).  The first bad sample lies in the second block of the
+    tail, which Hermitizes and checks a block at a time: the run reports
+    the sample that the whole-array tail reports."""
+    model = LindbladModel(
+        dim=2,
+        hamiltonian=lambda t: np.diag([0.5, -0.5]).astype(complex),
+        jump_ops=[lambda t: models.SIGMA_MINUS],
+        couplings=lambda t: np.array([[rate]]),
+    )
+    block = matlib._BLOCK_ENTRIES // 4
+    grid = TimeGrid(0.0, 1.0, 2 * block + 1)
+    X0 = {"density": np.diag([0.5, 0.5]), "invariant": np.array([[0.5, 0.2], [0.2, -0.5]])}[kind]
+    with np.errstate(all="ignore"):  # the whole-array tail on the raw samples
+        X = dynamics._rk4_flow(
+            *model.operators(grid.refined().times), X0.astype(complex), grid, kind, True
+        )
+        X = 0.5 * (X + X.conj().swapaxes(1, 2))
+        bad = ~np.all(np.isfinite(X[1:]), axis=(1, 2))
+        entry = np.max(np.abs(X[1:]), axis=(1, 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        expected = (
+            f"{kind} propagation produced non-finite values; "
+            f"last valid time t={grid.times[k]:.6g}"
+        )
+    else:
+        k = int(np.argmax(entry > 1.0 + dynamics.DENSITY_ENTRY_TOL))
+        expected = (
+            f"density propagation diverged: entry modulus {entry[k]:.4g} > 1 "
+            f"at t={grid.times[k + 1]:.6g}"
+        )
+    assert k + 1 > block and (rate != -500.0 or np.any(entry[:block] > 1.0))
+    with pytest.raises(NumericalError) as got:
+        dynamics.propagate(model, X0, grid, kind)
+    assert str(got.value) == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,8 @@
 holonomy assembly."""
 from __future__ import annotations
 
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +228,99 @@ def test_parallel_residual_is_that_of_the_case_transport():
         "grid": {"t1": 1500.0, "n_steps": 4001},
     }))
     assert res.holo.case_tag == "t_d" and res.residual < 1e-6
+
+
+def _rotating_invariant(d, n):
+    """OperatorTrajectory of I(t) = U(t) diag(spectrum) U(t)^dag on n samples of
+    [0, 1], U(t) = exp(i t K) for a seeded Hermitian K: nondegenerate for
+    d = 2, with a degenerate middle pair for d = 4."""
+    rng = np.random.default_rng(d)
+    K = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    K = K + K.conj().T
+    grid = TimeGrid(0.0, 1.0, n)
+    U = unitary_exp(grid.times[:, None, None] * K)
+    spectrum = {2: [-1.0, 1.0], 4: [-1.0, 0.0, 0.0, 1.0]}[d]
+    return dynamics.OperatorTrajectory(grid, (U * spectrum) @ U.conj().swapaxes(1, 2), "invariant")
+
+
+def _whole_array_eigenframes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigenframes' Hermitization, eigensystems and continuity gauge, each on
+    the whole stack at once."""
+    lam, R = matlib.eigh(0.5 * (X + X.conj().transpose(0, 2, 1)))
+    V = R.copy()
+    for b in matlib.degeneracy_blocks(lam[0], frames.DEG_TOL):
+        c = slice(b[0], b[-1] + 1)
+        M, _ = matlib.polar_svd(matlib.mul(R[1:, :, c].conj().swapaxes(1, 2), R[:-1, :, c]))
+        V[:, :, c] = matlib.mul(R[:, :, c], matlib.ordered_product(M))
+    return lam, V
+
+
+_B = {d: matlib._BLOCK_ENTRIES // d**2 for d in (2, 4)}  # samples per block
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("blocks", ["B-1", "B", "B+1", "2B+1"])
+def test_blocked_stages_match_whole_array_forms_bit_for_bit(d, blocks):
+    """eigenframes, connection and parallel_residual take their stacks a
+    block of samples at a time, the derivatives with one-sample halos; on
+    grids just below, at and just above one block, and one sample into a
+    third, they equal their whole-array forms exactly."""
+    n = {"B-1": _B[d] - 1, "B": _B[d], "B+1": _B[d] + 1, "2B+1": 2 * _B[d] + 1}[blocks]
+    traj = _rotating_invariant(d, n)
+    fr = frames.eigenframes(traj)
+    lam, V = _whole_array_eigenframes(traj.samples)
+    assert np.array_equal(fr.eigenvalues, lam) and np.array_equal(fr.vectors, V)
+
+    conn = frames.connection(fr)
+    A = 1j * matlib.mul(V.conj().swapaxes(1, 2), matlib.series_derivative(V, fr.grid.dt))
+    Ah = A.conj().swapaxes(1, 2)
+    assert np.array_equal(conn.samples, 0.5 * (A + Ah))
+    assert conn.herm_deviation == float(np.max(np.abs(A - Ah)))
+
+    holo = holonomy.geometric_phase(fr, -1, {2: "nt_nd", 4: "t_d"}[d], conn)
+    T = matlib.mul(V, holo.transport)
+    M = matlib.mul(T.conj().swapaxes(1, 2), matlib.series_derivative(T, fr.grid.dt))
+    residual = float(np.max(np.abs(M[:, matlib.block_mask(holo.groups, d)])))
+    assert holonomy.parallel_residual(fr, holo) == residual
+
+
+def test_gram_check_reports_the_whole_array_deviation():
+    """FrameTrajectory's orthonormality check, taken a block at a time,
+    reports the largest deviation of the whole stack: here in the second
+    block, larger than one in the first."""
+    fr = frames.eigenframes(_rotating_invariant(2, 2 * _B[2] + 1))
+    V = fr.vectors.copy()
+    V[3, 0, 1] += 1e-7
+    V[_B[2] + 5, 1, 0] += 2e-6
+    worst = float(np.max(np.abs(matlib.mul(V.conj().swapaxes(1, 2), V) - np.eye(2))))
+    message = f"frame columns are not orthonormal (deviation {worst:.3e})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FrameTrajectory(fr.grid, fr.eigenvalues, fr.blocks, V, "continuity")
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations above those held at
+    the call, in bytes."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_per_sample_stages_take_block_sized_transients():
+    """On 20 001 two-level samples the residual allocates less than one
+    (n, 2, 2) complex series beyond its inputs, and the connection less
+    than one beyond its result: their work arrays are block-sized."""
+    fr = frames.eigenframes(_rotating_invariant(2, 20001))
+    series = fr.vectors.nbytes
+    conn, peak = _traced_peak(frames.connection, fr)
+    assert peak - conn.samples.nbytes < series, peak
+    holo = holonomy.geometric_phase(fr, -1, "nt_nd", conn)
+    _, peak = _traced_peak(holonomy.parallel_residual, fr, holo)
+    assert peak < series, peak
 
 
 def test_holonomy_keeps_one_transport_series():
