@@ -274,8 +274,9 @@ def write_report(path: Path, res: RunResult) -> None:
         f"parallel transport residual: {res.residual:.3e}",
         f"invariant expectation drift: {res.expectation_drift:.3e}",
     ]
-    gamma = cfg.params.get("gamma", 0.0)
-    if cfg.scenario in ("two_level_decay", "berry_closed") and gamma == 0.0:
+    # nt_nd is the only case whose transport is diagonal, and it runs only
+    # on the two-level scenarios (the tripod's spectrum is degenerate)
+    if res.holo.case_tag == "nt_nd" and cfg.params.get("gamma", 0.0) == 0.0:
         lines.append(
             "note: gamma = 0 closed dynamics -- transport is Abelian "
             "(diagonal connection, path ordering immaterial)"

@@ -265,8 +265,8 @@ def execute(cfg: ScenarioConfig) -> RunResult:
         raise ConfigError(str(exc)) from exc
 
     conn = frames.connection(frame_traj)
-    holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case, conn)
-    witness = holonomy.nonabelian_witness(holo)
+    holo = holonomy.geometric_phase(frame_traj, grid.n_steps - 1, case)
+    witness = holonomy.nonabelian_witness(holo, conn)
     residual = holonomy.parallel_residual(frame_traj, holo)
     expectation = dynamics.invariant_expectation(I_traj, rho_traj)
     flags = []

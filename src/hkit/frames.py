@@ -9,8 +9,13 @@ together with a fixed degeneracy block structure.  Two gauges appear:
   gauge freedom fixed by polar-aligning each eigenblock to its predecessor
   (a phase fix on a nondegenerate level), i.e. discrete parallel transport.
 
-The connection series A(t) = i V^dag dV/dt is the central object consumed
-by the holonomy layer.
+Both gauges share one discrete transport kernel, `neighbour_transport`: per
+level group, the unitary polar factors Q_k of the neighbour overlaps
+V_{k+1}^dag V_k.  `eigenframes` fixes its continuity gauge with the
+factors of the degeneracy blocks, and the holonomy layer transports each
+case's level groups by their ordered product.  The connection series
+A(t) = i V^dag dV/dt is a diagnostic: a run reads its Hermiticity and the
+non-Abelian witness reads its commutators, but no phase is formed from it.
 """
 from __future__ import annotations
 
@@ -117,6 +122,33 @@ def _check_continuity(singular_values: list[np.ndarray], times: np.ndarray) -> N
         )
 
 
+def neighbour_transport(
+    vectors: np.ndarray, groups: list[list[int]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Discrete parallel transport between neighbouring samples, per level group.
+
+    For each group g, the unitary polar factors Q_k of the neighbour
+    overlaps B_k = V_{k+1}[:, g]^dag V_k[:, g], k = 0 .. n - 2, and their
+    singular values (descending), as `matlib.polar_svd` returns them.
+    Q_k carries the group's columns from sample k to k + 1 so that
+    (V_{k+1} Q_k)^dag V_k is Hermitian positive: the discrete form of the
+    parallel-transport condition (V Vpar)^dag d(V Vpar)/dt = 0 within the
+    group, with Vpar = Q_{k-1} ... Q_0 (Pancharatnam's phase for one
+    level; Samuel and Bhandari, PRL 60, 2339 (1988); Mukunda and Simon,
+    Ann. Phys. 228, 205 (1993)).  A gauge V_k -> V_k M_k within the group
+    maps Q_k to M_{k+1}^dag Q_k M_k, so the ordered product is covariant
+    and the holonomy it closes is gauge-invariant by construction.  The
+    singular values measure how far a step turns the group's subspace.
+    A contiguous run of levels, as every degeneracy block and case group
+    is, is taken as a view of the columns, other groups as a copy.
+    """
+    out = []
+    for g in groups:
+        c = slice(g[0], g[-1] + 1) if list(g) == list(range(g[0], g[-1] + 1)) else list(g)
+        out.append(polar_svd(mul(vectors[1:, :, c].conj().swapaxes(1, 2), vectors[:-1, :, c])))
+    return out
+
+
 def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
     """Continuity-gauged eigenframes of a Hermitian operator trajectory.
 
@@ -128,10 +160,10 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
     predecessor, V_k = R_k polar(R_k^dag V_{k-1}), which makes
     V_k^dag V_{k-1} Hermitian positive (real positive for a nondegenerate
     level).  Because polar(X M) = polar(X) M for unitary M, that chain is
-    one ordered product of the raw neighbour overlaps B_k = R_k^dag R_{k-1}
-    of the diagonalizer's vectors R_k:
+    the ordered product of `neighbour_transport`'s factors of the
+    diagonalizer's vectors R_k, taken over the degeneracy blocks:
 
-        V_k = R_k M_k,   M_k = polar(B_k) ... polar(B_1),   M_0 = 1.
+        V_k = R_k M_k,   M_k = Q_{k-1} ... Q_0,   M_0 = 1.
 
     Continuity is lost, and reported with the failing time, where a block's
     B_k has mean(sigma^2) or sigma_min below BLOCK_OVERLAP_MIN.
@@ -162,17 +194,12 @@ def eigenframes(I_traj: OperatorTrajectory) -> FrameTrajectory:
             f"{[len(b) for b in degeneracy_blocks(eigenvalues[k], DEG_TOL)]}"
         )
 
-    # vectors holds the raw R_k until each block is replaced by R_k M_k
-    cols = [slice(b[0], b[-1] + 1) for b in blocks]  # blocks are contiguous runs
-    # one polar split per block yields both the factors and the continuity measures
-    factors, sigmas = [], []
-    for c in cols:
-        M, sig = polar_svd(mul(vectors[1:, :, c].conj().swapaxes(1, 2), vectors[:-1, :, c]))
-        factors.append(M)
-        sigmas.append(sig)
-    _check_continuity(sigmas, times)
-    for c, M in zip(cols, factors):
-        P = ordered_product(M)
+    # vectors holds the raw R_k until each block is replaced by R_k M_k; one
+    # polar split per block yields both the factors and the continuity measures
+    links = neighbour_transport(vectors, blocks)
+    _check_continuity([sig for _, sig in links], times)
+    for g, (Q, _) in zip(blocks, links):
+        c, P = slice(g[0], g[-1] + 1), ordered_product(Q)  # blocks are contiguous runs
         for b in sample_blocks(n, d * d):
             vectors[b, :, c] = mul(vectors[b, :, c], P[b])
     return FrameTrajectory(

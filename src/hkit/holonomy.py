@@ -2,13 +2,17 @@
 
 The pipeline splits the frame overlap W(t, 0) = V(0)^dag V(t) into a
 dynamical-distortion factor and a transport factor, and combines the
-unitary part with the time-ordered transporter
+unitary part with the discrete parallel transport
 
-    Vpar(t) = Texp( i int_0^t A )        (latest factor leftmost)
+    Vpar(t_k) = Q_{k-1} ... Q_1 Q_0      (latest factor leftmost),
 
-into the phase-carrying matrix O(t, 0) = U(t, 0) @ Vpar(t).  A scenario's
-case is the partition of the levels into the groups whose basis states
-may mix (``case_groups``):
+Q_j the unitary polar factor of the neighbour overlap V_{j+1}^dag V_j
+(`frames.neighbour_transport`), into the phase-carrying matrix
+O(t, 0) = U(t, 0) @ Vpar(t).  Vpar is the time-ordered exponential
+Texp(i int A) of the connection A = i V^dag dV/dt up to discretization
+error, but is formed from the frames alone, so O is gauge-invariant by
+construction.  A scenario's case is the partition of the levels into the
+groups whose basis states may mix (``case_groups``):
 
 * ``nt_nd``  - no transitions, nondegenerate: each level alone (the
                Abelian phase),
@@ -16,9 +20,11 @@ may mix (``case_groups``):
                (Wilczek-Zee),
 * ``t_nd``   - transitions, nondegenerate: all levels as one group.
 
-The connection and the overlap keep only entries within a group, and the
-overlap is polar-split group by group, so every case is the holonomy of
-its own reduced transport problem.
+The neighbour overlaps and the end overlap keep only entries within a
+group, and each is polar-split group by group, so every case is the
+holonomy of its own reduced transport problem.  The connection stays a
+diagnostic (`nonabelian_witness`, `noncyclic_abelian_gp`) and the
+generator of `transporter`, off the phase path.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel
-from .frames import ConnectionSeries, FrameTrajectory, connection, overlap
+from .frames import ConnectionSeries, FrameTrajectory, connection, neighbour_transport, overlap
 from .matlib import (
     CMatrix,
     NumericalError,
@@ -39,6 +45,7 @@ from .matlib import (
     principal_phase,
     sample_blocks,
     series_derivative,
+    stack_last,
     unitary_defect,
     unitary_eigenphases,
     unitary_exp,
@@ -52,13 +59,12 @@ OVERLAP_MODULUS_MIN = 1e-12
 class HolonomyResult:
     """Phase data of one transport problem at a fixed final time.
 
-    ``connection`` holds the case-restricted connection samples,
-    ``factors`` its interval factors exp(i dt (A_k + A_{k+1})/2) and
-    ``transport`` their ordered product series over the whole grid,
-    identity first; ``Vpar`` is its entry k.  Both are block diagonal over
-    the case's level ``groups``, with exact zeros between groups.  The
-    non-Abelian witness reads these, and for a case with one group of all
-    levels the series is the transporter of the unrestricted connection.
+    ``factors`` holds the discrete transport factors Q_k of each level
+    group (`frames.neighbour_transport`) and ``transport`` their ordered
+    product series over the whole grid, identity first; ``Vpar`` is its
+    entry k.  Both are block diagonal over the case's level ``groups``,
+    with exact zeros between groups.  The witness's reversal gap reads the
+    factors and the parallel-transport residual the series.
     """
 
     O: CMatrix
@@ -68,7 +74,6 @@ class HolonomyResult:
     trace_O: complex
     eigenphases: np.ndarray
     case_tag: str
-    connection: np.ndarray  # (n_steps, dim, dim)
     factors: np.ndarray  # (n_steps - 1, dim, dim)
     transport: np.ndarray  # (n_steps, dim, dim)
     groups: list[list[int]]
@@ -110,20 +115,16 @@ def check_case(blocks: list[list[int]], case_tag: str) -> None:
         raise ValueError("case 'nt_nd' requires a fully nondegenerate spectrum")
 
 
-def interval_factors(A: np.ndarray, dt: float) -> np.ndarray:
-    """Midpoint-rule transport factors exp(i dt (A_k + A_{k+1})/2), one per
-    interval; a non-finite connection sample aborts with NumericalError."""
-    return unitary_exp(0.5 * (A[:-1] + A[1:]), dt)
-
-
 def transporter(A_series: ConnectionSeries) -> np.ndarray:
-    """Cumulative time-ordered exponential of the connection.
+    """Cumulative time-ordered exponential of a sampled Hermitian generator.
 
-    The ordered product of the interval factors, later factors on the left;
-    the result is unitary to rounding by construction.  Returns
-    the full series, identity first.
+    The ordered product of the midpoint-rule interval factors
+    exp(i dt (A_k + A_{k+1})/2), later factors on the left; the result is
+    unitary to rounding by construction, and a non-finite sample aborts
+    with NumericalError.  Returns the full series, identity first.
     """
-    return ordered_product(interval_factors(A_series.samples, A_series.grid.dt))
+    A = A_series.samples
+    return ordered_product(unitary_exp(0.5 * (A[:-1] + A[1:]), A_series.grid.dt))
 
 
 def diagonalizing_frame(
@@ -171,13 +172,20 @@ def diagonalizing_frame(
     return np.exp(1j * omega)[:, :, None] * Rt[::2], omega
 
 
+def _require_phase(smallest: float) -> None:
+    """A group overlap with a singular value below OVERLAP_MODULUS_MIN has
+    no defined polar factor, hence no phase; for a single level that is the
+    overlap's modulus."""
+    if smallest < OVERLAP_MODULUS_MIN:
+        raise NumericalError(f"overlap singular value {smallest:.3e}: phase undefined")
+
+
 def _restricted_polar(W: CMatrix, groups: list[list[int]]) -> tuple[CMatrix, CMatrix]:
     """Polar split W ~ R U, one independent decomposition per level group.
 
     This keeps the split from coupling levels the case forbids (a full SVD
-    could mix groups with close singular values).  A group whose overlap has
-    a singular value below OVERLAP_MODULUS_MIN has no defined phase and
-    aborts; for a single level that is the overlap's modulus.
+    could mix groups with close singular values).  A singular group
+    overlap aborts (`_require_phase`).
     """
     U = np.zeros_like(W)
     R = np.zeros_like(W)
@@ -187,45 +195,37 @@ def _restricted_polar(W: CMatrix, groups: list[list[int]]) -> tuple[CMatrix, CMa
         U[idx], sig = polar_svd(W[idx])
         R[idx] = W[idx] @ U[idx].conj().T
         smallest = min(smallest, sig[-1])
-    if smallest < OVERLAP_MODULUS_MIN:
-        raise NumericalError(f"overlap singular value {smallest:.3e}: phase undefined")
+    _require_phase(smallest)
     return U, 0.5 * (R + R.conj().T)
 
 
-def geometric_phase(
-    frames: FrameTrajectory,
-    k: int,
-    case_tag: str,
-    conn: ConnectionSeries | None = None,
-) -> HolonomyResult:
+def geometric_phase(frames: FrameTrajectory, k: int, case_tag: str) -> HolonomyResult:
     """Holonomy data O(t_k, 0) = U(t_k, 0) @ Vpar(t_k) for one case.
 
-    The connection (``conn``, or computed from the frames when omitted) is
-    case-restricted before building the transporter and the overlap is
-    case-restricted before its polar split, so U and Vpar belong to the
-    same reduced problem and O is unitary.  The interval factors and their
-    ordered product are formed one level group at a time, on the group's
-    own slice of the connection (a 1x1 phase for a single level), and
-    assembled block-diagonally.
+    Vpar is the discrete parallel transport of the case's level groups:
+    per group, the ordered product of `frames.neighbour_transport`'s
+    factors (a running product of Pancharatnam phases for a single level),
+    assembled block-diagonally.  The end overlap is case-restricted before
+    its polar split, so U and Vpar belong to the same reduced problem and
+    O is unitary.  No connection, derivative or exponential is formed.  A
+    neighbour or end overlap of a group with a singular value below
+    OVERLAP_MODULUS_MIN aborts with NumericalError: its polar factor, and
+    so the phase, is undefined.  With one group of all levels (t_nd) on a
+    complete frame, each factor is the whole overlap, the product
+    telescopes to W(t_k, 0)^dag and O = 1 to rounding.
     """
     check_case(frames.blocks, case_tag)
-    n = frames.n_steps
-    if not -n <= k < n:
-        raise ValueError(f"grid index {k} out of range for {n} samples")
-    k = k % n
-
-    if conn is None:
-        conn = connection(frames)
+    W = case_restrict(overlap(frames, k), frames.blocks, case_tag)  # checks k's range
     groups = case_groups(frames.blocks, case_tag)
-    A_r = case_restrict(conn.samples, frames.blocks, case_tag)
-    factors, transport = np.zeros_like(A_r[1:]), np.zeros_like(A_r)
-    for g in groups:
+    n, d = frames.n_steps, frames.dim
+    factors = stack_last((n - 1, d, d), alloc=np.zeros)
+    transport = stack_last((n, d, d), alloc=np.zeros)
+    for g, (Q, sig) in zip(groups, neighbour_transport(frames.vectors, groups)):
+        _require_phase(np.min(sig[:, -1]))
         idx = _group_index(g)
-        F = interval_factors(A_r[idx], conn.grid.dt)
-        factors[idx] = F
-        transport[idx] = ordered_product(F)
+        factors[idx] = Q
+        transport[idx] = ordered_product(Q)
     Vpar = transport[k]
-    W = case_restrict(overlap(frames, k), frames.blocks, case_tag)
     U, R = _restricted_polar(W, groups)
     O = U @ Vpar
     return HolonomyResult(
@@ -236,7 +236,6 @@ def geometric_phase(
         trace_O=complex(np.trace(O)),
         eigenphases=unitary_eigenphases(O),
         case_tag=case_tag,
-        connection=A_r,
         factors=factors,
         transport=transport,
         groups=groups,
@@ -253,13 +252,10 @@ def noncyclic_abelian_gp(
     wrapped to (-pi, pi].  For a cyclic trajectory the overlap phase drops
     out and the pure holonomy integral remains.
     """
-    n = frames.n_steps
     if not 0 <= level < frames.dim:
         raise ValueError(f"level {level} out of range")
-    if not -n <= k < n:
-        raise ValueError(f"grid index {k} out of range for {n} samples")
-    k = k % n
-    w = overlap(frames, k)[level, level]
+    w = overlap(frames, k)[level, level]  # checks k's range
+    k = k % frames.n_steps
     if abs(w) < OVERLAP_MODULUS_MIN:
         raise NumericalError(f"overlap modulus {abs(w):.3e}: noncyclic phase undefined")
     if conn is None:
@@ -308,23 +304,27 @@ def _product(F: np.ndarray) -> CMatrix:
     return F[0]
 
 
-def nonabelian_witness(holo: HolonomyResult, n_probe: int = 64) -> dict[str, float]:
+def nonabelian_witness(
+    holo: HolonomyResult, conn: ConnectionSeries, n_probe: int = 64
+) -> dict[str, float]:
     """Two scalar diagnostics of path-ordering sensitivity.
 
     commutator_max: largest ||[A(t_i), A(t_j)]||_max over a probe subsample
-    of the holonomy's case-restricted connection.  reversal_gap: max-norm
-    difference between the ordered product of its interval factors and the
-    product of the same factors in reversed order, over the whole grid.
-    Both vanish for Abelian (commuting-connection) transport.  Every probe
+    of the connection ``conn``, restricted to the holonomy's level groups.
+    reversal_gap: max-norm difference between the ordered product of the
+    holonomy's transport factors and the product of the same factors in
+    reversed order, over the whole grid.  Both vanish for Abelian
+    (commuting) transport, and both depend on the frame gauge.  Every probe
     product P_a P_b comes from one (p d x d)(d x p d) matrix product of the
     stacked probes, a plain BLAS product with no stack to batch over.  The
     forward product is the end of the holonomy's stored transport series;
     the reversed one is formed group by group, as the forward one was, by a
     pairwise reduction of the group's factors.
     """
-    A, F = holo.connection, holo.factors
+    A, F = conn.samples, holo.factors
     n, d = A.shape[0], A.shape[-1]
     P = A[np.linspace(0, n - 1, min(n, n_probe)).astype(int)]
+    P = np.where(block_mask(holo.groups, d), P, 0)
     p = P.shape[0]
     # AB[a, i, b, l] = (P_a P_b)_il
     AB = (P.reshape(p * d, d) @ P.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
@@ -376,7 +376,6 @@ def dissipative_free_block_solution(
     gen = 0.5 * (gen + np.conj(np.swapaxes(gen, -1, -2)))
 
     E_left, E_right = (
-        ordered_product(interval_factors(gen[_group_index(b)], frames.grid.dt))
-        for b in (bl, br)
+        transporter(ConnectionSeries(frames.grid, gen[_group_index(b)])) for b in (bl, br)
     )
     return mul(mul(E_left, c0_block), E_right.conj().swapaxes(1, 2))

@@ -298,6 +298,24 @@ def test_report_prints_witness_noise_as_below_its_floor(tmp_path):
     assert artifacts._witness(4.99e-2) == "4.990e-02"
 
 
+def test_report_notes_abelian_transport_only_for_the_diagonal_case(tmp_path):
+    """The closing note that transport is Abelian is printed for a gamma = 0
+    run of the diagonal case (nt_nd), and not for a gamma = 0 t_nd run,
+    whose one group of all levels keeps the off-diagonal connection and
+    reports a nonzero witness."""
+    note = "note: gamma = 0 closed dynamics -- transport is Abelian"
+    for case, expected in (("nt_nd", True), ("t_nd", False)):
+        cfg = _write_config(
+            tmp_path, name=f"{case}.json", params={"theta0": 1.0}, case_tag=case, grid=_grid(401)
+        )
+        out = tmp_path / case
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert (note in report) is expected, report
+        if case == "t_nd":
+            assert "commutator_max=<1e-12" not in report
+
+
 def test_report_prints_rounded_zeros_without_a_sign(tmp_path):
     """An eigenphase or trace field that rounds to zero at nine digits is
     printed +0.000000000 whatever the sign of its rounding noise, while
@@ -797,6 +815,7 @@ def test_pipeline_series_are_stack_last():
             "I_traj": res.I_traj.samples,
             "frames": res.frames.vectors,
             "conn": res.conn.samples,
+            "factors": res.holo.factors,
             "transport": res.holo.transport,
         }
         for name, x in series.items():
@@ -808,8 +827,8 @@ def test_lapack_eigensolver_call_budget(monkeypatch):
     run diagonalizes the start density (its positivity check) and each of
     its 2001 invariant samples once (eigenframes, a block of samples per
     call), a two-level run nothing (2x2 eigensystems are closed-form).
-    Every exponential, the Magnus steps and the transport factors alike,
-    is eigensystem-free.  The budget counts matrices, not calls."""
+    Every exponential, the Magnus steps among them, and every polar factor
+    of the transport is eigensystem-free.  The budget counts matrices, not calls."""
     calls = []
     lapack_eigh = np.linalg.eigh
 

@@ -1,5 +1,5 @@
-"""Unit tests for transport cases, the time-ordered transporter, and the
-holonomy assembly."""
+"""Unit tests for transport cases, the discrete transport and the
+time-ordered transporter, and the holonomy assembly."""
 from __future__ import annotations
 
 import re
@@ -83,14 +83,15 @@ def test_transporter_of_a_constant_connection_is_the_exponential():
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
 
-def test_interval_factors_refuse_a_non_finite_connection():
-    """A NaN connection sample spoils the factors of both intervals it
+def test_transporter_refuses_a_non_finite_generator():
+    """A NaN generator sample spoils the factors of both intervals it
     bounds; it must abort, not come back as NaN transport."""
+    grid = TimeGrid(0.0, 0.5, 6)
     for d in (1, 2, 3, 4):
         A = np.zeros((6, d, d), dtype=complex)
         A[3, 0, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            holonomy.interval_factors(A, 0.1)
+            holonomy.transporter(ConnectionSeries(grid, A))
 
 
 def test_transporter_orders_later_factors_to_the_left():
@@ -110,7 +111,7 @@ def test_transporter_orders_later_factors_to_the_left():
 
 
 def test_unrestricted_transport_of_a_complete_frame_is_trivial():
-    """With every level retained, the transporter undoes the overlap
+    """With every level retained, the transport undoes the overlap
     exactly and O collapses to the identity."""
     params = _params()
     grid = TimeGrid(0.0, 2.0 * np.pi, 4001)
@@ -165,6 +166,18 @@ def test_singular_block_overlap_aborts_the_degenerate_case():
         holonomy.geometric_phase(fr, 32, "t_d")
 
 
+def test_singular_neighbour_overlap_aborts():
+    """On the equator, three samples over one period put neighbouring
+    analytic frames half a turn apart: each level's neighbour overlap
+    vanishes (sigma ~ 2e-16), so its polar factor, and the phase, is
+    undefined, although the end overlap of the closed loop is regular."""
+    params = models.TwoLevelDecayParams(theta0=np.pi / 2)
+    fr = models.analytic_frames(params, TimeGrid(0.0, 2.0 * np.pi, 3))
+    assert abs(frames.overlap(fr, -1)[0, 0]) > 0.5
+    with pytest.raises(NumericalError, match=r"overlap singular value .*: phase undefined"):
+        holonomy.geometric_phase(fr, -1, "nt_nd")
+
+
 def test_cyclic_closed_system_reproduces_the_adiabatic_phases():
     for theta0 in (np.pi / 3, 2 * np.pi / 3, 2.5):
         params = _params(gamma=0.0, theta0=theta0)
@@ -180,13 +193,17 @@ def test_noncyclic_phase_agrees_with_the_cyclic_limit():
     fr = models.analytic_frames(params, grid)
     got = sorted(holonomy.noncyclic_abelian_gp(fr, lv, 4000) for lv in (0, 1))
     assert match_phase_sets(np.array(got), models.berry_reference(params)) < 1e-5
-    # and mid-path it tracks the diagonal-case eigenphases, with the
-    # connection built once or per call
-    conn = frames.connection(fr)
-    res = holonomy.geometric_phase(fr, 2400, "nt_nd", conn)
-    mid = sorted(holonomy.noncyclic_abelian_gp(fr, lv, 2400, conn) for lv in (0, 1))
-    assert match_phase_sets(np.array(mid), res.eigenphases) < 1e-8
-    assert mid == sorted(holonomy.noncyclic_abelian_gp(fr, lv, 2400) for lv in (0, 1))
+    # and mid-path, on continuity frames, whose diagonal connection is
+    # second order in dt, it tracks the diagonal-case eigenphases of either
+    # frame source, with the connection built once or per call
+    samples = np.array([models.chi_closed_form(params, t) for t in grid.times])
+    fc = frames.eigenframes(dynamics.OperatorTrajectory(grid, samples, "invariant"))
+    conn = frames.connection(fc)
+    mid = sorted(holonomy.noncyclic_abelian_gp(fc, lv, 2400, conn) for lv in (0, 1))
+    for source in (fr, fc):
+        res = holonomy.geometric_phase(source, 2400, "nt_nd")
+        assert match_phase_sets(np.array(mid), res.eigenphases) < 1e-8
+    assert mid == sorted(holonomy.noncyclic_abelian_gp(fc, lv, 2400) for lv in (0, 1))
 
 
 def test_noncyclic_phase_validation():
@@ -212,16 +229,17 @@ def test_parallel_residual_flags_untransported_frames():
 
 def test_parallel_residual_is_that_of_the_case_transport():
     """The residual reads the in-group entries of the case's own transport.
-    With one group of all levels (t_nd) that is every entry of the
-    transporter of the full connection, bit for bit; on the tripod's
-    palindrome loop (t_d) the in-group condition holds to discretization."""
+    With one group of all levels (t_nd) that is every entry, bit for bit,
+    and on a complete frame the transported frame T = V Vpar is V(0) at
+    every sample, so only rounding is left; on the tripod's palindrome
+    loop (t_d) the in-group condition holds to discretization."""
     fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 801))
-    conn = frames.connection(fr)
-    T = matlib.mul(fr.vectors, holonomy.transporter(conn))
+    holo = holonomy.geometric_phase(fr, -1, "t_nd")
+    T = matlib.mul(fr.vectors, holo.transport)
     dT = matlib.series_derivative(T, fr.grid.dt)
     full = float(np.max(np.abs(matlib.mul(T.conj().swapaxes(1, 2), dT))))
-    holo = holonomy.geometric_phase(fr, -1, "t_nd", conn)
     assert holonomy.parallel_residual(fr, holo) == full
+    assert full < 1e-11
 
     res = cli.execute(cli.ScenarioConfig.from_dict({
         "scenario": "wilczek_zee", "params": {"loop": 2, "rabi": 1.3, "duration": 1500.0},
@@ -277,7 +295,7 @@ def test_blocked_stages_match_whole_array_forms_bit_for_bit(d, blocks):
     assert np.array_equal(conn.samples, 0.5 * (A + Ah))
     assert conn.herm_deviation == float(np.max(np.abs(A - Ah)))
 
-    holo = holonomy.geometric_phase(fr, -1, {2: "nt_nd", 4: "t_d"}[d], conn)
+    holo = holonomy.geometric_phase(fr, -1, {2: "nt_nd", 4: "t_d"}[d])
     T = matlib.mul(V, holo.transport)
     M = matlib.mul(T.conj().swapaxes(1, 2), matlib.series_derivative(T, fr.grid.dt))
     residual = float(np.max(np.abs(M[:, matlib.block_mask(holo.groups, d)])))
@@ -318,21 +336,25 @@ def test_per_sample_stages_take_block_sized_transients():
     series = fr.vectors.nbytes
     conn, peak = _traced_peak(frames.connection, fr)
     assert peak - conn.samples.nbytes < series, peak
-    holo = holonomy.geometric_phase(fr, -1, "nt_nd", conn)
+    holo = holonomy.geometric_phase(fr, -1, "nt_nd")
     _, peak = _traced_peak(holonomy.parallel_residual, fr, holo)
     assert peak < series, peak
 
 
 def test_holonomy_keeps_one_transport_series():
-    """Vpar is entry k of the stored series, which runs over the whole grid."""
+    """Vpar is entry k of the stored series, which runs over the whole grid
+    and is the ordered product of the stored factors.  With one group of
+    all levels each factor is the whole neighbour overlap, so on a complete
+    frame the series telescopes to V_k^dag V_0."""
     fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 501))
-    conn = frames.connection(fr)
     for case in ("t_nd", "nt_nd"):
-        res = holonomy.geometric_phase(fr, 250, case, conn)
-        assert res.transport.shape == (501, 2, 2)
+        res = holonomy.geometric_phase(fr, 250, case)
+        assert res.transport.shape == (501, 2, 2) and res.factors.shape == (500, 2, 2)
         assert np.array_equal(res.Vpar, res.transport[250])
-    full = holonomy.geometric_phase(fr, -1, "t_nd", conn)
-    assert np.array_equal(full.transport, holonomy.transporter(conn))
+    full = holonomy.geometric_phase(fr, -1, "t_nd")
+    assert np.array_equal(full.transport, matlib.ordered_product(full.factors))
+    V = fr.vectors
+    assert np.max(np.abs(full.transport - matlib.mul(V.conj().swapaxes(1, 2), V[0]))) < 1e-12
 
 
 def _every_accepted_run():
@@ -359,14 +381,15 @@ def _full_connection_run():
     pytest.param(_every_accepted_run, id="general"),
     pytest.param(_full_connection_run, id="t_nd"),
 ])
-def test_full_connection_runs_form_the_transporter_once(monkeypatch, runs):
-    """execute forms one connection, calls no transporter besides the
-    holonomy's own series, and hands that holonomy to parallel_residual; the
-    full-connection case's series is transporter(conn) exactly.  ``general``
-    covers every shipped scenario's default run and every accepted case."""
+def test_runs_form_one_connection_and_no_transporter(monkeypatch, runs):
+    """execute forms one connection, hands it to the witness, calls no
+    transporter, and hands its holonomy to parallel_residual; the
+    full-connection case (t_nd) closes to O = 1 on its complete frame.
+    ``general`` covers every shipped scenario's default run and every
+    accepted case."""
     connection, transporter = frames.connection, holonomy.transporter
-    residual = holonomy.parallel_residual
-    calls, seen = [], []
+    residual, witness = holonomy.parallel_residual, holonomy.nonabelian_witness
+    calls, seen, conns = [], [], []
     counted = lambda f: lambda *a: calls.append(f.__name__) or f(*a)  # noqa: E731
     for module in (frames, holonomy):
         monkeypatch.setattr(module, "connection", counted(connection))
@@ -374,31 +397,67 @@ def test_full_connection_runs_form_the_transporter_once(monkeypatch, runs):
     monkeypatch.setattr(
         holonomy, "parallel_residual", lambda fr, h: seen.append(h) or residual(fr, h)
     )
+    monkeypatch.setattr(
+        holonomy, "nonabelian_witness", lambda h, c: conns.append(c) or witness(h, c)
+    )
     for cfg in runs():
         calls.clear()
         seen.clear()
+        conns.clear()
         res = cli.execute(cfg)
         assert calls == ["connection"], (cfg.scenario, cfg.case_tag, calls)
         assert len(seen) == 1 and seen[0] is res.holo
+        assert len(conns) == 1 and conns[0] is res.conn
         assert np.array_equal(res.holo.Vpar, res.holo.transport[-1])
         if cfg.case_tag == "t_nd":
-            assert np.array_equal(res.holo.transport, transporter(res.conn))
+            assert np.max(np.abs(res.holo.O - np.eye(res.frames.dim))) < 1e-12
 
 
-def test_nondegenerate_transport_is_the_cumulative_midpoint_phase():
-    """nt_nd transports each level by its own 1x1 phase: the series is
-    exp(i cumsum(dt (a_k + a_{k+1})/2)) of the diagonal connection, with
-    exact zeros off the diagonal."""
+def _raise(*args, **kwargs):
+    raise AssertionError("called on the phase path")
+
+
+def test_phase_path_forms_no_connection_derivative_or_exponential(monkeypatch):
+    """geometric_phase works from the frames alone: with the connection,
+    the series derivative and the unitary exponential made to raise,
+    wherever the phase path could reach them, it still runs on every case."""
+    two = models.analytic_frames(_params(gamma=4e-3), TimeGrid(0.0, 2.0 * np.pi, 401))
+    model = models.wilczek_zee_demo(rabi=1.2, loop=WZ_LOOPS["b"], duration=1500.0)
+    tripod = frames.eigenframes(
+        models.adiabatic_invariant_trajectory(model, TimeGrid(0.0, 1500.0, 2001))
+    )
+    for module, name in (
+        (frames, "connection"), (holonomy, "connection"),
+        (frames, "series_derivative"), (holonomy, "series_derivative"),
+        (matlib, "series_derivative"),
+        (frames, "unitary_exp"), (holonomy, "unitary_exp"), (matlib, "unitary_exp"),
+    ):
+        monkeypatch.setattr(module, name, _raise)
+    for fr, case in ((two, "nt_nd"), (two, "t_nd"), (tripod, "t_d")):
+        res = holonomy.geometric_phase(fr, -1, case)
+        assert unitary_defect(res.O) < 1e-12, case
+
+
+def test_nondegenerate_transport_is_the_cumulative_pancharatnam_phase():
+    """nt_nd transports each level by its own 1x1 factor: the series is the
+    running product of the Pancharatnam phases s_k/|s_k|, s_k =
+    <v_(k+1)|v_k>, with exact zeros off the diagonal.  It is the midpoint
+    phase exp(i cumsum(dt (a_k + a_{k+1})/2)) of the diagonal connection up
+    to second-order discretization error."""
     fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 2001))
-    conn = frames.connection(fr)
-    res = holonomy.geometric_phase(fr, -1, "nt_nd", conn)
+    res = holonomy.geometric_phase(fr, -1, "nt_nd")
     assert res.groups == [[0], [1]]
-    a = np.einsum("kii->ki", conn.samples).real
-    phase = np.cumsum(0.5 * conn.grid.dt * (a[:-1] + a[1:]), axis=0)
-    ref = np.exp(1j * np.vstack([np.zeros(2), phase]))
+    V = fr.vectors
+    s = np.einsum("kil,kil->kl", V[1:].conj(), V[:-1])
+    ref = np.cumprod(np.vstack([np.ones(2), s / np.abs(s)]), axis=0)
     assert np.max(np.abs(np.einsum("kii->ki", res.transport) - ref)) < 1e-12
     off = ~np.eye(2, dtype=bool)
     assert not np.any(res.transport[:, off]) and not np.any(res.factors[:, off])
+    conn = frames.connection(fr)
+    a = np.einsum("kii->ki", conn.samples).real
+    phase = np.cumsum(0.5 * conn.grid.dt * (a[:-1] + a[1:]), axis=0)
+    midpoint = np.exp(1j * np.vstack([np.zeros(2), phase]))
+    assert np.max(np.abs(ref - midpoint)) < 1e-5
 
 
 def test_degenerate_transport_is_exactly_block_diagonal():
@@ -412,47 +471,56 @@ def test_degenerate_transport_is_exactly_block_diagonal():
     off = ~matlib.block_mask(res.groups, 4)
     assert not np.any(res.transport[:, off]) and not np.any(res.factors[:, off])
     dark = (slice(None),) + np.ix_([1, 2], [1, 2])
-    alone = holonomy.transporter(ConnectionSeries(fr.grid, res.connection[dark]))
-    assert np.array_equal(res.transport[dark], alone)
+    [(Q, _)] = frames.neighbour_transport(fr.vectors, [[1, 2]])
+    assert np.array_equal(res.transport[dark], matlib.ordered_product(Q))
     assert unitary_defect(res.transport[-1]) < 1e-12
 
 
 def test_witness_vanishes_for_diagonal_transport():
     params = _params(gamma=0.0)
     fr = models.analytic_frames(params, TimeGrid(0.0, 2.0 * np.pi, 1001))
-    w = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "nt_nd"))
+    conn = frames.connection(fr)
+    w = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "nt_nd"), conn)
     assert w["commutator_max"] < 1e-12
     assert w["reversal_gap"] < 1e-12
     # keeping the off-diagonal connection turns both diagnostics on
-    full = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "t_nd"))
+    full = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "t_nd"), conn)
     assert full["commutator_max"] > 1e-3
     assert full["reversal_gap"] > 1e-6
 
 
 def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
-    """Reference loops: commutators over every probe pair, and the reversed
-    ordering as the transporter of the time-reversed samples."""
+    """Reference loops on seeded random frames and connection: the factors
+    are the polar factors of the neighbour overlaps, sample by sample; the
+    commutators run over every probe pair of the connection restricted to
+    the case's groups; the forward and reversed orderings are sequential
+    products of the factors."""
     rng = np.random.default_rng(5)
     n = 40
     grid = TimeGrid(0.0, 1.0, n)
     G = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
     A = 0.5 * (G + G.conj().swapaxes(1, 2))
-    fr = FrameTrajectory(
-        grid, np.tile([0.0, 1.0, 2.0], (n, 1)), [[0], [1], [2]],
-        np.stack([np.eye(3, dtype=complex)] * n), "analytic",
-    )
-    holo = holonomy.geometric_phase(fr, -1, "t_nd", ConnectionSeries(grid, A))
-    w = holonomy.nonabelian_witness(holo, n_probe=n)
+    V = np.linalg.qr(rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))[0]
+    fr = FrameTrajectory(grid, np.tile([0.0, 1.0, 2.0], (n, 1)), [[0], [1], [2]], V, "analytic")
+    conn = ConnectionSeries(grid, A)
+    holo = holonomy.geometric_phase(fr, -1, "t_nd")
+    Q = [matlib.polar_svd(V[k + 1].conj().T @ V[k])[0] for k in range(n - 1)]
+    assert np.max(np.abs(holo.factors - np.array(Q))) < 1e-13
+    w = holonomy.nonabelian_witness(holo, conn, n_probe=n)
     comm = max(
         np.max(np.abs(A[i] @ A[j] - A[j] @ A[i])) for i in range(n) for j in range(i + 1, n)
     )
     assert abs(w["commutator_max"] - comm) < 1e-13
-    forward = holonomy.transporter(ConnectionSeries(grid, A))[-1]
-    backward = holonomy.transporter(ConnectionSeries(grid, A[::-1].copy()))[-1]
+    forward, backward = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+    for F in np.ascontiguousarray(holo.factors):
+        forward, backward = np.dot(F, forward), np.dot(backward, F)
     # the witness reduces the reversed factors pairwise, so it agrees with the
     # sequential product to rounding, not bit for bit
     assert abs(w["reversal_gap"] - np.max(np.abs(forward - backward))) < 1e-14
     assert np.array_equal(holo.Vpar, forward)
+    # the nt_nd groups keep only the diagonal of the connection, which commutes
+    diag = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "nt_nd"), conn, n)
+    assert diag["commutator_max"] == 0.0
 
 
 def test_block_solution_matches_the_scalar_closed_form():
@@ -572,6 +640,47 @@ def test_diagonalizing_frame_validation():
         holonomy.diagonalizing_frame(fr, conn, np.eye(2))
     with pytest.raises(ValueError, match="not unitary"):
         holonomy.diagonalizing_frame(fr, conn, 1.01 * np.eye(3))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 4e-3])
+def test_eigenphases_are_gauge_exact_over_seeded_parameters(gamma):
+    """Analytic frames, continuity frames of the sampled closed-form
+    invariant and a smooth seeded gauge of the analytic frames give the
+    same nt_nd and t_nd eigenphases to rounding (1e-12) on 1025 samples:
+    the discrete transport is a product of gauge-invariant overlaps, so no
+    discretization error separates the frame sources."""
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        p = models.TwoLevelDecayParams(
+            gamma=gamma, theta0=float(rng.uniform(np.pi / 7, 6 * np.pi / 7)),
+            phi0=float(rng.uniform(0.0, 2.0 * np.pi)),
+        )
+        grid = TimeGrid(0.0, 2.0 * np.pi / p.omega0, 1025)
+        analytic = models.analytic_frames(p, grid)
+        samples = np.array([models.chi_closed_form(p, t) for t in grid.times])
+        sources = (
+            frames.eigenframes(dynamics.OperatorTrajectory(grid, samples, "invariant")),
+            frames.gauge_transform(
+                analytic, frames.smooth_random_gauge(analytic, amplitude=0.05, seed=seed)
+            ),
+        )
+        for case in ("nt_nd", "t_nd"):
+            ref = holonomy.geometric_phase(analytic, -1, case).eigenphases
+            for fr in sources:
+                got = holonomy.geometric_phase(fr, -1, case).eigenphases
+                assert match_phase_sets(ref, got) <= 1e-12, (seed, case)
+
+
+@pytest.mark.parametrize("loop", ["a", "b"])
+def test_tripod_eigenphases_are_gauge_exact(loop):
+    """A seeded smooth block gauge of the tripod's continuity frames leaves
+    the t_d eigenphases unchanged to rounding (1e-12)."""
+    model = models.wilczek_zee_demo(rabi=1.2, loop=WZ_LOOPS[loop], duration=1500.0)
+    grid = TimeGrid(0.0, 1500.0, 2001)
+    fr = frames.eigenframes(models.adiabatic_invariant_trajectory(model, grid))
+    alt = frames.gauge_transform(fr, frames.smooth_random_gauge(fr, amplitude=0.05, seed=7))
+    ref, got = (holonomy.geometric_phase(f, -1, "t_d").eigenphases for f in (fr, alt))
+    assert match_phase_sets(ref, got) <= 1e-12
 
 
 @settings(max_examples=20)
