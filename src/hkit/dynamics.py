@@ -29,21 +29,26 @@ grid.refined() times and decides once per run how to step them:
 
 * closed runs (no jump operators, or every rate zero at every stage time)
   have -L^dag = L, so all three are the unitary flow X -> U X U^dag.  It is
-  stepped by 4th-order Magnus exponentials, one batched exponential
-  (scaling and squaring of a Taylor polynomial, no eigensystem), one
-  ordered product W and one application mul(mul(W, X0), W^dag) per
-  trajectory, with no einsum, and keeps the spectrum of X to rounding.
-  Each step's phase spread is read bound first: sqrt(2) |G - tr(G)/d|_F,
-  and an eigensystem only where that bound reaches pi, the spread at which
-  the run is refused as under-resolved;
+  stepped by 4th-order Magnus exponentials, formed with their exponentials
+  (scaling and squaring of a Taylor polynomial, no eigensystem) a block of
+  steps at a time, and carries the range of the start, not the propagator
+  W: with X0 = E diag(lam) E^dag, one ordered product Y = W E_r of the r
+  eigenvectors whose eigenvalues are not rounding, and X = (Y lam_r) Y^dag,
+  so a pure density carries one column.  It calls no einsum and keeps the
+  spectrum of X to rounding.  Each step's phase spread is read bound
+  first: sqrt(2) |G - tr(G)/d|_F, and an eigensystem only where that bound
+  reaches pi, the spread at which the run is refused as under-resolved;
 * open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
 * a generator constant over the whole run takes one step map, and its
-  powers give the flow: one Magnus exponential exp(i G), G = V diag(lam)
-  V^dag, whose powers give every sample as one (d^2, d^2) @ (d^2, n)
-  product, or one RK4 step matrix P, whose powers P^0 ... P^s and block
+  powers give the flow: one Magnus exponent G = V diag(lam) V^dag, whose
+  k-th powers give every sample from one real angle series
+  k (lam_m - lam_l) per level pair, elementwise a block of samples at a
+  time, or one RK4 step matrix P, whose powers P^0 ... P^s and block
   starts x_(js) are two `ordered_product` calls (s ~ sqrt(n), short
   enough up to 16 385 steps to be stepped one `@` at a time) and whose
-  samples P^i x_(js) are one `mul`, with no loop over the n steps;
+  samples P^i x_(js) are one `mul`, with no loop over the n steps.  A
+  stack with stride 0 along time, as `LindbladModel.operators` broadcasts
+  a value that holds at all times, is constant without a scan;
 * a time-dependent open generator forms its step matrices a chunk at a
   time, and each chunk's samples are one `ordered_product` of its step
   matrices from the chunk's first vec(X): a pairwise scan of a few
@@ -91,6 +96,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DENSITY_ENTRY_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
+# a time-dependent closed run carries the eigenvectors of X0 whose
+# eigenvalues reach d RANGE_RTOL max|lambda| in modulus: smaller ones are the
+# rounding of the eigensystem, not part of the range of X0
+RANGE_RTOL = np.finfo(float).eps
 # time-dependent open runs form their RK4 step matrices a chunk of steps at
 # a time, as many as hold this many matrix entries, which bounds the memory
 # they take on long grids; each chunk is one ordered product
@@ -347,55 +356,101 @@ def _unitary_flow(
     H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
 ) -> np.ndarray:
     """Raw samples X_k = W_k X0 W_k^dag of a closed run, where W = [1, U_0,
-    U_1 U_0, ...] is the ordered product of the Magnus steps U_k from H at
-    the grid.refined() times.
+    U_1 U_0, ...] is the ordered product of the Magnus steps U_k = exp(i G_k)
+    from H at the grid.refined() times; stack-last.
+
+    Constant H takes one exponent G = V diag(lam) V^dag, and W_k = exp(i k G)
+    is its k-th power, whose rounding does not grow with k as a running
+    product's does.  With Y = V^dag X0 V and B_ml = V_m Y_ml V_l^dag,
+
+        X_k = A + sum_(m<l) (B_ml z_ml,k + h.c.),   A = sum_m B_mm,
+        z_ml,k = cos(k D_ml) + i sin(k D_ml),  D_ml = lam_m - lam_l,
+
+    formed a sample block at a time (`sample_blocks`) from one real angle
+    series k D_ml per level pair, elementwise, so every sample is the same
+    whatever the block width.  A, B + B^dag and i (B - B^dag) are Hermitian
+    to the bit, and so is every sample.
+
+    Time-dependent H forms its exponents and their exponentials
+    (`unitary_exp`, no eigensystem) a block of steps at a time, and carries
+    the range of X0 instead of W: with X0 = E diag(lam) E^dag, the columns
+    whose |lam| is below d RANGE_RTOL max|lam| (rounding of the
+    eigensystem, not part of the range) are dropped, Y = W E_r is one
+    `ordered_product` from the (d, r) start E_r, and X_k = (Y_k lam_r) Y_k^dag.
+    A pure density carries one column and a full-rank start d.
 
     Each step is unitary to rounding, so the spectrum of X is kept and a
-    degenerate invariant stays degenerate.  Constant H takes one
-    exponential exp(i G), G = V diag(lam) V^dag, and W_k is its k-th power:
-    every sample is X_k = sum_ml (V_m Y_ml V_l^dag) e^(i k lam_m)
-    e^(-i k lam_l), Y = V^dag X0 V, one (d^2, d^2) @ (d^2, n) product;
-    other runs take one stacked `unitary_exp`, which forms no eigensystem,
-    and X = mul(mul(W, X0), W^dag), a block at a time (`sample_blocks`).  The samples are stack-last.  A step
-    whose phase spread lambda_max(G_k) - lambda_min(G_k) reaches pi, where
-    the grid aliases the fastest coherence and the step
-    leaves the Magnus convergence region, aborts the run before any
-    exponential; the spreads are read bound first (`_phase_spreads`), so
+    degenerate invariant stays degenerate.  A non-finite step exponent
+    aborts the run with the failure the tail gives the sample it would
+    spoil.  Otherwise a step whose phase spread lambda_max(G_k) -
+    lambda_min(G_k) reaches pi, where the grid aliases the fastest coherence
+    and the step leaves the Magnus convergence region, aborts it at the
+    first such step; the spreads are read bound first (`_phase_spreads`), so
     only a step that may fail takes an eigensystem, and the reported spread
-    is exact.  A non-finite step exponent also aborts, with the failure the
-    tail gives the sample it would spoil.
+    is exact.  No exponential is formed past that step.
     """
-    H = H[:3] if constant else H
-    G = _magnus_exponents(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))), grid.dt)
-    bad = ~np.all(np.isfinite(G), axis=(-2, -1))
-    if np.any(bad):
-        raise _non_finite(kind, grid, int(np.argmax(bad)))
+    n, d, dt = grid.n_steps, X0.shape[0], grid.dt
+    coarse = None  # the first under-resolved step and its spread
+
+    def exponents(lo: int, hi: int) -> np.ndarray:
+        # G_k of the steps lo .. hi - 1, from the Hermitian part of H
+        h = H[2 * lo : 2 * hi + 1]
+        G = _magnus_exponents(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))), dt)
+        bad = ~np.all(np.isfinite(G), axis=(-2, -1))
+        if np.any(bad):
+            raise _non_finite(kind, grid, lo + int(np.argmax(bad)))
+        return G
+
     if constant:
-        lam, V = eigh(G[0])
-        spread = lam[-1:] - lam[:1]
+        lam, V = eigh(exponents(0, 1)[0])
+        if lam[-1] - lam[0] >= np.pi:
+            coarse = (0, lam[-1] - lam[0])
     else:
-        spread = _phase_spreads(G)
-    coarse = spread >= np.pi
-    if np.any(coarse):
-        k = int(np.argmax(coarse))
+        U = stack_last((n - 1, d, d))
+        for b in sample_blocks(n - 1, X0.size):
+            G = exponents(b.start, b.stop)
+            if coarse is None:
+                spread = _phase_spreads(G)
+                over = spread >= np.pi
+                if np.any(over):
+                    k = int(np.argmax(over))
+                    coarse = (b.start + k, spread[k])
+                else:
+                    U[b] = unitary_exp(G)
+    if coarse is not None:
+        k, spread = coarse
         raise NumericalError(
-            f"{kind} propagation under-resolved: step phase spread {spread[k]:.4g} "
+            f"{kind} propagation under-resolved: step phase spread {spread:.4g} "
             f">= pi at t={grid.times[k]:.6g}; refine the grid"
         )
     if not constant:
-        W = ordered_product(unitary_exp(G))
-        X = stack_last(W.shape)
-        for b in sample_blocks(len(W), X0.size):
-            mul(mul(W[b], X0), W[b].conj().swapaxes(1, 2), X[b])
+        lam, E = eigh(X0)
+        keep = np.abs(lam) >= d * RANGE_RTOL * np.max(np.abs(lam))
+        lam, Y = lam[keep], ordered_product(U, E[:, keep])
+        del U
+        X = stack_last((n, d, d))
+        for b in sample_blocks(n, X0.size):
+            y = Y[b]
+            mul(y * lam, y.conj().swapaxes(1, 2), X[b])
         return X
-    # W_k = exp(i k G) = V e^(i k lam) V^dag: powers of the one exponential,
-    # whose rounding does not grow with k as a running product's does, so
-    # X_k = sum_ml (V_m Y_ml V_l^dag) e^(i k lam_m) e^(-i k lam_l) with
-    # Y = V^dag X0 V, one (d^2, d^2) @ (d^2, n) product written stack-last
-    phases = np.exp(1j * np.outer(lam, np.arange(grid.n_steps)))
-    terms = V[:, None, :, None] * (V.conj().T @ X0 @ V) * V.conj()[None, :, None, :]
-    X = terms.reshape(X0.size, -1) @ (phases[:, None] * phases.conj()).reshape(X0.size, -1)
-    return X.reshape(X0.shape + (-1,)).transpose(2, 0, 1)
+    Y = V.conj().T @ X0 @ V
+    A = (V * Y.diagonal().real) @ V.conj().T
+    A = 0.5 * (A + A.conj().T)
+    pairs = []
+    for m, l in zip(*np.triu_indices(d, 1)):
+        B = Y[m, l] * np.outer(V[:, m], V[:, l].conj())
+        pairs.append((lam[m] - lam[l], B + B.conj().T, 1j * (B - B.conj().T)))
+    X = stack_last((n, d, d))
+    x = np.moveaxis(X, 0, -1)  # its contiguous (d, d, n) memory
+    for b in sample_blocks(n, X0.size):
+        k = np.arange(b.start, b.stop, dtype=float)
+        xb = x[..., b]
+        xb[...] = A[..., None]
+        for delta, P, Q in pairs:
+            angle = k * delta
+            xb += P[..., None] * np.cos(angle)
+            xb += Q[..., None] * np.sin(angle)
+    return X
 
 
 def _rk4_flow(
@@ -467,7 +522,10 @@ def _integrate(
     rates vanish at every stage time is closed: there -L^dag = L, and all
     kinds take the unitary Magnus flow `_unitary_flow`; other runs take RK4
     (`_rk4_flow`).  A generator constant over the whole run (H alone when
-    closed, else H, G and g) takes one step map.
+    closed, else H, G and g) takes one step map.  A stack whose stride
+    along time is 0, as `LindbladModel.operators` returns a time-independent
+    value, is constant without a scan; any other is compared, sample by
+    sample, with its first.
 
     The raw samples then pass one tail, a block of samples at a time
     (`sample_blocks`).  They are Hermitized, which is exact because both
@@ -482,7 +540,9 @@ def _integrate(
     and both step maps inherit that up to rounding.
     """
     closed = not np.any(g)
-    constant = all(np.all(a == a[0]) for a in ((H,) if closed else (H, G, g)))
+    constant = all(
+        a.strides[0] == 0 or np.all(a == a[0]) for a in ((H,) if closed else (H, G, g))
+    )
     # an unstable step overflows and a non-finite generator spreads through
     # the flow; the checks below report the first such sample, so numpy's
     # own warnings about them are silenced

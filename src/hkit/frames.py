@@ -52,8 +52,9 @@ class FrameTrajectory:
     """Sampled eigenbasis trajectory with a constant degeneracy structure.
 
     vectors[k] holds the basis states as columns, ordered to match
-    eigenvalues[k]; blocks indexes columns into degenerate groups and is
-    the same at every time.
+    eigenvalues[k]; blocks indexes columns into degenerate groups, each a
+    contiguous run of ascending levels, and is the same at every time.
+    Non-finite samples and non-orthonormal columns are refused.
     """
 
     grid: TimeGrid
@@ -74,7 +75,15 @@ class FrameTrajectory:
             raise ValueError("sample count does not match the grid")
         if sorted(i for b in self.blocks for i in b) != list(range(dim)):
             raise ValueError("blocks must partition the level indices")
-        V = self.vectors
+        if any(not b or list(b) != list(range(b[0], b[0] + len(b))) for b in self.blocks):
+            raise ValueError("each block must be a contiguous run of ascending levels")
+        # a NaN deviation would pass the orthonormality test, so non-finite
+        # samples are refused first
+        V, finite = self.vectors, np.all(np.isfinite(self.eigenvalues), axis=1)
+        for b in sample_blocks(n, dim * dim):
+            finite[b] &= np.all(np.isfinite(V[b]), axis=(1, 2))
+        if not np.all(finite):
+            raise ValueError(f"frame sample {int(np.argmin(finite))} is not finite")
         worst = float(np.max([
             np.max(np.abs(mul(V[b].conj().swapaxes(1, 2), V[b]) - np.eye(dim)))
             for b in sample_blocks(n, dim * dim)
@@ -139,12 +148,12 @@ def neighbour_transport(
     maps Q_k to M_{k+1}^dag Q_k M_k, so the ordered product is covariant
     and the holonomy it closes is gauge-invariant by construction.  The
     singular values measure how far a step turns the group's subspace.
-    A contiguous run of levels, as every degeneracy block and case group
-    is, is taken as a view of the columns, other groups as a copy.
+    Each group is a contiguous run of ascending levels, as every degeneracy
+    block and case group is, and its columns are read as a view.
     """
     out = []
     for g in groups:
-        c = slice(g[0], g[-1] + 1) if list(g) == list(range(g[0], g[-1] + 1)) else list(g)
+        c = slice(g[0], g[-1] + 1)
         out.append(polar_svd(mul(vectors[1:, :, c].conj().swapaxes(1, 2), vectors[:-1, :, c])))
     return out
 
@@ -255,6 +264,9 @@ def gauge_transform(frames: FrameTrajectory, M: np.ndarray) -> FrameTrajectory:
         M = np.broadcast_to(M, (n, dim, dim))
     if M.shape != (n, dim, dim):
         raise ValueError("gauge must be one matrix or one per grid sample")
+    finite = np.all(np.isfinite(M), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"gauge sample {int(np.argmin(finite))} is not finite")
     gram = mul(M.conj().swapaxes(1, 2), M)
     devs = np.max(np.abs(gram - np.eye(dim)), axis=(1, 2))
     if np.max(devs) > ORTHONORMAL_TOL:

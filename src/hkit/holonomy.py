@@ -91,13 +91,11 @@ def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
 
 
 def _group_index(g: list[int]) -> tuple:
-    """Index of one level group's (|g|, |g|) slice of every matrix in a stack:
-    a view for a contiguous run of levels, as every case group of a spectrum's
-    blocks is, and a fancy index (a copy) otherwise."""
-    if list(g) == list(range(g[0], g[-1] + 1)):
-        run = slice(g[0], g[-1] + 1)
-        return (slice(None), run, run)
-    return (slice(None),) + np.ix_(g, g)
+    """Index of one level group's (|g|, |g|) slice of every matrix in a
+    stack, a view: every case group of a spectrum's blocks is a contiguous
+    run of ascending levels, as `FrameTrajectory` requires of its blocks."""
+    run = slice(g[0], g[-1] + 1)
+    return (slice(None), run, run)
 
 
 def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix:

@@ -824,9 +824,10 @@ def test_pipeline_series_are_stack_last():
 
 def test_lapack_eigensolver_call_budget(monkeypatch):
     """LAPACK's eigh runs only where an eigensystem is the result: a tripod
-    run diagonalizes the start density (its positivity check) and each of
-    its 2001 invariant samples once (eigenframes, a block of samples per
-    call), a two-level run nothing (2x2 eigensystems are closed-form).
+    run diagonalizes the start density twice (its positivity check, and the
+    range that the time-dependent closed flow carries) and each of its 2001
+    invariant samples once (eigenframes, a block of samples per call), a
+    two-level run nothing (2x2 eigensystems are closed-form).
     Every exponential, the Magnus steps among them, and every polar factor
     of the transport is eigensystem-free.  The budget counts matrices, not calls."""
     calls = []
@@ -838,7 +839,7 @@ def test_lapack_eigensolver_call_budget(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     budget = [
-        ({"scenario": "wilczek_zee", "params": {"loop": 1}}, 1 + 2001),
+        ({"scenario": "wilczek_zee", "params": {"loop": 1}}, 2 + 2001),
         ({"scenario": "berry_closed", "grid": _grid(801)}, 0),
         ({"scenario": "two_level_decay", "params": {"gamma": 1e-3}, "grid": _grid(801)}, 0),
         ({"scenario": "two_level_decay", "frame_source": "analytic", "grid": _grid(801)}, 0),

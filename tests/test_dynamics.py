@@ -2,6 +2,7 @@
 equation in a moving basis."""
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -463,19 +464,145 @@ def test_closed_invariant_keeps_its_degeneracy():
     assert frames.eigenframes(traj).blocks == [[0], [1, 2], [3]]
 
 
-def test_constant_closed_generator_is_exact():
-    """Constant H: every step is exp(-i H dt), so X(t) = e^{-iHt} X0 e^{iHt}."""
-    rng = np.random.default_rng(8)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_constant_closed_generator_is_exact(d, monkeypatch):
+    """Constant H: every step is exp(-i H dt), so X(t) = e^{-iHt} X0 e^{iHt},
+    for a random H and for one with a degenerate spectrum (H = 0.3 at
+    d = 2).  The samples are formed elementwise, a block of samples at a
+    time, so they are the same bit for bit in blocks of a few samples."""
+    rng = np.random.default_rng(8 if d == 3 else 10 + d)
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    Q = np.linalg.qr(M)[0]
+    degenerate = (Q * np.array([0.3, 0.3, -0.4, 1.2][:d])) @ Q.conj().T
+    grid = TimeGrid(0.0, 10.0, 2001)
+    I0 = np.diag([0.5, -0.2, 1.1, 0.7][:d]).astype(complex)
+    for H in (0.5 * (M + M.conj().T), degenerate):
+        model = LindbladModel(dim=d, hamiltonian=lambda t: H)
+        traj = dynamics.propagate(model, I0, grid, kind="invariant")
+        lam, V = np.linalg.eigh(H)
+        E = np.einsum("ij,kj,lj->kil", V, np.exp(-1j * np.outer(grid.times, lam)), V.conj())
+        exact = E @ I0 @ np.conj(np.swapaxes(E, -1, -2))
+        assert np.max(np.abs(traj.samples - exact)) <= 1e-12
+        with monkeypatch.context() as m:
+            m.setattr(matlib, "_BLOCK_ENTRIES", 100)  # blocks of 25, 11 or 6 samples
+            assert np.array_equal(dynamics.propagate(model, I0, grid, kind="invariant").samples, traj.samples)
+
+
+def test_a_broadcast_hamiltonian_is_constant_without_a_scan(monkeypatch):
+    """A constant H returned as a copied (n, d, d) stack and as a broadcast
+    view (stride 0 along time) takes the constant branch, which forms no
+    step exponential, and gives the same samples bit for bit; only the copy
+    is compared sample by sample.  An H that changes after step 1500 takes
+    the time-dependent branch and matches the stepwise Magnus reference."""
+    rng = np.random.default_rng(12)
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     H = 0.5 * (M + M.conj().T)
-    model = LindbladModel(dim=3, hamiltonian=lambda t: H)
-    grid = TimeGrid(0.0, 10.0, 2001)
+    grid = TimeGrid(0.0, 4.0, 2501)
     I0 = np.diag([0.5, -0.2, 1.1]).astype(complex)
-    traj = dynamics.propagate(model, I0, grid, kind="invariant")
-    lam, V = np.linalg.eigh(H)
-    E = np.einsum("ij,kj,lj->kil", V, np.exp(-1j * np.outer(grid.times, lam)), V.conj())
-    exact = E @ I0 @ np.conj(np.swapaxes(E, -1, -2))
-    assert np.max(np.abs(traj.samples - exact)) <= 1e-12
+    exps, scanned = [], []
+    count_exp = lambda G, s=1.0: exps.append(len(G)) or matlib.unitary_exp(G, s)
+    monkeypatch.setattr(dynamics, "unitary_exp", count_exp)
+    np_all = np.all
+
+    def count_all(a, *args, **kwargs):
+        if np.shape(a) == (2 * grid.n_steps - 1, 3, 3):  # a sample-by-sample comparison
+            scanned.append(np.shape(a))
+        return np_all(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "all", count_all)
+    samples = {}
+    for name, stack in (
+        ("copy", lambda t: np.repeat(H[None], len(t), axis=0)),
+        ("view", lambda t: np.broadcast_to(H, (len(t), 3, 3))),
+    ):
+        scanned.clear()
+        samples[name] = dynamics.propagate(LindbladModel(3, stack), I0, grid, "invariant").samples
+        assert exps == [] and len(scanned) == (name == "copy"), name
+    assert np.array_equal(samples["copy"], samples["view"])
+    sx = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    switched = LindbladModel(3, lambda t: H + 0.3 * (t >= grid.times[1500])[:, None, None] * sx)
+    got = dynamics.propagate(switched, I0, grid, "invariant").samples
+    assert sum(exps) == grid.n_steps - 1
+    assert np.max(np.abs(got - _magnus_stepwise(switched, I0, grid))) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_closed_flow_carries_the_range_of_the_start(rank, monkeypatch):
+    """The time-dependent closed flow carries only the eigenvectors of X0
+    with nonzero eigenvalues through one ordered product: a pure density
+    one column, the tripod invariant from H(0) (spectrum {-rabi, 0, 0,
+    rabi}) two, a full-rank density four.  All match the step-by-step
+    Magnus stepper on tripod loop b."""
+    model = _tripod_b()
+    grid = TimeGrid(0.0, 1500.0, 2001)
+    rng = np.random.default_rng(6)
+    M = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    kind, X0 = "density", M @ M.conj().T / np.linalg.norm(M) ** 2
+    if rank == 2:
+        kind, X0 = "invariant", model.operators(0.0)[0][0]
+    starts = []
+    carried = lambda F, X=None: starts.append(np.shape(X)) or matlib.ordered_product(F, X)
+    monkeypatch.setattr(dynamics, "ordered_product", carried)
+    got = dynamics.propagate(model, X0, grid, kind).samples
+    assert starts == [(4, rank)]
+    assert np.max(np.abs(got - _magnus_stepwise(model, X0, grid))) < 1e-12
+
+
+def _largest_live_block(monkeypatch, run):
+    """Run `run` under tracemalloc; return its result, the largest numpy
+    block live on entry to or exit from any kernel the closed flow calls,
+    and the traced peak."""
+    largest = [0]
+
+    def look():
+        snap = tracemalloc.take_snapshot()
+        snap = snap.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        largest[0] = max([largest[0]] + [t.size for t in snap.traces])
+
+    with monkeypatch.context() as m:
+        for name in ("mul", "ordered_product", "unitary_exp", "eigh", "_magnus_exponents", "_phase_spreads"):
+
+            def watched(*args, kernel=getattr(dynamics, name), **kwargs):
+                look()
+                out = kernel(*args, **kwargs)
+                look()
+                return out
+
+            m.setattr(dynamics, name, watched)
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return out, largest[0], peak
+
+
+def test_closed_flows_allocate_no_transient_larger_than_one_series(monkeypatch):
+    """Neither closed branch holds a temporary larger than one returned
+    series (n d^2 complex entries) while it runs: the constant generator
+    of a 20 001-sample two-level run forms its samples a block at a time,
+    so its traced peak is below two series, and the 4001-sample tripod
+    run forms its exponents a block of steps at a time and carries one
+    column instead of the propagator.  The model is sampled before
+    tracing: that is the caller's input, not the flow's."""
+    params = models.TwoLevelDecayParams(theta0=1.0, gamma=0.0)
+    chi0 = models.chi_closed_form(params, 0.0)
+    tripod = models.wilczek_zee_demo(rabi=1.3, loop=WZ_LOOPS["a_palindrome"], duration=3000.0)
+    dark = np.linalg.eigh(tripod.operators(0.0)[0][0])[1][:, 1]
+    for model, X0, grid, kind in (
+        (models.two_level_model(params), chi0, TimeGrid(0.0, 2.0 * np.pi, 20001), "invariant"),
+        (tripod, np.outer(dark, dark.conj()), TimeGrid(0.0, 3000.0, 4001), "density"),
+    ):
+        ops = model.operators(grid.refined().times)
+        X, largest, peak = _largest_live_block(
+            monkeypatch, lambda: dynamics._integrate(*ops, X0, grid, kind).samples
+        )
+        series = X.nbytes
+        assert series == grid.n_steps * X0.size * 16
+        assert largest <= series, (model.dim, largest, series)
+        if model.dim == 2:
+            assert peak - series <= series, (peak, series)
 
 
 def test_under_resolved_closed_run_is_refused():
@@ -533,6 +660,27 @@ def test_closed_flow_aborts_on_a_non_finite_generator_with_last_valid_time():
     for kind, X0 in (("density", np.diag([1.0, 0.0])), ("invariant", sx)):
         with pytest.raises(NumericalError, match=f"^{kind} .* last valid time t=0.4$"):
             dynamics.propagate(model, X0, TimeGrid(0.0, 1.0, 11), kind)
+
+
+def test_closed_flow_failures_keep_their_precedence_across_step_blocks():
+    """The time-dependent closed flow forms its exponents a block of 4096
+    qubit steps at a time, yet reports as the whole run would: an
+    under-resolved step in the first block gives way to a NaN in the third,
+    and without the NaN the first under-resolved step is the one reported,
+    at its exact spread."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    grid = TimeGrid(0.0, 1.0, 10001)
+    coarse = lambda t: np.where((t >= 0.1) & (t < 0.12), 3e4, 1.0)
+    for nan_from, expect in ((0.9, "produced non-finite values; last valid time t=0.8999$"), (2.0, None)):
+        model = LindbladModel(2, lambda t: np.where(t >= nan_from, np.nan, coarse(t))[:, None, None] * sx)
+        if expect is None:
+            H = model.operators(grid.refined().times)[0]
+            spread = dynamics._phase_spreads(dynamics._magnus_exponents(H, grid.dt))
+            k = int(np.argmax(spread >= np.pi))
+            assert 0 < k < matlib._BLOCK_ENTRIES // 4
+            expect = f"under-resolved: step phase spread {spread[k]:.4g} >= pi at t={grid.times[k]:.6g};"
+        with pytest.raises(NumericalError, match=expect):
+            dynamics.propagate(model, np.diag([1.0, 0.0]), grid)
 
 
 @pytest.mark.parametrize("which", ["H", "G", "g"])

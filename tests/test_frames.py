@@ -42,6 +42,33 @@ def test_frame_trajectory_validation():
         FrameTrajectory(TimeGrid(0.0, 1.0, 4), lam, [[0], [1]], V, "analytic")
 
 
+def test_frames_and_gauges_refuse_non_finite_samples():
+    """A NaN or inf entry in one sample of a 5-sample identity stack makes
+    the Gram deviation NaN or inf, which an orthonormality or unitarity
+    test alone lets through: both the frames and the gauge name the sample."""
+    grid = TimeGrid(0.0, 1.0, 5)
+    V = np.stack([np.eye(2, dtype=complex)] * 5)
+    fr = FrameTrajectory(grid, np.zeros((5, 2)), [[0], [1]], V, "analytic")
+    for bad in (np.nan, np.inf):
+        W = V.copy()
+        W[3, 1, 0] = bad
+        with pytest.raises(ValueError, match="^frame sample 3 is not finite$"):
+            FrameTrajectory(grid, np.zeros((5, 2)), [[0], [1]], W, "analytic")
+        with pytest.raises(ValueError, match="^gauge sample 3 is not finite$"):
+            gauge_transform(fr, W)
+
+
+def test_frames_refuse_a_block_that_is_not_a_contiguous_run():
+    """Every degeneracy block is a contiguous run of ascending levels, which
+    the transport reads as a view of the columns."""
+    grid = TimeGrid(0.0, 1.0, 3)
+    V = np.stack([np.eye(3, dtype=complex)] * 3)
+    for blocks in ([[0, 2], [1]], [[1, 0], [2]], [[0, 1, 2], []]):
+        with pytest.raises(ValueError, match="contiguous run of ascending levels"):
+            FrameTrajectory(grid, np.zeros((3, 3)), blocks, V, "analytic")
+    FrameTrajectory(grid, np.zeros((3, 3)), [[2], [0, 1]], V, "analytic")
+
+
 def test_eigenframes_match_closed_form_eigenvalues():
     params = _params()
     grid = TimeGrid(0.0, 2.0 * np.pi, 801)
