@@ -49,11 +49,11 @@ grid.refined() times and decides once per run how to step them:
   samples P^i x_(js) are one `mul`, with no loop over the n steps.  A
   stack with stride 0 along time, as `LindbladModel.operators` broadcasts
   a value that holds at all times, is constant without a scan;
-* a time-dependent open generator forms its step matrices a chunk at a
-  time, and each chunk's samples are one `ordered_product` of its step
-  matrices from the chunk's first vec(X): a pairwise scan of a few
-  levels over a qubit's 1024-step chunk, and stepwise over a 4-level
-  model's 64-step chunk.
+* a time-dependent open generator forms its step matrices a chunk (a
+  `sample_blocks` block of steps) at a time, and each chunk's samples are
+  one `ordered_product` of its step matrices from the chunk's first
+  vec(X): a pairwise scan of a few levels over a qubit's 1024-step chunk,
+  and stepwise over a 4-level model's 64-step chunk.
 
 Every branch works stack-last (D = d^2), on (n, D, D) views of contiguous
 (D, D, n) arrays, and returns its samples so: the Liouvillian is written
@@ -100,10 +100,6 @@ EXPECTATION_IMAG_TOL = 1e-8
 # eigenvalues reach d RANGE_RTOL max|lambda| in modulus: smaller ones are the
 # rounding of the eigensystem, not part of the range of X0
 RANGE_RTOL = np.finfo(float).eps
-# time-dependent open runs form their RK4 step matrices a chunk of steps at
-# a time, as many as hold this many matrix entries, which bounds the memory
-# they take on long grids; each chunk is one ordered product
-_CHUNK_ENTRIES = 2**14
 
 
 @dataclass
@@ -467,8 +463,9 @@ def _rk4_flow(
     from vec(X0) gives the block starts x_(js), and one product writes
     every x_(js+i) = P^i x_(js).
 
-    Otherwise the step matrices are formed a chunk at a time, at most
-    _CHUNK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
+    Otherwise the step matrices are formed a chunk at a time, one
+    `sample_blocks` block of steps of D^2 entries each, at most
+    _BLOCK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
     model), and each chunk's samples are the ordered product of its step
     matrices from the chunk's first sample.  `ordered_product` steps a
     chunk of up to 128 steps (every chunk of a 4-level model) one `@` at a
@@ -504,9 +501,8 @@ def _rk4_flow(
 
     samples = stack_last((n, D, 1))
     samples[0] = X0.reshape(D, 1)
-    chunk = max(1, _CHUNK_ENTRIES // D**2)  # steps
-    for lo in range(0, n - 1, chunk):
-        hi = min(lo + chunk, n - 1)
+    for b in sample_blocks(n - 1, D * D):
+        lo, hi = b.start, b.stop
         samples[lo : hi + 1] = ordered_product(step_matrices(lo, hi), samples[lo])
     return samples.reshape(n, d, d)
 

@@ -53,6 +53,8 @@ from .matlib import (
 
 CASE_TAGS = ("t_d", "t_nd", "nt_nd")
 OVERLAP_MODULUS_MIN = 1e-12
+# connection samples that nonabelian_witness compares pairwise
+_WITNESS_PROBES = 64
 
 
 @dataclass
@@ -96,12 +98,6 @@ def _group_index(g: list[int]) -> tuple:
     run of ascending levels, as `FrameTrajectory` requires of its blocks."""
     run = slice(g[0], g[-1] + 1)
     return (slice(None), run, run)
-
-
-def case_restrict(M: CMatrix, blocks: list[list[int]], case_tag: str) -> CMatrix:
-    """Zero the matrix elements that couple different groups of a case."""
-    M = np.asarray(M)
-    return np.where(block_mask(case_groups(blocks, case_tag), M.shape[-1]), M, 0)
 
 
 def check_case(blocks: list[list[int]], case_tag: str) -> None:
@@ -203,17 +199,18 @@ def geometric_phase(frames: FrameTrajectory, k: int, case_tag: str) -> HolonomyR
     Vpar is the discrete parallel transport of the case's level groups:
     per group, the ordered product of `frames.neighbour_transport`'s
     factors (a running product of Pancharatnam phases for a single level),
-    assembled block-diagonally.  The end overlap is case-restricted before
-    its polar split, so U and Vpar belong to the same reduced problem and
-    O is unitary.  No connection, derivative or exponential is formed.  A
-    neighbour or end overlap of a group with a singular value below
-    OVERLAP_MODULUS_MIN aborts with NumericalError: its polar factor, and
-    so the phase, is undefined.  With one group of all levels (t_nd) on a
-    complete frame, each factor is the whole overlap, the product
-    telescopes to W(t_k, 0)^dag and O = 1 to rounding.
+    assembled block-diagonally.  The end overlap is polar-split group by
+    group, reading only its in-group entries, so U and Vpar belong to the
+    same reduced problem and O is unitary.  No connection, derivative or
+    exponential is formed.  A neighbour or end overlap of a group with a
+    singular value below OVERLAP_MODULUS_MIN aborts with NumericalError:
+    its polar factor, and so the phase, is undefined.  With one group of
+    all levels (t_nd) on a complete frame, each factor is the whole
+    overlap, the product telescopes to W(t_k, 0)^dag and O = 1 to
+    rounding.
     """
     check_case(frames.blocks, case_tag)
-    W = case_restrict(overlap(frames, k), frames.blocks, case_tag)  # checks k's range
+    W = overlap(frames, k)  # checks k's range
     groups = case_groups(frames.blocks, case_tag)
     n, d = frames.n_steps, frames.dim
     factors = stack_last((n - 1, d, d), alloc=np.zeros)
@@ -302,13 +299,13 @@ def _product(F: np.ndarray) -> CMatrix:
     return F[0]
 
 
-def nonabelian_witness(
-    holo: HolonomyResult, conn: ConnectionSeries, n_probe: int = 64
-) -> dict[str, float]:
+def nonabelian_witness(holo: HolonomyResult, conn: ConnectionSeries) -> dict[str, float]:
     """Two scalar diagnostics of path-ordering sensitivity.
 
     commutator_max: largest ||[A(t_i), A(t_j)]||_max over a probe subsample
-    of the connection ``conn``, restricted to the holonomy's level groups.
+    of the connection ``conn`` (_WITNESS_PROBES evenly spaced samples, or
+    every sample of a shorter series), restricted to the holonomy's level
+    groups.
     reversal_gap: max-norm difference between the ordered product of the
     holonomy's transport factors and the product of the same factors in
     reversed order, over the whole grid.  Both vanish for Abelian
@@ -321,7 +318,7 @@ def nonabelian_witness(
     """
     A, F = conn.samples, holo.factors
     n, d = A.shape[0], A.shape[-1]
-    P = A[np.linspace(0, n - 1, min(n, n_probe)).astype(int)]
+    P = A[np.linspace(0, n - 1, min(n, _WITNESS_PROBES)).astype(int)]
     P = np.where(block_mask(holo.groups, d), P, 0)
     p = P.shape[0]
     # AB[a, i, b, l] = (P_a P_b)_il

@@ -16,9 +16,8 @@ ordering, and branch-cut conventions are decided in exactly one place:
   views of contiguous (d, d, n) arrays, so each elementwise product runs
   over the contiguous stack axis,
 * unitary exponentials come from `unitary_exp` alone, with no
-  eigensystem: in closed form on 1x1 and 2x2 stacks, ``e^(i s mu)
-  (cos(s r) 1 + i s sinc(s r/pi) B)`` for the traceless part B with
-  ``B^2 = r^2 1``; larger ones by scaling and squaring a Taylor polynomial,
+  eigensystem: every size by scaling and squaring a Taylor polynomial of
+  the traceless part, with the trace split off as an exact phase,
 * cumulative time-ordered products [X0, F0 X0, F1 F0 X0, ...] come from
   `ordered_product` alone, transporters and open RK4 flows alike:
   np.cumprod on 1x1 stacks, on larger ones a pairwise scan of O(log n)
@@ -263,16 +262,13 @@ def eigh(A: CMatrix) -> tuple[np.ndarray, CMatrix]:
     (conj(b), r - z) otherwise, the form without cancellation, divided by
     its norm sqrt(2 r) sqrt(r + |z|); for an upper vector (p, q) the lower
     one is (-conj(q), conj(p)).  A diagonal matrix in ascending order
-    (b = 0, z <= 0, which includes r = 0) gives V = 1.  A 1x1 stack is its
-    own eigenvalue with vector 1.  Other sizes call LAPACK.  The vectors
-    are stack-last (`stack_last`), LAPACK's copied so.  Non-finite
-    input, and LAPACK's failure to converge, abort.
+    (b = 0, z <= 0, which includes r = 0) gives V = 1.  Other sizes call
+    LAPACK.  The vectors are stack-last (`stack_last`), LAPACK's copied
+    so.  Non-finite input, and LAPACK's failure to converge, abort.
     """
     A = np.asarray(A)
     if not np.all(np.isfinite(A)):
         raise NumericalError("eigensystem of non-finite input")
-    if A.shape[-2:] == (1, 1):
-        return A[..., 0, :].real.copy(), np.ones(A.shape, dtype=complex)
     if A.shape[-2:] != (2, 2):
         V = stack_last(A.shape)
         try:
@@ -360,45 +356,6 @@ def _taylor(X: np.ndarray, m: int, tmp: np.ndarray) -> np.ndarray:
     return T
 
 
-def _closed_exp(Ac: np.ndarray, s: float, out: np.ndarray) -> float:
-    """exp(i s A) on a (n, d, d) stack of 1x1 or 2x2 matrices in closed
-    form, written into out; returns herm_defect of the stack.
-
-    A 1x1 matrix is its own phase exp(i s a).  A 2x2 matrix, with mu the
-    mean of its diagonal and the traceless Hermitian part B = [[z, conj(b)],
-    [b, -z]], has B^2 = r^2 1, r = hypot(z, |b|), so
-
-        exp(i s A) = e^(i s mu) (cos(s r) 1 + i s sinc(s r/pi) B),
-
-    with s sinc(s r/pi) = sin(s r)/r formed as that quotient (s at r = 0).
-    """
-    if Ac.shape[-1] == 1:
-        # + 0.0 turns the imaginary part -0.0 of exp(-0j) into +0.0, so a
-        # zero phase does not carry the sign of s or of a zero diagonal
-        np.exp(1j * s * Ac.real, out=out)
-        out += 0.0
-        return 2.0 * float(np.max(np.abs(Ac.imag), initial=0.0))
-    a, d = Ac[:, 0, 0], Ac[:, 1, 1]
-    lower, upper = Ac[:, 1, 0], Ac[:, 0, 1]
-    dev = max(
-        2.0 * float(np.max(np.maximum(np.abs(a.imag), np.abs(d.imag)), initial=0.0)),
-        float(np.max(np.abs(lower - upper.conj()), initial=0.0)),
-    )
-    b = 0.5 * (lower + upper.conj())
-    z = 0.5 * (a.real - d.real)
-    r = np.hypot(z, np.abs(b))
-    k = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0.0)
-    c = np.cos(s * r)
-    phase = np.exp(1j * s * (0.5 * (a.real + d.real)))
-    ikz = 1j * k * z
-    out[:, 0, 0] = phase * (c + ikz)
-    out[:, 1, 1] = phase * (c - ikz)
-    phase *= 1j * k
-    out[:, 1, 0] = phase * b
-    out[:, 0, 1] = phase * b.conj()
-    return dev
-
-
 def _taylor_exp(Ac: np.ndarray, s: float, out: np.ndarray) -> float:
     """exp(i s A) on a (n, d, d) stack by scaling and squaring a Taylor
     polynomial (see unitary_exp), written into out; returns herm_defect of
@@ -442,12 +399,11 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     """exp(i s A) for Hermitian A (or a stack), with no eigensystem; unitary
     to rounding.
 
-    Stacks of 1x1 and 2x2 matrices are exponentiated in closed form
-    (_closed_exp).  Larger ones scale and square a Taylor polynomial: the
-    trace is split off exactly, with mu = tr(A)/d and the traceless
-    B = i s (A - mu 1), exp(i s A) = e^(i s mu) exp(B).  Each matrix is
-    scaled by 2^-j, with j >= 0 the least power that brings the 1-norm of
-    B 2^-j to _EXP_THETA or below; the Taylor polynomial of least degree
+    Every size scales and squares a Taylor polynomial: the trace is split
+    off exactly, with mu = tr(A)/d and the traceless B = i s (A - mu 1),
+    exp(i s A) = e^(i s mu) exp(B).  Each matrix is scaled by 2^-j, with
+    j >= 0 the least power that brings the 1-norm of B 2^-j to _EXP_THETA
+    or below; the Taylor polynomial of least degree
     whose remainder bound at the largest scaled norm is below 2^-54 is
     evaluated by Paterson and Stockmeyer and squared j times (Moler and
     Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy and Higham, SIAM J. Matrix
@@ -456,9 +412,10 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     the rounding in the moduli of the eigenvalues, so a chunk squared
     _EXP_POLISH_SQUARINGS times or more takes one Newton step
     T (3 - T^dag T)/2 back to unitarity.  These are worked stack-last, with
-    every product a `mul`.  Either way the stack is taken a block at a time
+    every product a `mul`.  The stack is taken a block at a time
     (`sample_blocks`; each block is a chunk above), and the Hermitian part
-    of each matrix is exponentiated.  Non-finite input aborts before any
+    of each matrix is exponentiated; a 1x1 matrix is all trace, so its
+    exponential is the phase alone.  Non-finite input aborts before any
     work; the result is stack-last.  A matrix further than HERM_TOL from its
     Hermitian part raises ValueError.
     """
@@ -468,10 +425,9 @@ def unitary_exp(A: CMatrix, s: float = 1.0) -> CMatrix:
     d = A.shape[-1]
     flat = A.reshape(-1, d, d)
     out = stack_last(flat.shape)
-    exp_chunk = _closed_exp if d <= 2 else _taylor_exp
     dev = 0.0  # herm_defect(A), gathered chunk by chunk
     for blk in sample_blocks(len(flat), d * d):
-        dev = max(dev, exp_chunk(flat[blk], s, out[blk]))
+        dev = max(dev, _taylor_exp(flat[blk], s, out[blk]))
     if dev > HERM_TOL:
         raise ValueError(f"generator is not Hermitian (deviation {dev:.3e})")
     return out.reshape(A.shape)

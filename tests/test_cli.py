@@ -850,9 +850,11 @@ def test_lapack_eigensolver_call_budget(monkeypatch):
         assert sum(int(np.prod(shape[:-2])) for shape in calls) == expected, (raw, calls)
 
 
-def test_two_level_exponentials_take_the_closed_form(monkeypatch):
-    """Two-level runs exponentiate 1x1 and 2x2 stacks in closed form and
-    never reach the Taylor polynomial; the tripod's larger stacks still do."""
+def test_two_level_runs_form_no_exponential(monkeypatch):
+    """Every unitary exponential is a Taylor polynomial, and a two-level
+    `execute` never reaches one: its closed flows take level-pair phases
+    and its transport takes polar factors.  The tripod's Magnus flow still
+    does, on its 4x4 stacks."""
     calls = []
     taylor = matlib._taylor
 

@@ -691,7 +691,7 @@ def test_step_matrix_is_reused_only_while_the_generator_is_constant(which):
     through at its last level: only the constant steps may share the first
     sample's step matrix."""
     grid = TimeGrid(0.0, 4.0, 2501)
-    chunk = dynamics._CHUNK_ENTRIES // 4**2
+    chunk = matlib._BLOCK_ENTRIES // 4**2
     top = chunk // matlib._STEPWISE_FACTORS  # steps per factor of the stepwise level
     assert chunk < 1500 < 2 * chunk and top > 1 and (1500 - chunk) % top != 0
     model = _switched_model(grid.times[1500], which)
@@ -809,7 +809,7 @@ def test_time_dependent_open_flow_matches_the_stepwise_reference(d, steps):
     stepped one `@` at a time.  Grids whose last chunk is full, partial or
     one step long, and chunks at the scan's level boundaries C - 1, C and
     C + 1, all give the stepwise samples."""
-    assert dynamics._CHUNK_ENTRIES // d**4 == {2: 1024, 4: 64}[d]
+    assert matlib._BLOCK_ENTRIES // d**4 == {2: 1024, 4: 64}[d]
     assert _C == 128
     rng = np.random.default_rng(100 * d + steps)
     model = _random_varying_model(rng, d)
@@ -930,7 +930,7 @@ def test_each_propagation_samples_the_model_once(monkeypatch):
         lambda: dynamics.propagate(decay, rho0, grid),
         lambda: dynamics.propagate_coefficients(decay, fr, rho0, grid),
     )
-    assert grid.n_steps > 7 * dynamics._CHUNK_ENTRIES // 4**2
+    assert grid.n_steps > 7 * matlib._BLOCK_ENTRIES // 4**2
     for run in runs:
         sampled.clear()
         run()

@@ -39,23 +39,13 @@ def _rotation_frames(grid, angle_fn):
 
 
 def test_case_restrict_masks_follow_the_block_structure():
-    M = np.arange(9.0).reshape(3, 3) + 1.0
     blocks = [[0, 1], [2]]
     assert holonomy.case_groups(blocks, "nt_nd") == [[0], [1], [2]]
     assert holonomy.case_groups(blocks, "t_d") == [[0, 1], [2]]
     assert holonomy.case_groups(blocks, "t_nd") == [[0, 1, 2]]
-    assert np.array_equal(holonomy.case_restrict(M, blocks, "t_nd"), M)
-    nt = holonomy.case_restrict(M, blocks, "nt_nd")
-    assert np.array_equal(nt, np.diag([1.0, 5.0, 9.0]))
-    td = holonomy.case_restrict(M, blocks, "t_d")
-    expect = np.array([[1.0, 2.0, 0.0], [4.0, 5.0, 0.0], [0.0, 0.0, 9.0]])
-    assert np.array_equal(td, expect)
-    # stacked input restricts every sample
-    stack = holonomy.case_restrict(np.stack([M, 2.0 * M]), blocks, "t_d")
-    assert np.array_equal(stack[1], 2.0 * expect)
     for tag in ("diag", "general"):
         with pytest.raises(ValueError, match="case tag"):
-            holonomy.case_restrict(M, blocks, tag)
+            holonomy.case_groups(blocks, tag)
 
 
 def test_case_tags_are_checked_against_the_spectrum_structure():
@@ -128,7 +118,7 @@ def test_polar_factors_rebuild_the_restricted_overlap():
     fr = models.analytic_frames(params, grid)
     for case in ("nt_nd", "t_nd"):
         res = holonomy.geometric_phase(fr, 600, case)
-        W = holonomy.case_restrict(frames.overlap(fr, 600), fr.blocks, case)
+        W = np.where(matlib.block_mask(res.groups, 2), frames.overlap(fr, 600), 0)
         assert np.max(np.abs(res.R @ res.U - W)) < 1e-12
         gram = res.O.conj().T @ res.O
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
@@ -506,7 +496,7 @@ def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
     holo = holonomy.geometric_phase(fr, -1, "t_nd")
     Q = [matlib.polar_svd(V[k + 1].conj().T @ V[k])[0] for k in range(n - 1)]
     assert np.max(np.abs(holo.factors - np.array(Q))) < 1e-13
-    w = holonomy.nonabelian_witness(holo, conn, n_probe=n)
+    w = holonomy.nonabelian_witness(holo, conn)
     comm = max(
         np.max(np.abs(A[i] @ A[j] - A[j] @ A[i])) for i in range(n) for j in range(i + 1, n)
     )
@@ -519,7 +509,7 @@ def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
     assert abs(w["reversal_gap"] - np.max(np.abs(forward - backward))) < 1e-14
     assert np.array_equal(holo.Vpar, forward)
     # the nt_nd groups keep only the diagonal of the connection, which commutes
-    diag = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "nt_nd"), conn, n)
+    diag = holonomy.nonabelian_witness(holonomy.geometric_phase(fr, -1, "nt_nd"), conn)
     assert diag["commutator_max"] == 0.0
 
 

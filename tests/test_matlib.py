@@ -288,10 +288,10 @@ def test_unitary_exp_matches_dense_expm():
 
 
 def test_unitary_exp_of_a_stack_matches_the_loop():
-    """Closed form (1x1, 2x2) and Taylor form (3x3) alike: the first
-    matrices and those on both sides of a chunk boundary against their own
-    single-matrix calls, and the ValueError of a non-Hermitian matrix, its
-    deviation herm_defect, for an off-diagonal and a diagonal entry."""
+    """1x1, 2x2 and 3x3 stacks alike: the first matrices and those on
+    both sides of a chunk boundary against their own single-matrix calls,
+    and the ValueError of a non-Hermitian matrix, its deviation
+    herm_defect, for an off-diagonal and a diagonal entry."""
     rng = np.random.default_rng(19)
     for d in (1, 2, 3):
         A = np.stack([_random_hermitian(rng, d) for _ in range(4100)])
@@ -343,7 +343,7 @@ def test_unitary_exp_rejects_non_finite_input():
                 matlib.unitary_exp(A[1])
 
 
-def _closed_form_stack(rng, d, size, s, count=6):
+def _small_stack(rng, d, size, s, count=6):
     """``count`` Hermitian d x d matrices with |s| |A - mu 1|_2 = size and a
     random trace mu; a 1x1 matrix is all trace, so there |s a| = size."""
     if d == 1:
@@ -354,15 +354,16 @@ def _closed_form_stack(rng, d, size, s, count=6):
     return B + rng.normal(size=count)[:, None, None] * np.eye(2)
 
 
-def test_closed_form_unitary_exp_matches_expm():
-    """1x1 and 2x2 stacks take the closed form e^(i s mu) (cos(s r) 1 +
-    i s sinc(s r/pi) B): against expm for s|A - mu| of exactly 0 (sinc(0),
-    a multiple of the identity), 1e-12, 1e-6, 1, 1e2 and 1e3."""
+def test_unitary_exp_of_1x1_and_2x2_stacks_matches_expm():
+    """1x1 and 2x2 stacks take the one Taylor path, with its per-matrix
+    scaling and Newton polish: against expm, and unitary to 1e-15, for
+    s|A - mu| of exactly 0 (a multiple of the identity), 1e-12, 1e-6, 1,
+    1e2 and 1e3."""
     rng = np.random.default_rng(41)
     for d in (1, 2):
         for size in (0.0, 1e-12, 1e-6, 1.0, 1e2, 1e3):
             for s in (1.0, -0.6):
-                A = _closed_form_stack(rng, d, size, s)
+                A = _small_stack(rng, d, size, s)
                 U = matlib.unitary_exp(A, s)
                 for Ak, Uk in zip(A, U):
                     assert np.max(np.abs(Uk - expm(1j * s * Ak))) <= 1e-12, (d, size, s)
