@@ -129,9 +129,12 @@ class ScenarioConfig:
         seed = _parse_int("seed", raw.get("seed", 0))
         if "HKIT_SEED" in os.environ:
             seed = _parse_int("HKIT_SEED", os.environ["HKIT_SEED"])
+        params = {} if raw.get("params") is None else raw["params"]
         try:
-            params = {str(k): _parse_float(k, v) for k, v in (raw.get("params") or {}).items()}
-        except (AttributeError, TypeError, ValueError) as exc:
+            if not isinstance(params, dict):
+                raise TypeError(f"expected an object, got {params!r}")
+            params = {str(k): _parse_float(k, v) for k, v in params.items()}
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid params: {exc}") from exc
         return cls(
             scenario=raw["scenario"],

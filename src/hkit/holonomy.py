@@ -22,9 +22,12 @@ groups whose basis states may mix (``case_groups``):
 
 The neighbour overlaps and the end overlap keep only entries within a
 group, and each is polar-split group by group, so every case is the
-holonomy of its own reduced transport problem.  The connection stays a
-diagnostic (`nonabelian_witness`, `noncyclic_abelian_gp`) and the
-generator of `transporter`, off the phase path.
+holonomy of its own reduced transport problem.  Each group's factors and
+transport stay that group's own (|g|, |g|) series; only the d x d end
+matrices U, R, Vpar and O are assembled from the groups' blocks.  The
+connection stays a diagnostic (`nonabelian_witness`,
+`noncyclic_abelian_gp`) and the generator of `transporter`, off the phase
+path.
 """
 from __future__ import annotations
 
@@ -45,7 +48,6 @@ from .matlib import (
     principal_phase,
     sample_blocks,
     series_derivative,
-    stack_last,
     unitary_defect,
     unitary_eigenphases,
     unitary_exp,
@@ -61,11 +63,13 @@ _WITNESS_PROBES = 64
 class HolonomyResult:
     """Phase data of one transport problem at a fixed final time.
 
-    ``factors`` holds the discrete transport factors Q_k of each level
-    group (`frames.neighbour_transport`) and ``transport`` their ordered
-    product series over the whole grid, identity first; ``Vpar`` is its
-    entry k.  Both are block diagonal over the case's level ``groups``,
-    with exact zeros between groups.  The witness's reversal gap reads the
+    ``factors`` and ``transport`` are aligned with the case's level
+    ``groups``: entry g of ``factors`` holds group g's discrete transport
+    factors Q_k (`frames.neighbour_transport`), shape
+    (n_steps - 1, |g|, |g|), and entry g of ``transport`` their ordered
+    product series over the whole grid, identity first, shape
+    (n_steps, |g|, |g|).  ``Vpar`` is block diagonal, with entry k of each
+    group's series as its block.  The witness's reversal gap reads the
     factors and the parallel-transport residual the series.
     """
 
@@ -76,8 +80,8 @@ class HolonomyResult:
     trace_O: complex
     eigenphases: np.ndarray
     case_tag: str
-    factors: np.ndarray  # (n_steps - 1, dim, dim)
-    transport: np.ndarray  # (n_steps, dim, dim)
+    factors: list[np.ndarray]  # per group: (n_steps - 1, |g|, |g|)
+    transport: list[np.ndarray]  # per group: (n_steps, |g|, |g|)
     groups: list[list[int]]
 
 
@@ -90,14 +94,6 @@ def case_groups(blocks: list[list[int]], case_tag: str) -> list[list[int]]:
     if case_tag == "t_d":
         return [list(b) for b in blocks]
     return [sorted(i for b in blocks for i in b)]
-
-
-def _group_index(g: list[int]) -> tuple:
-    """Index of one level group's (|g|, |g|) slice of every matrix in a
-    stack, a view: every case group of a spectrum's blocks is a contiguous
-    run of ascending levels, as `FrameTrajectory` requires of its blocks."""
-    run = slice(g[0], g[-1] + 1)
-    return (slice(None), run, run)
 
 
 def check_case(blocks: list[list[int]], case_tag: str) -> None:
@@ -174,36 +170,20 @@ def _require_phase(smallest: float) -> None:
         raise NumericalError(f"overlap singular value {smallest:.3e}: phase undefined")
 
 
-def _restricted_polar(W: CMatrix, groups: list[list[int]]) -> tuple[CMatrix, CMatrix]:
-    """Polar split W ~ R U, one independent decomposition per level group.
-
-    This keeps the split from coupling levels the case forbids (a full SVD
-    could mix groups with close singular values).  A singular group
-    overlap aborts (`_require_phase`).
-    """
-    U = np.zeros_like(W)
-    R = np.zeros_like(W)
-    smallest = np.inf
-    for g in groups:
-        idx = np.ix_(g, g)
-        U[idx], sig = polar_svd(W[idx])
-        R[idx] = W[idx] @ U[idx].conj().T
-        smallest = min(smallest, sig[-1])
-    _require_phase(smallest)
-    return U, 0.5 * (R + R.conj().T)
-
-
 def geometric_phase(frames: FrameTrajectory, k: int, case_tag: str) -> HolonomyResult:
     """Holonomy data O(t_k, 0) = U(t_k, 0) @ Vpar(t_k) for one case.
 
-    Vpar is the discrete parallel transport of the case's level groups:
-    per group, the ordered product of `frames.neighbour_transport`'s
-    factors (a running product of Pancharatnam phases for a single level),
-    assembled block-diagonally.  The end overlap is polar-split group by
-    group, reading only its in-group entries, so U and Vpar belong to the
-    same reduced problem and O is unitary.  No connection, derivative or
-    exponential is formed.  A neighbour or end overlap of a group with a
-    singular value below OVERLAP_MODULUS_MIN aborts with NumericalError:
+    One pass per level group g, a contiguous run of levels as
+    `FrameTrajectory` requires of its blocks: the group's transport is the
+    ordered product of its `frames.neighbour_transport` factors (a running
+    product of Pancharatnam phases for a single level), kept as its own
+    series, and its block of the end overlap W(t_k, 0) is polar-split on
+    its own, so the split cannot couple levels the case forbids and U and
+    Vpar belong to the same reduced problem: O is unitary.  U, the
+    Hermitian factor R and Vpar are block diagonal over the groups.  No
+    connection, derivative or exponential is formed.  A neighbour or end
+    overlap of a group with a singular value below OVERLAP_MODULUS_MIN
+    aborts with NumericalError, every neighbour check before the end one:
     its polar factor, and so the phase, is undefined.  With one group of
     all levels (t_nd) on a complete frame, each factor is the whole
     overlap, the product telescopes to W(t_k, 0)^dag and O = 1 to
@@ -212,16 +192,19 @@ def geometric_phase(frames: FrameTrajectory, k: int, case_tag: str) -> HolonomyR
     check_case(frames.blocks, case_tag)
     W = overlap(frames, k)  # checks k's range
     groups = case_groups(frames.blocks, case_tag)
-    n, d = frames.n_steps, frames.dim
-    factors = stack_last((n - 1, d, d), alloc=np.zeros)
-    transport = stack_last((n, d, d), alloc=np.zeros)
+    U, R, Vpar = np.zeros_like(W), np.zeros_like(W), np.zeros_like(W)
+    factors, transport, smallest = [], [], np.inf
     for g, (Q, sig) in zip(groups, neighbour_transport(frames.vectors, groups)):
         _require_phase(np.min(sig[:, -1]))
-        idx = _group_index(g)
-        factors[idx] = Q
-        transport[idx] = ordered_product(Q)
-    Vpar = transport[k]
-    U, R = _restricted_polar(W, groups)
+        factors.append(Q)
+        transport.append(ordered_product(Q))
+        run = slice(g[0], g[-1] + 1)
+        U[run, run], sig = polar_svd(W[run, run])
+        R[run, run] = W[run, run] @ U[run, run].conj().T
+        Vpar[run, run] = transport[-1][k]
+        smallest = min(smallest, sig[-1])
+    _require_phase(smallest)
+    R = 0.5 * (R + R.conj().T)
     O = U @ Vpar
     return HolonomyResult(
         O=O,
@@ -244,11 +227,14 @@ def noncyclic_abelian_gp(
 
     arg <level;0|level;t_k> plus the integrated diagonal connection
     (``conn``, or computed from the frames when omitted; trapezoid rule),
-    wrapped to (-pi, pi].  For a cyclic trajectory the overlap phase drops
-    out and the pure holonomy integral remains.
+    wrapped to (-pi, pi]; ``conn`` must be sampled on the frames' grid.
+    For a cyclic trajectory the overlap phase drops out and the pure
+    holonomy integral remains.
     """
     if not 0 <= level < frames.dim:
         raise ValueError(f"level {level} out of range")
+    if conn is not None and conn.grid != frames.grid:
+        raise ValueError("connection and frames must be sampled on the same grid")
     w = overlap(frames, k)[level, level]  # checks k's range
     k = k % frames.n_steps
     if abs(w) < OVERLAP_MODULUS_MIN:
@@ -263,22 +249,24 @@ def noncyclic_abelian_gp(
 
 def parallel_residual(frames: FrameTrajectory, holo: HolonomyResult) -> float:
     """Largest in-group connection entry of the transported frame T = V @ T_c,
-    with T_c the case's own transport series ``holo.transport``.
+    with T_c block diagonal over the case's level groups, its blocks the
+    groups' own transport series ``holo.transport``.
 
     Parallel transport within each level group means the in-group entries
     of i T^dag dT/dt vanish; the returned value is their max-norm over the
     grid (central differences inside, one-sided second-order stencils at
     the ends).  Entries between groups are the transitions the case leaves
-    out, and are not counted: T is formed one group's columns at a time, a
-    block of samples at a time (`sample_blocks`, with halos).
+    out, and are not counted: T is formed one group's columns at a time,
+    the frames' group columns times the group's series, a block of samples
+    at a time (`sample_blocks`, with halos).
     """
-    V, Tc = frames.vectors, holo.transport
-    if Tc.shape != V.shape:
+    V, series = frames.vectors, list(zip(holo.groups, holo.transport, strict=True))
+    if any(Tg.shape != (V.shape[0], len(g), len(g)) for g, Tg in series):
         raise ValueError("transport series does not match the frames")
     worst = []
     for ext, own in sample_blocks(frames.n_steps, frames.dim**2, halo=True):
-        for g in holo.groups:
-            T = mul(V[ext], Tc[ext][:, :, g])  # the group's columns of T
+        for g, Tg in series:
+            T = mul(V[ext][:, :, g[0] : g[-1] + 1], Tg[ext])  # the group's columns of T
             dT = series_derivative(T, frames.grid.dt)[own]
             worst.append(np.max(np.abs(mul(T[own].conj().swapaxes(1, 2), dT))))
     return float(np.max(worst))
@@ -312,11 +300,11 @@ def nonabelian_witness(holo: HolonomyResult, conn: ConnectionSeries) -> dict[str
     (commuting) transport, and both depend on the frame gauge.  Every probe
     product P_a P_b comes from one (p d x d)(d x p d) matrix product of the
     stacked probes, a plain BLAS product with no stack to batch over.  The
-    forward product is the end of the holonomy's stored transport series;
-    the reversed one is formed group by group, as the forward one was, by a
-    pairwise reduction of the group's factors.
+    gap is the largest over the level groups: each group's forward product
+    is the end of its stored transport series, and its reversed one a
+    pairwise reduction of its factors.
     """
-    A, F = conn.samples, holo.factors
+    A = conn.samples
     n, d = A.shape[0], A.shape[-1]
     P = A[np.linspace(0, n - 1, min(n, _WITNESS_PROBES)).astype(int)]
     P = np.where(block_mask(holo.groups, d), P, 0)
@@ -325,13 +313,10 @@ def nonabelian_witness(holo: HolonomyResult, conn: ConnectionSeries) -> dict[str
     AB = (P.reshape(p * d, d) @ P.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
     comm = float(np.max(np.abs(AB - AB.transpose(2, 1, 0, 3))))
 
-    forward = holo.transport[-1]
-    # the same factors multiplied earliest-leftmost: the opposite ordering
-    backward = np.zeros_like(forward)
-    for g in holo.groups:
-        idx = _group_index(g)
-        backward[idx[1:]] = _product(F[idx])  # idx[1:] indexes one matrix
-    gap = float(np.max(np.abs(forward - backward)))
+    # the end of each group's transport against the same factors multiplied
+    # earliest-leftmost: the opposite ordering
+    pairs = zip(holo.transport, holo.factors, strict=True)
+    gap = max(float(np.max(np.abs(T[-1] - _product(F)))) for T, F in pairs)
     return {"commutator_max": comm, "reversal_gap": gap}
 
 
@@ -371,6 +356,7 @@ def dissipative_free_block_solution(
     gen = 0.5 * (gen + np.conj(np.swapaxes(gen, -1, -2)))
 
     E_left, E_right = (
-        transporter(ConnectionSeries(frames.grid, gen[_group_index(b)])) for b in (bl, br)
+        transporter(ConnectionSeries(frames.grid, gen[:, b[0] : b[-1] + 1, b[0] : b[-1] + 1]))
+        for b in (bl, br)
     )
     return mul(mul(E_left, c0_block), E_right.conj().swapaxes(1, 2))

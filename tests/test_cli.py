@@ -87,6 +87,10 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
     malformed = [
         ({"seed": "abc"}, "invalid seed"),
         ({"params": {"theta0": "x"}}, "invalid params"),
+        ({"params": 0}, "invalid params: expected an object, got 0"),
+        ({"params": False}, "invalid params: expected an object, got False"),
+        ({"params": ""}, "invalid params: expected an object, got ''"),
+        ({"params": []}, "invalid params: expected an object, got []"),
         ({"grid": [0, 6.28, 200]}, "invalid grid"),
         ({"seed": 1.7}, "invalid seed"),
         ({"seed": True}, "invalid seed"),
@@ -137,6 +141,8 @@ def test_unreadable_or_malformed_config_exits_with_config_code(tmp_path, capsys,
     ]
     for i, (overrides, needle) in enumerate(malformed):
         exits_with_one_line(_write_config(tmp_path, f"bad{i}.json", **overrides), needle)
+    # null params mean no params, as an absent key does
+    assert ScenarioConfig.from_dict({"scenario": "berry_closed", "params": None}).params == {}
     monkeypatch.setenv("HKIT_SEED", "seven")
     exits_with_one_line(_write_config(tmp_path), "invalid HKIT_SEED")
 
@@ -815,8 +821,8 @@ def test_pipeline_series_are_stack_last():
             "I_traj": res.I_traj.samples,
             "frames": res.frames.vectors,
             "conn": res.conn.samples,
-            "factors": res.holo.factors,
-            "transport": res.holo.transport,
+            **{f"factors[{g}]": F for g, F in enumerate(res.holo.factors)},
+            **{f"transport[{g}]": T for g, T in enumerate(res.holo.transport)},
         }
         for name, x in series.items():
             assert np.moveaxis(x, 0, -1).flags.c_contiguous, (raw["scenario"], name)

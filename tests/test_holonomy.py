@@ -38,7 +38,7 @@ def _rotation_frames(grid, angle_fn):
     return FrameTrajectory(grid, lam, [[0], [1]], V, "analytic")
 
 
-def test_case_restrict_masks_follow_the_block_structure():
+def test_case_groups_follow_the_block_structure():
     blocks = [[0, 1], [2]]
     assert holonomy.case_groups(blocks, "nt_nd") == [[0], [1], [2]]
     assert holonomy.case_groups(blocks, "t_d") == [[0, 1], [2]]
@@ -204,6 +204,15 @@ def test_noncyclic_phase_validation():
         holonomy.noncyclic_abelian_gp(fr, 0, 9)
 
 
+def test_noncyclic_phase_refuses_a_connection_on_another_grid():
+    """A connection is integrated on the frames' own time step, so one
+    sampled on another grid is refused, not read as if it were theirs."""
+    fr = models.analytic_frames(_params(), TimeGrid(0.0, 2.0 * np.pi, 401))
+    coarse = frames.connection(models.analytic_frames(_params(), TimeGrid(0.0, 2.0 * np.pi, 101)))
+    with pytest.raises(ValueError, match="same grid"):
+        holonomy.noncyclic_abelian_gp(fr, 0, -1, coarse)
+
+
 def test_parallel_residual_flags_untransported_frames():
     params = _params(gamma=0.0)
     grid = TimeGrid(0.0, 2.0 * np.pi, 2001)
@@ -211,10 +220,11 @@ def test_parallel_residual_flags_untransported_frames():
     holo = holonomy.geometric_phase(fr, -1, "t_nd")
     assert holonomy.parallel_residual(fr, holo) < 1e-4
     # the raw frames are not parallel-transported: residual ~ ||A||
-    plain = np.broadcast_to(np.eye(2, dtype=complex), holo.transport.shape).copy()
-    assert holonomy.parallel_residual(fr, replace(holo, transport=plain)) > 0.1
+    [T] = holo.transport
+    plain = np.broadcast_to(np.eye(2, dtype=complex), T.shape).copy()
+    assert holonomy.parallel_residual(fr, replace(holo, transport=[plain])) > 0.1
     with pytest.raises(ValueError, match="match"):
-        holonomy.parallel_residual(fr, replace(holo, transport=holo.transport[:100]))
+        holonomy.parallel_residual(fr, replace(holo, transport=[T[:100]]))
 
 
 def test_parallel_residual_is_that_of_the_case_transport():
@@ -225,7 +235,7 @@ def test_parallel_residual_is_that_of_the_case_transport():
     loop (t_d) the in-group condition holds to discretization."""
     fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 801))
     holo = holonomy.geometric_phase(fr, -1, "t_nd")
-    T = matlib.mul(fr.vectors, holo.transport)
+    T = matlib.mul(fr.vectors, holo.transport[0])
     dT = matlib.series_derivative(T, fr.grid.dt)
     full = float(np.max(np.abs(matlib.mul(T.conj().swapaxes(1, 2), dT))))
     assert holonomy.parallel_residual(fr, holo) == full
@@ -286,9 +296,11 @@ def test_blocked_stages_match_whole_array_forms_bit_for_bit(d, blocks):
     assert conn.herm_deviation == float(np.max(np.abs(A - Ah)))
 
     holo = holonomy.geometric_phase(fr, -1, {2: "nt_nd", 4: "t_d"}[d])
-    T = matlib.mul(V, holo.transport)
-    M = matlib.mul(T.conj().swapaxes(1, 2), matlib.series_derivative(T, fr.grid.dt))
-    residual = float(np.max(np.abs(M[:, matlib.block_mask(holo.groups, d)])))
+    residual = 0.0
+    for g, Tg in zip(holo.groups, holo.transport):
+        T = matlib.mul(V[:, :, g[0] : g[-1] + 1], Tg)  # the group's columns of V Vpar
+        M = matlib.mul(T.conj().swapaxes(1, 2), matlib.series_derivative(T, fr.grid.dt))
+        residual = max(residual, float(np.max(np.abs(M))))
     assert holonomy.parallel_residual(fr, holo) == residual
 
 
@@ -331,6 +343,30 @@ def test_per_sample_stages_take_block_sized_transients():
     assert peak < series, peak
 
 
+def test_geometric_phase_keeps_only_the_groups_series():
+    """The traced peak of geometric_phase on 20 001 frame samples stays
+    below two (n, d, d) series, for 1x1 groups (nt_nd) and for a 2x2
+    degenerate block between two levels (t_d): each group's factors and
+    transport are (|g|, |g|) series of their own, and the result's arrays
+    hold those entries and nothing more."""
+    for d, case in ((2, "nt_nd"), (4, "t_d")):
+        fr = frames.eigenframes(_rotating_invariant(d, 20001))
+        holo, peak = _traced_peak(holonomy.geometric_phase, fr, -1, case)
+        assert peak < 2 * fr.vectors.nbytes, (case, peak / fr.vectors.nbytes)
+        entries = sum(len(g) ** 2 for g in holo.groups) * (2 * fr.n_steps - 1)
+        arrays = holo.factors + holo.transport
+        assert sum(x.nbytes for x in arrays) == 16 * entries
+        assert all(x.base is None or x.base.nbytes == x.nbytes for x in arrays)
+
+
+def _assert_vpar_is_entry(holo, k):
+    """Vpar holds entry k of each group's transport series as its block,
+    and exact zeros between groups."""
+    assert not np.any(holo.Vpar[~matlib.block_mask(holo.groups, holo.Vpar.shape[0])])
+    for g, T in zip(holo.groups, holo.transport):
+        assert np.array_equal(holo.Vpar[g[0] : g[-1] + 1, g[0] : g[-1] + 1], T[k])
+
+
 def test_holonomy_keeps_one_transport_series():
     """Vpar is entry k of the stored series, which runs over the whole grid
     and is the ordered product of the stored factors.  With one group of
@@ -339,12 +375,15 @@ def test_holonomy_keeps_one_transport_series():
     fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 501))
     for case in ("t_nd", "nt_nd"):
         res = holonomy.geometric_phase(fr, 250, case)
-        assert res.transport.shape == (501, 2, 2) and res.factors.shape == (500, 2, 2)
-        assert np.array_equal(res.Vpar, res.transport[250])
+        sizes = [len(g) for g in res.groups]
+        assert [T.shape for T in res.transport] == [(501, m, m) for m in sizes]
+        assert [F.shape for F in res.factors] == [(500, m, m) for m in sizes]
+        _assert_vpar_is_entry(res, 250)
     full = holonomy.geometric_phase(fr, -1, "t_nd")
-    assert np.array_equal(full.transport, matlib.ordered_product(full.factors))
+    [T], [F] = full.transport, full.factors
+    assert np.array_equal(T, matlib.ordered_product(F))
     V = fr.vectors
-    assert np.max(np.abs(full.transport - matlib.mul(V.conj().swapaxes(1, 2), V[0]))) < 1e-12
+    assert np.max(np.abs(T - matlib.mul(V.conj().swapaxes(1, 2), V[0]))) < 1e-12
 
 
 def _every_accepted_run():
@@ -398,7 +437,7 @@ def test_runs_form_one_connection_and_no_transporter(monkeypatch, runs):
         assert calls == ["connection"], (cfg.scenario, cfg.case_tag, calls)
         assert len(seen) == 1 and seen[0] is res.holo
         assert len(conns) == 1 and conns[0] is res.conn
-        assert np.array_equal(res.holo.Vpar, res.holo.transport[-1])
+        _assert_vpar_is_entry(res.holo, -1)
         if cfg.case_tag == "t_nd":
             assert np.max(np.abs(res.holo.O - np.eye(res.frames.dim))) < 1e-12
 
@@ -429,9 +468,9 @@ def test_phase_path_forms_no_connection_derivative_or_exponential(monkeypatch):
 
 
 def test_nondegenerate_transport_is_the_cumulative_pancharatnam_phase():
-    """nt_nd transports each level by its own 1x1 factor: the series is the
-    running product of the Pancharatnam phases s_k/|s_k|, s_k =
-    <v_(k+1)|v_k>, with exact zeros off the diagonal.  It is the midpoint
+    """nt_nd transports each level by its own 1x1 factor: the level's own
+    1x1 series is the running product of the Pancharatnam phases s_k/|s_k|,
+    s_k = <v_(k+1)|v_k>.  It is the midpoint
     phase exp(i cumsum(dt (a_k + a_{k+1})/2)) of the diagonal connection up
     to second-order discretization error."""
     fr = models.analytic_frames(_params(gamma=0.05), TimeGrid(0.0, 2.0 * np.pi, 2001))
@@ -440,9 +479,9 @@ def test_nondegenerate_transport_is_the_cumulative_pancharatnam_phase():
     V = fr.vectors
     s = np.einsum("kil,kil->kl", V[1:].conj(), V[:-1])
     ref = np.cumprod(np.vstack([np.ones(2), s / np.abs(s)]), axis=0)
-    assert np.max(np.abs(np.einsum("kii->ki", res.transport) - ref)) < 1e-12
-    off = ~np.eye(2, dtype=bool)
-    assert not np.any(res.transport[:, off]) and not np.any(res.factors[:, off])
+    assert [T.shape for T in res.transport] == [(2001, 1, 1)] * 2
+    assert [F.shape for F in res.factors] == [(2000, 1, 1)] * 2
+    assert np.max(np.abs(np.hstack([T[:, 0] for T in res.transport]) - ref)) < 1e-12
     conn = frames.connection(fr)
     a = np.einsum("kii->ki", conn.samples).real
     phase = np.cumsum(0.5 * conn.grid.dt * (a[:-1] + a[1:]), axis=0)
@@ -452,18 +491,18 @@ def test_nondegenerate_transport_is_the_cumulative_pancharatnam_phase():
 
 def test_degenerate_transport_is_exactly_block_diagonal():
     """t_d transports the tripod's dark pair as one 2x2 block and the bright
-    levels alone; nothing leaks between the blocks, not even rounding."""
+    levels alone; nothing leaks between the blocks, not even rounding:
+    each group keeps a series of its own size."""
     model = models.wilczek_zee_demo(rabi=1.2, loop=WZ_LOOPS["a"], duration=1500.0)
     I_traj = models.adiabatic_invariant_trajectory(model, TimeGrid(0.0, 1500.0, 2001))
     fr = frames.eigenframes(I_traj)
     res = holonomy.geometric_phase(fr, -1, "t_d")
     assert res.groups == [[0], [1, 2], [3]]
-    off = ~matlib.block_mask(res.groups, 4)
-    assert not np.any(res.transport[:, off]) and not np.any(res.factors[:, off])
-    dark = (slice(None),) + np.ix_([1, 2], [1, 2])
+    assert [T.shape for T in res.transport] == [(2001, 1, 1), (2001, 2, 2), (2001, 1, 1)]
+    assert [F.shape for F in res.factors] == [(2000, 1, 1), (2000, 2, 2), (2000, 1, 1)]
     [(Q, _)] = frames.neighbour_transport(fr.vectors, [[1, 2]])
-    assert np.array_equal(res.transport[dark], matlib.ordered_product(Q))
-    assert unitary_defect(res.transport[-1]) < 1e-12
+    assert np.array_equal(res.transport[1], matlib.ordered_product(Q))
+    assert max(unitary_defect(T[-1]) for T in res.transport) < 1e-12
 
 
 def test_witness_vanishes_for_diagonal_transport():
@@ -495,14 +534,14 @@ def test_witness_matches_its_pairwise_and_reversed_sample_definitions():
     conn = ConnectionSeries(grid, A)
     holo = holonomy.geometric_phase(fr, -1, "t_nd")
     Q = [matlib.polar_svd(V[k + 1].conj().T @ V[k])[0] for k in range(n - 1)]
-    assert np.max(np.abs(holo.factors - np.array(Q))) < 1e-13
+    assert np.max(np.abs(holo.factors[0] - np.array(Q))) < 1e-13
     w = holonomy.nonabelian_witness(holo, conn)
     comm = max(
         np.max(np.abs(A[i] @ A[j] - A[j] @ A[i])) for i in range(n) for j in range(i + 1, n)
     )
     assert abs(w["commutator_max"] - comm) < 1e-13
     forward, backward = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
-    for F in np.ascontiguousarray(holo.factors):
+    for F in np.ascontiguousarray(holo.factors[0]):
         forward, backward = np.dot(F, forward), np.dot(backward, F)
     # the witness reduces the reversed factors pairwise, so it agrees with the
     # sequential product to rounding, not bit for bit

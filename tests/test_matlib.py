@@ -294,10 +294,10 @@ def test_unitary_exp_of_a_stack_matches_the_loop():
     herm_defect, for an off-diagonal and a diagonal entry."""
     rng = np.random.default_rng(19)
     for d in (1, 2, 3):
-        A = np.stack([_random_hermitian(rng, d) for _ in range(4100)])
+        chunk = matlib._BLOCK_ENTRIES // (d * d)
+        A = np.stack([_random_hermitian(rng, d) for _ in range(chunk + 4)])
         E = matlib.unitary_exp(A, 0.7)
         assert E.shape == A.shape
-        chunk = matlib._BLOCK_ENTRIES // (d * d)
         for k in list(range(5)) + list(range(chunk - 3, min(chunk + 3, len(A)))):
             assert np.max(np.abs(E[k] - matlib.unitary_exp(A[k], 0.7))) < 1e-14, (d, k)
         for entry in ((d - 1, 0), (0, 0)):
