@@ -24,8 +24,12 @@ which keeps Tr[I(t) rho(t)] constant along any solution of the master
 equation.  The coefficients c = V^dag rho V in a moving orthonormal basis
 V(t) obey the master equation again, with H0 -> V^dag H0 V - A,
 A = i V^dag dV/dt, and G_i -> V^dag G_i V.  All three share one stepper
-(`_integrate`), which takes the generator inputs sampled once at the
-grid.refined() times and decides once per run how to step them:
+(`_integrate`), which reads the generator inputs at the grid.refined()
+times through one stage accessor, a block of steps at a time, and decides
+once per run how to step them.  `propagate` samples its model once and
+serves slices of it; `propagate_coefficients` forms the moving-basis
+generator only for the block of steps being read, so no full-length work
+stack of it is held:
 
 * closed runs (no jump operators, or every rate zero at every stage time)
   have -L^dag = L, so all three are the unitary flow X -> U X U^dag.  It is
@@ -46,7 +50,8 @@ grid.refined() times and decides once per run how to step them:
   time, or one RK4 step matrix P, whose powers P^0 ... P^s and block
   starts x_(js) are two `ordered_product` calls (s ~ sqrt(n), short
   enough up to 16 385 steps to be stepped one `@` at a time) and whose
-  samples P^i x_(js) are one `mul`, with no loop over the n steps.  A
+  samples P^i x_(js) are one `mul` per `sample_blocks` group of block
+  starts, with no loop over the n steps.  A
   stack with stride 0 along time, as `LindbladModel.operators` broadcasts
   a value that holds at all times, is constant without a scan;
 * a time-dependent open generator forms its step matrices a chunk (a
@@ -75,6 +80,8 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -100,6 +107,9 @@ EXPECTATION_IMAG_TOL = 1e-8
 # eigenvalues reach d RANGE_RTOL max|lambda| in modulus: smaller ones are the
 # rounding of the eigensystem, not part of the range of X0
 RANGE_RTOL = np.finfo(float).eps
+# stages(lo, hi) -> the `liouvillian` arguments (H, G, g) at the stage times
+# of steps lo .. hi - 1, the grid.refined() samples 2 lo .. 2 hi
+Stages = Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -349,11 +359,12 @@ def _phase_spreads(G: np.ndarray) -> np.ndarray:
 
 
 def _unitary_flow(
-    H: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
+    stages: Stages, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
 ) -> np.ndarray:
     """Raw samples X_k = W_k X0 W_k^dag of a closed run, where W = [1, U_0,
     U_1 U_0, ...] is the ordered product of the Magnus steps U_k = exp(i G_k)
-    from H at the grid.refined() times; stack-last.
+    from H at the grid.refined() times, read a block of steps at a time
+    from `stages`; stack-last.
 
     Constant H takes one exponent G = V diag(lam) V^dag, and W_k = exp(i k G)
     is its k-th power, whose rounding does not grow with k as a running
@@ -390,7 +401,7 @@ def _unitary_flow(
 
     def exponents(lo: int, hi: int) -> np.ndarray:
         # G_k of the steps lo .. hi - 1, from the Hermitian part of H
-        h = H[2 * lo : 2 * hi + 1]
+        h = stages(lo, hi)[0]
         G = _magnus_exponents(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))), dt)
         bad = ~np.all(np.isfinite(G), axis=(-2, -1))
         if np.any(bad):
@@ -450,24 +461,27 @@ def _unitary_flow(
 
 
 def _rk4_flow(
-    H: np.ndarray, G: np.ndarray, g: np.ndarray, X0: CMatrix, grid: TimeGrid,
-    kind: str, constant: bool,
+    stages: Stages, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
 ) -> np.ndarray:
     """Raw samples of an open run: vec(X) stepped by RK4 with the step
-    matrices of L, or of -L^dag for an invariant, at the grid.refined()
-    times.
+    matrices of L, or of -L^dag for an invariant, from the generator
+    inputs that `stages` gives at the grid.refined() times.
 
     A constant generator takes one step matrix P, and the samples are its
     powers applied to X0 in blocks of s = ceil(sqrt(n - 1)) steps: one
-    ordered product of s factors P gives P^0 ... P^s, one of factors P^s
-    from vec(X0) gives the block starts x_(js), and one product writes
-    every x_(js+i) = P^i x_(js).
+    ordered product of s factors P gives P^0 ... P^s, and one of factors
+    P^s from vec(X0) gives the block starts x_(js).  The samples
+    x_(js+i) = P^i x_(js) are then one `mul` per `sample_blocks` group of
+    block starts, written into the stack-last samples group by group; each
+    entry is the sum the whole product forms, so the grouping leaves every
+    sample unchanged.
 
     Otherwise the step matrices are formed a chunk at a time, one
     `sample_blocks` block of steps of D^2 entries each, at most
     _BLOCK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
-    model), and each chunk's samples are the ordered product of its step
-    matrices from the chunk's first sample.  `ordered_product` steps a
+    model), from that chunk's stage range alone, and each chunk's samples
+    are the ordered product of its step matrices from the chunk's first
+    sample.  `ordered_product` steps a
     chunk of up to 128 steps (every chunk of a 4-level model) one `@` at a
     time, in the stepwise order, so there the first non-finite sample is
     the stepwise loop's; a qubit's 1024-step chunk is formed by pairs,
@@ -480,7 +494,7 @@ def _rk4_flow(
     D = d * d
 
     def step_matrices(lo: int, hi: int) -> np.ndarray:
-        L = liouvillian(*(a[2 * lo : 2 * hi + 1] for a in (H, G, g)))
+        L = liouvillian(*stages(lo, hi))
         if kind == "invariant":  # -L^dag, in place
             L = np.negative(np.conjugate(L, out=L), out=L).swapaxes(-1, -2)
         return _rk4_matrices(L, grid.dt)
@@ -493,11 +507,15 @@ def _rk4_flow(
         starts = ordered_product(
             np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), X0.reshape(D, 1)
         )
-        # entry [j, i] is x_(js+i) in sample order; the last block runs past
-        # the grid, and its surplus samples are left out of the stack-last copy
-        samples = stack_last((n, d, d))
-        samples[...] = mul(powers[None, :-1], starts[:, None]).reshape(-1, d, d)[:n]
-        return samples
+        samples = stack_last((n, D, 1))
+        flat = np.moveaxis(samples, 0, -1).reshape(D, n)  # its contiguous memory
+        for b in sample_blocks(len(starts), s * D):
+            # entry [j, i] is x_(js+i) in sample order; the last block runs
+            # past the grid, and its surplus samples are left out
+            x = mul(powers[None, :-1], starts[b, None])
+            seg = flat[:, b.start * s : b.stop * s]
+            seg[...] = np.moveaxis(x, (-2, -1), (0, 1)).reshape(D, -1)[:, : seg.shape[1]]
+        return samples.reshape(n, d, d)
 
     samples = stack_last((n, D, 1))
     samples[0] = X0.reshape(D, 1)
@@ -507,21 +525,46 @@ def _rk4_flow(
     return samples.reshape(n, d, d)
 
 
-def _integrate(
-    H: np.ndarray, G: np.ndarray, g: np.ndarray, X0: CMatrix, grid: TimeGrid, kind: str
-) -> OperatorTrajectory:
-    """Propagate X on `grid` from the `liouvillian` arguments (H, G, g)
-    sampled at the grid.refined() times.  The generator is L, or -L^dag for
-    an invariant.
+def _is_constant(stages: Stages, closed: bool, grid: TimeGrid, size: int) -> bool:
+    """Whether the generator inputs (H alone when closed, else H, G and g)
+    equal their first stage sample at every grid.refined() time, compared
+    sample by sample.  They are read from `stages` in the flow's blocks of
+    steps (`sample_blocks` of `size` entries a step), up to the first block
+    that differs, so a generator that moves is found in the first block,
+    the one the flow reads first.  A stack whose stride along time is 0, as
+    `LindbladModel.operators` returns a time-independent value, is
+    constant without a scan.
+    """
+    k = 1 if closed else 3
+    blocks = (stages(b.start, b.stop)[:k] for b in sample_blocks(grid.n_steps - 1, size))
+    head = next(blocks)
+    first = [a[0] for a in head]
+    return all(
+        a.strides[0] == 0 or np.all(a == a0)
+        for arrays in chain([head], blocks)
+        for a, a0 in zip(arrays, first)
+    )
 
-    Two choices are made once, for the whole run.  A run whose coupling
-    rates vanish at every stage time is closed: there -L^dag = L, and all
-    kinds take the unitary Magnus flow `_unitary_flow`; other runs take RK4
-    (`_rk4_flow`).  A generator constant over the whole run (H alone when
-    closed, else H, G and g) takes one step map.  A stack whose stride
-    along time is 0, as `LindbladModel.operators` returns a time-independent
-    value, is constant without a scan; any other is compared, sample by
-    sample, with its first.
+
+def _integrate(
+    stages: Stages, closed: bool, X0: CMatrix, grid: TimeGrid, kind: str
+) -> OperatorTrajectory:
+    """Propagate X on `grid` from the `liouvillian` arguments (H, G, g) at
+    the grid.refined() times.  The generator is L, or -L^dag for an
+    invariant.
+
+    stages(lo, hi) returns (H, G, g) at the stage times of steps lo .. hi - 1,
+    the refined samples 2 lo .. 2 hi, and the flows call it one block of
+    steps at a time, so a caller that forms its inputs, as
+    `propagate_coefficients` does, forms them a block at a time;
+    `propagate` serves slices of the model it samples once.
+
+    Two choices are made once, for the whole run.  A run is closed when its
+    caller finds the coupling rates zero at every stage time: there
+    -L^dag = L, and all kinds take the unitary Magnus flow `_unitary_flow`;
+    other runs take RK4 (`_rk4_flow`).  A generator constant over the whole
+    run (H alone when closed, else H, G and g; `_is_constant`) takes one
+    step map.
 
     The raw samples then pass one tail, a block of samples at a time
     (`sample_blocks`).  They are Hermitized, which is exact because both
@@ -535,18 +578,16 @@ def _integrate(
     trace moves.  The trace needs no repair: L keeps it for any H, G and g,
     and both step maps inherit that up to rounding.
     """
-    closed = not np.any(g)
-    constant = all(
-        a.strides[0] == 0 or np.all(a == a[0]) for a in ((H,) if closed else (H, G, g))
-    )
     # an unstable step overflows and a non-finite generator spreads through
     # the flow; the checks below report the first such sample, so numpy's
     # own warnings about them are silenced
     with np.errstate(all="ignore"):
+        # in the blocks of steps that the flow reads
+        constant = _is_constant(stages, closed, grid, X0.size if closed else X0.size**2)
         if closed:
-            X = _unitary_flow(H, X0, grid, kind, constant)
+            X = _unitary_flow(stages, X0, grid, kind, constant)
         else:
-            X = _rk4_flow(H, G, g, X0, grid, kind, constant)
+            X = _rk4_flow(stages, X0, grid, kind, constant)
         bad, entry = [], []
         for b in sample_blocks(grid.n_steps, X0.size):
             x = X[b]
@@ -581,7 +622,14 @@ def propagate(
     if kind not in ("density", "invariant"):
         raise ValueError("propagate handles 'density' or 'invariant' trajectories")
     X = _validate_initial(X0, model.dim, kind)
-    return _integrate(*model.operators(grid.refined().times), X, grid, kind)
+    H, G, g = model.operators(grid.refined().times)
+    return _integrate(_sampled(H, G, g), not np.any(g), X, grid, kind)
+
+
+def _sampled(H: np.ndarray, G: np.ndarray, g: np.ndarray) -> Stages:
+    """The stage accessor of (H, G, g) sampled at every grid.refined() time:
+    views of the steps' stage ranges."""
+    return lambda lo, hi: tuple(a[2 * lo : 2 * hi + 1] for a in (H, G, g))
 
 
 def invariant_expectation(
@@ -612,32 +660,43 @@ def propagate_coefficients(
     """Integrate the coefficient matrix c = V^dag rho V on `grid`.
 
     Its generator is `liouvillian` with H0 -> V^dag H0 V - A, where A is
-    the frames' connection i V^dag dV/dt (`frames.connection`), and
-    G_i -> V^dag G_i V.  The frames must be sampled on grid.refined() (a
-    point at every half-step), so the moving-basis matrices are available
-    at the stage times without interpolation.
+    the frames' connection i V^dag dV/dt, and G_i -> V^dag G_i V.  The
+    frames must be sampled on grid.refined() (a point at every half-step),
+    so the moving-basis matrices are available at the stage times without
+    interpolation.  The model is sampled once; the stepper asks for the
+    generator a block of steps at a time, and only that block's stage
+    samples of V^dag H0 V - A and V^dag G_i V are formed, with A from
+    `frames.connection_block`, which reads the frames' halo around them.
+    Every sample equals the whole-series form bit for bit, and the
+    constant-generator choice scans the formed samples as it would scan
+    the whole series.
     """
-    from .frames import connection  # frames imports this module
+    from .frames import connection_block  # frames imports this module
 
     fine = frames.grid
     if fine.n_steps != 2 * grid.n_steps - 1 or fine.t0 != grid.t0 or fine.t1 != grid.t1:
         raise ValueError("frames must be sampled on grid.refined()")
     c = _validate_initial(c0, model.dim, "coefficient")
     H, G, g = model.operators(fine.times)
-    # the connection first, while no other stack is held; then V^dag X V,
-    # with V read in place and A dropped once subtracted
-    A, V = connection(frames).samples, frames.vectors
-    Vh, VhX, tmp = V.conj().swapaxes(1, 2), np.empty_like(A), np.empty_like(A)
+    V = frames.vectors
 
-    def sandwich(X: np.ndarray, out=None) -> np.ndarray:
-        return mul(mul(Vh, X, VhX, tmp), V, out, tmp)
+    # the constancy scan and then the flow read the first block; neither
+    # writes to it
+    @lru_cache(maxsize=1)
+    def stages(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s = slice(2 * lo, 2 * hi + 1)
+        v = V[s]
+        vh, VhX, tmp = v.conj().swapaxes(1, 2), stack_last(v.shape), stack_last(v.shape)
 
-    HV = sandwich(H)
-    HV -= A
-    del A
-    # G_i -> V^dag G_i V, laid out as liouvillian reads the jump operators
-    GV = np.empty((G.shape[1],) + VhX.shape[1:] + VhX.shape[:1], dtype=complex)
-    for i, out in enumerate(GV):
-        sandwich(G[:, i], np.moveaxis(out, -1, 0))
-    del Vh, VhX, tmp
-    return _integrate(HV, np.moveaxis(GV, -1, 0), g, c, grid, "coefficient")
+        def sandwich(X: np.ndarray, out=None) -> np.ndarray:
+            return mul(mul(vh, X, VhX, tmp), v, out, tmp)
+
+        HV = sandwich(H[s])
+        HV -= connection_block(V, s.start, s.stop, fine.dt)
+        # G_i -> V^dag G_i V, laid out as liouvillian reads the jump operators
+        GV = np.empty((G.shape[1],) + VhX.shape[1:] + VhX.shape[:1], dtype=complex)
+        for i, out in enumerate(GV):
+            sandwich(G[s, i], np.moveaxis(out, -1, 0))
+        return HV, np.moveaxis(GV, -1, 0), g[s]
+
+    return _integrate(stages, not np.any(g), c, grid, "coefficient")

@@ -30,6 +30,7 @@ from .matlib import (
     degeneracy_blocks,
     degeneracy_joins,
     eigh,
+    halo_window,
     mul,
     ordered_product,
     polar_svd,
@@ -226,18 +227,33 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
     The raw finite-difference matrix fails Hermiticity only at the
     discretization level; the worst deviation is recorded as
     herm_deviation (a run flags it above CONNECTION_HERM_TOL).  The frames
-    are taken a block at a time (`sample_blocks`), each with its halo.
+    are taken a block at a time (`sample_blocks`), by `connection_block`.
     """
     V, dt = frames.vectors, frames.grid.dt
     A, devs = stack_last(V.shape), []
-    for ext, own in sample_blocks(frames.n_steps, frames.dim**2, halo=True):
-        x = V[ext]
-        a = mul(x[own].conj().swapaxes(1, 2), series_derivative(x, dt)[own], A[ext][own])
-        a *= 1j
-        ah = np.conj(np.swapaxes(a, 1, 2))
-        devs.append(np.max(np.abs(a - ah)))
-        np.multiply(0.5, np.add(a, ah, out=a), out=a)
-    return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=float(np.max(devs)))
+    for b in sample_blocks(frames.n_steps, frames.dim**2):
+        connection_block(V, b.start, b.stop, dt, A[b], devs)
+    return ConnectionSeries(grid=frames.grid, samples=A, herm_deviation=max(devs))
+
+
+def connection_block(
+    V: np.ndarray, lo: int, hi: int, dt: float, out=None, devs: list | None = None
+) -> np.ndarray:
+    """The connection samples lo .. hi - 1 of frame vectors V (n >= 3
+    samples, spacing dt), written into out when given.  The derivative
+    reads the frames' `halo_window` around the samples, so every sample
+    equals its whole-series form bit for bit.  When a list devs is given,
+    the largest anti-Hermitian entry of the samples' raw finite-difference
+    form is appended to it.
+    """
+    ext, own = halo_window(lo, hi, len(V))
+    x = V[ext]
+    a = mul(x[own].conj().swapaxes(1, 2), series_derivative(x, dt)[own], out)
+    a *= 1j
+    ah = np.conj(np.swapaxes(a, 1, 2))
+    if devs is not None:
+        devs.append(float(np.max(np.abs(a - ah))))
+    return np.multiply(0.5, np.add(a, ah, out=a), out=a)
 
 
 def overlap(frames: FrameTrajectory, k) -> np.ndarray:

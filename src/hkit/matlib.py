@@ -27,7 +27,8 @@ ordering, and branch-cut conventions are decided in exactly one place:
 * per-sample work on a stack, every step that treats each sample alone,
   takes it a block of samples at a time from `sample_blocks`, as many as
   hold _BLOCK_ENTRIES complex entries, so that its work arrays stay
-  block-sized and only the series a run keeps are allocated at full length,
+  block-sized and only the series a run keeps are allocated at full length;
+  a finite difference reads one `halo_window` around its samples,
 * phases live on ``(-pi, pi]`` with ``-pi`` mapped to ``+pi``.
 """
 from __future__ import annotations
@@ -66,20 +67,25 @@ _BLOCK_ENTRIES = 2**14
 def sample_blocks(n: int, size: int, halo: bool = False):
     """Consecutive blocks of range(n) in order, each of
     max(1, _BLOCK_ENTRIES // size) samples of `size` entries, as slices.
-
-    With halo each block comes as a pair (ext, own): ext widens it by one
-    sample on each side where the series goes on, and to three samples at
-    least, and own is the block's place in ext; series_derivative(x[ext])
-    [own] is then series_derivative(x) on the block, bit for bit.
+    With halo each block comes as its `halo_window` pair (ext, own).
     """
     step = max(1, _BLOCK_ENTRIES // size)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        if not halo:
-            yield slice(lo, hi)
-            continue
-        a = max(0, min(lo - 1, n - 3))
-        yield slice(a, min(n, max(hi + 1, 3))), slice(lo - a, hi - a)
+        yield halo_window(lo, hi, n) if halo else slice(lo, hi)
+
+
+def halo_window(lo: int, hi: int, n: int) -> tuple[slice, slice]:
+    """The window (ext, own) of samples lo .. hi - 1 of an n-sample series,
+    n >= 3: ext widens the range by one sample on each side where the
+    series goes on, and to three samples at least, and own is the range's
+    place in ext.  series_derivative(x[ext])[own] is then
+    series_derivative(x)[lo:hi], bit for bit: inside the series each sample
+    takes the central difference of the same two neighbours, and at either
+    end the one-sided stencil of the same three samples.
+    """
+    a = max(0, min(lo - 1, n - 3))
+    return slice(a, min(n, max(hi + 1, 3))), slice(lo - a, hi - a)
 
 
 def mul(A: np.ndarray, B: np.ndarray, out=None, tmp=None) -> np.ndarray:

@@ -461,6 +461,23 @@ def test_series_derivative_is_second_order():
     assert 3.0 < ratio < 5.0
 
 
+def test_halo_window_gives_the_whole_series_derivative_of_any_range():
+    """For every sample range of short series, the derivative of its halo
+    window, cut to the range, equals the whole series' derivative on the
+    range bit for bit: the rule that blocked connections, residuals and the
+    coefficient route's stepper blocks rely on."""
+    rng = np.random.default_rng(5)
+    for n in range(3, 9):
+        x = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        whole = matlib.series_derivative(x, 0.3)
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                ext, own = matlib.halo_window(lo, hi, n)
+                assert ext.stop - ext.start >= 3 and own.stop - own.start == hi - lo
+                got = matlib.series_derivative(x[ext], 0.3)[own]
+                assert np.array_equal(got, whole[lo:hi]), (n, lo, hi)
+
+
 def test_series_derivative_needs_three_samples():
     with pytest.raises(ValueError):
         matlib.series_derivative(np.zeros((2, 2, 2)), 0.1)
