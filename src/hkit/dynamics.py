@@ -42,40 +42,47 @@ stack of it is held:
   spectrum of X to rounding.  Each step's phase spread is read bound
   first: sqrt(2) |G - tr(G)/d|_F, and an eigensystem only where that bound
   reaches pi, the spread at which the run is refused as under-resolved;
-* open runs are stepped by fixed-step RK4 on dx/dt = L(t) x;
+* open runs are stepped by fixed-step RK4 in real coordinates: every
+  operator stepped is Hermitian and L and -L^dag keep Hermiticity, so on
+  the D = d^2 real coordinates of X + X^dag the generator is the real
+  matrix S^-1 L S (`_real_generator`), and the flow is dh/dt = Lr(t) h;
 * a generator constant over the whole run takes one step map, and its
   powers give the flow: one Magnus exponent G = V diag(lam) V^dag, whose
   k-th powers give every sample from one real angle series
   k (lam_m - lam_l) per level pair, elementwise a block of samples at a
   time, or one RK4 step matrix P, whose powers P^0 ... P^s and block
-  starts x_(js) are two `ordered_product` calls (s ~ sqrt(n), short
+  starts h_(js) are two `ordered_product` calls (s ~ sqrt(n), short
   enough up to 16 385 steps to be stepped one `@` at a time) and whose
-  samples P^i x_(js) are one `mul` per `sample_blocks` group of block
+  samples P^i h_(js) are one `mul` per `sample_blocks` group of block
   starts, with no loop over the n steps.  A
   stack with stride 0 along time, as `LindbladModel.operators` broadcasts
   a value that holds at all times, is constant without a scan;
 * a time-dependent open generator forms its step matrices a chunk (a
   `sample_blocks` block of steps) at a time, and each chunk's samples are
   one `ordered_product` of its step matrices from the chunk's first
-  vec(X): a pairwise scan of a few levels over a qubit's 1024-step chunk,
-  and stepwise over a 4-level model's 64-step chunk.
+  coordinates: a pairwise scan of a few levels over a qubit's 1024-step
+  chunk, and stepwise over a 4-level model's 64-step chunk.
 
 Every branch works stack-last (D = d^2), on (n, D, D) views of contiguous
 (D, D, n) arrays, and returns its samples so: the Liouvillian is written
 entry by entry, and every stacked product (Magnus commutators, RK4
 stages, the moving-basis generator, ordered_product's pair products and
 odd entries) is matlib's `mul`, an explicit sum over the inner index,
-with no einsum and no stacked matmul.
+with no einsum and no stacked matmul.  The RK4 flows' products are
+float64 (real generator, step matrices and coordinates), the others
+complex.
 
-Both methods only produce raw samples.  One tail Hermitizes them (L, -L^dag
-and both step maps commute with the adjoint, so the anti-Hermitian rounding
-never feeds the Hermitian part) and ends the run at the first non-finite
-sample or, if all are finite, at the first density sample with an entry of
-modulus above 1 + DENSITY_ENTRY_TOL, which no density matrix has: such a
-run has diverged.  A density's trace needs no repair, since L keeps it for
-any H, G and g (Tr(H rho - rho H) = 0 and Tr(2 G_i rho G_j^dag
-- G_j^dag G_i rho - rho G_j^dag G_i) = 0) and so do both step maps, up to
-rounding.
+Each branch returns samples that are Hermitian to the bit: the RK4 flows
+write each sample from its real coordinates, the constant closed flow
+sums Hermitian terms, and the time-dependent closed flow Hermitizes its
+own (the Magnus step map commutes with the adjoint, so the anti-Hermitian
+rounding never feeds the Hermitian part).  One tail ends the run at the
+first non-finite sample or, if all are finite, at the first density
+sample with an entry of modulus above 1 + DENSITY_ENTRY_TOL, which no
+density matrix has: such a run has diverged.  A density's trace needs no
+repair, since L keeps it for any H, G and g (Tr(H rho - rho H) = 0 and
+Tr(2 G_i rho G_j^dag - G_j^dag G_i rho - rho G_j^dag G_i) = 0) and so do
+both step maps, up to rounding.
 """
 from __future__ import annotations
 
@@ -282,18 +289,97 @@ def _non_finite(kind: str, grid: TimeGrid, k: int) -> NumericalError:
     )
 
 
+@lru_cache(maxsize=None)
+def _coordinate_tables(d: int) -> tuple:
+    """Index tables of the real coordinates of d x d Hermitian matrices on
+    the positions p = a d + b of the row-major vec(X) (see
+    `_real_generator`): the upper positions a d + b (a <= b); for each p,
+    the place in that list of the upper position it reads (p itself, or
+    b d + a for p = a d + b with a > b) and whether y[p] is an imaginary
+    part; -w_q / w_p, with the weights w of Tr(A B) = sum_p w_p y_A[p] y_B[p]
+    (1 on the diagonal, 2 off it); and the position pairs (a d + b, b d + a)
+    with a < b.  The arrays are read-only."""
+    D = d * d
+    a, b = np.divmod(np.arange(D), d)
+    upper = np.flatnonzero(a <= b)
+    place = np.searchsorted(upper, np.minimum(a, b) * d + np.maximum(a, b))
+    w = np.where(a == b, 1.0, 2.0)
+    tables = (upper, place, (a > b).astype(np.intp), (-w[None, :] / w[:, None])[..., None])
+    for t in tables:
+        t.setflags(write=False)
+    return tables + (tuple((p, q) for p, q in zip(a * d + b, b * d + a) if p < q),)
+
+
+def _real_generator(L: np.ndarray, adjoint: bool) -> np.ndarray:
+    """The real generator Lr = S^-1 L S (or of -L^dag with adjoint) on the
+    real coordinates y of a Hermitian X, vec(X) = S y: y[a d + b] = Re X_ab
+    for a <= b and y[b d + a] = Im X_ab for a < b.
+
+    L maps Hermitian X to Hermitian X, so Lr is real, and the coordinates
+    of L(X) are read from its entries a d + b (a <= b) alone: with
+    T = L S, whose column a d + b (a < b) is the sum of L's columns a d + b
+    and b d + a and whose column b d + a is i times their difference, row
+    p of Lr is Re T[u] where y[p] = Re X_ab and Im T[u] where y[p] = Im X_ab,
+    u = a d + b.  So only the rows u of L's stack-last memory are copied,
+    T is formed on them as sums of column slabs, and one gather of real
+    and imaginary parts gives Lr.  -L^dag is the adjoint for
+    Tr(A B) = y_A^T W y_B, so its generator is -W^-1 Lr^T W, a transpose
+    scaled by powers of two.  Returns Lr (n, D, D), stack-last and float64;
+    L is not written.
+    """
+    n, D = L.shape[0], L.shape[-1]
+    d = int(np.sqrt(D))
+    upper, place, imag, weights, pairs = _coordinate_tables(d)
+    T = np.moveaxis(L, 0, -1)[upper]  # (len(upper), D, n), contiguous
+    for p, q in pairs:
+        u, l = T[:, p], T[:, q]
+        diff = u - l
+        u += l
+        np.multiply(diff, 1j, out=l)
+    Lr = T.view(float).reshape(T.shape + (2,))[place, :, :, imag]
+    if adjoint:
+        Lr = np.multiply(Lr.swapaxes(0, 1), weights, out=np.empty_like(Lr))
+    return Lr.transpose(2, 0, 1)
+
+
+def _real_coordinates(X: CMatrix) -> np.ndarray:
+    """The real coordinates (D,) of X + X^dag = 2 X for a Hermitian matrix X:
+    twice its y (see `_real_generator`)."""
+    upper = np.triu(np.ones(X.shape, dtype=bool))
+    return 2.0 * np.where(upper, X.real, X.imag.T).reshape(-1)
+
+
+def _write_hermitian(h: np.ndarray, x: np.ndarray) -> None:
+    """Write into x, the (d, d, m) memory of m complex samples, the
+    Hermitian matrices X whose X + X^dag has the real coordinates in the
+    columns of h (D, m): X_ab and X_ba = conj(X_ab) halve the same two
+    coordinates, and the diagonal has imaginary part 0, so each sample is
+    Hermitian to the bit.  Entry by entry, with no work array."""
+    d = x.shape[0]
+    re, im = x.real, x.imag
+    for a in range(d):
+        np.multiply(h[a * d + a], 0.5, out=re[a, a])
+        im[a, a] = 0.0
+        for b in range(a + 1, d):
+            np.multiply(h[a * d + b], 0.5, out=re[a, b])
+            re[b, a] = re[a, b]
+            np.multiply(h[b * d + a], 0.5, out=im[a, b])
+            np.negative(im[a, b], out=im[b, a])
+
+
 def _rk4_matrices(L: np.ndarray, dt: float) -> np.ndarray:
     """RK4 step matrices P_k = 1 + dt/6 (K1 + 2 K2 + 2 K3 + K4) for
     dx/dt = L(t) x, from generators L (2n + 1, D, D) at the 2n + 1 stage
     times of n steps.
 
-    The work is stack-last, as `liouvillian` returns L: each stage product
-    is `mul`, and P is stack-last.  The sum K1 + 2 K2 + 2 K3 + K4 is
+    The work is stack-last, as `liouvillian` and `_real_generator` return
+    L, and in L's dtype (float64 for the open flows' real generators): each
+    stage product is `mul`, and P is stack-last.  The sum K1 + 2 K2 + 2 K3 + K4 is
     gathered as the stages are formed, in that order, so four work arrays
     of P's size are held.
     """
     n, D = L.shape[0] // 2, L.shape[-1]
-    X, K, tmp = (stack_last((n, D, D)) for _ in range(3))
+    X, K, tmp = (stack_last((n, D, D), dtype=L.dtype) for _ in range(3))
 
     def stage(Ls: np.ndarray, Kprev: np.ndarray, h: float) -> None:
         # K = Ls (1 + h Kprev); the diagonal of X is every (D + 1)-th row
@@ -383,8 +469,9 @@ def _unitary_flow(
     the range of X0 instead of W: with X0 = E diag(lam) E^dag, the columns
     whose |lam| is below d RANGE_RTOL max|lam| (rounding of the
     eigensystem, not part of the range) are dropped, Y = W E_r is one
-    `ordered_product` from the (d, r) start E_r, and X_k = (Y_k lam_r) Y_k^dag.
-    A pure density carries one column and a full-rank start d.
+    `ordered_product` from the (d, r) start E_r, and X_k = (Y_k lam_r) Y_k^dag,
+    whose rounding is not Hermitian: it is Hermitized a block of samples
+    at a time.  A pure density carries one column and a full-rank start d.
 
     Each step is unitary to rounding, so the spectrum of X is kept and a
     degenerate invariant stays degenerate.  A non-finite step exponent
@@ -437,8 +524,10 @@ def _unitary_flow(
         del U
         X = stack_last((n, d, d))
         for b in sample_blocks(n, X0.size):
-            y = Y[b]
-            mul(y * lam, y.conj().swapaxes(1, 2), X[b])
+            y, x = Y[b], X[b]
+            mul(y * lam, y.conj().swapaxes(1, 2), x)
+            x += np.conj(np.swapaxes(x, -1, -2))
+            x *= 0.5
         return X
     Y = V.conj().T @ X0 @ V
     A = (V * Y.diagonal().real) @ V.conj().T
@@ -463,66 +552,73 @@ def _unitary_flow(
 def _rk4_flow(
     stages: Stages, X0: CMatrix, grid: TimeGrid, kind: str, constant: bool
 ) -> np.ndarray:
-    """Raw samples of an open run: vec(X) stepped by RK4 with the step
-    matrices of L, or of -L^dag for an invariant, from the generator
-    inputs that `stages` gives at the grid.refined() times.
+    """Samples of an open run: X stepped by RK4 in real coordinates, with
+    the step matrices of the real generator (`_real_generator`) of L, or
+    of -L^dag for an invariant, from the generator inputs that `stages`
+    gives at the grid.refined() times.
+
+    Every operator stepped is Hermitian, so the flow carries the D real
+    coordinates h of X + X^dag = 2 X instead of the D complex entries of
+    vec(X): the generator, step matrices, their products and the samples'
+    coordinates are float64.  Stepping 2 X rather than X is exact (a power
+    of two) and makes a diverging run overflow at the sample whose
+    Hermitian part X + X^dag overflows in complex stepping, the stepwise
+    loop's.  Each sample is written from its coordinates into the complex
+    stack-last result, Hermitian to the bit (`_write_hermitian`).
 
     A constant generator takes one step matrix P, and the samples are its
-    powers applied to X0 in blocks of s = ceil(sqrt(n - 1)) steps: one
+    powers applied to h0 in blocks of s = ceil(sqrt(n - 1)) steps: one
     ordered product of s factors P gives P^0 ... P^s, and one of factors
-    P^s from vec(X0) gives the block starts x_(js).  The samples
-    x_(js+i) = P^i x_(js) are then one `mul` per `sample_blocks` group of
-    block starts, written into the stack-last samples group by group; each
-    entry is the sum the whole product forms, so the grouping leaves every
-    sample unchanged.
+    P^s from h0 gives the block starts h_(js).  The samples
+    h_(js+i) = P^i h_(js) are then one `mul` per `sample_blocks` group of
+    block starts, written into the samples group by group; each entry is
+    the sum the whole product forms, so the grouping leaves every sample
+    unchanged.
 
     Otherwise the step matrices are formed a chunk at a time, one
     `sample_blocks` block of steps of D^2 entries each, at most
     _BLOCK_ENTRIES matrix entries (1024 steps of a qubit, 64 of a 4-level
     model), from that chunk's stage range alone, and each chunk's samples
     are the ordered product of its step matrices from the chunk's first
-    sample.  `ordered_product` steps a
-    chunk of up to 128 steps (every chunk of a 4-level model) one `@` at a
-    time, in the stepwise order, so there the first non-finite sample is
-    the stepwise loop's; a qubit's 1024-step chunk is formed by pairs,
-    which round differently.  The test_unstable_* tests check that seeded
-    runs of either branch, overflowing at any point of a chunk or block,
-    stop at the stepwise loop's last valid time.  Both branches return
-    the samples stack-last.
+    h.  `ordered_product` steps a chunk of up to 128 steps (every chunk of
+    a 4-level model) one `@` at a time, in the stepwise order; a qubit's
+    1024-step chunk is formed by pairs, which round differently.  The
+    test_unstable_* tests check that seeded runs of either branch,
+    overflowing at any point of a chunk or block, stop at the stepwise
+    loop's last valid time.
     """
     n, d = grid.n_steps, X0.shape[0]
     D = d * d
+    X = stack_last((n, d, d))
+    x = np.moveaxis(X, 0, -1)  # its contiguous (d, d, n) memory
 
     def step_matrices(lo: int, hi: int) -> np.ndarray:
-        L = liouvillian(*stages(lo, hi))
-        if kind == "invariant":  # -L^dag, in place
-            L = np.negative(np.conjugate(L, out=L), out=L).swapaxes(-1, -2)
+        L = _real_generator(liouvillian(*stages(lo, hi)), kind == "invariant")
         return _rk4_matrices(L, grid.dt)
 
+    h = _real_coordinates(X0).reshape(D, 1)
     if constant:
         s = int(np.ceil(np.sqrt(n - 1)))  # block length
         # P^0 ... P^s for the one step matrix P
         powers = ordered_product(np.broadcast_to(step_matrices(0, 1), (s, D, D)))
-        # x_(js) for every block start j, carried by P^s
-        starts = ordered_product(
-            np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), X0.reshape(D, 1)
-        )
-        samples = stack_last((n, D, 1))
-        flat = np.moveaxis(samples, 0, -1).reshape(D, n)  # its contiguous memory
+        # h_(js) for every block start j, carried by P^s
+        starts = ordered_product(np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), h)
         for b in sample_blocks(len(starts), s * D):
-            # entry [j, i] is x_(js+i) in sample order; the last block runs
+            # entry [j, i] is h_(js+i) in sample order; the last block runs
             # past the grid, and its surplus samples are left out
-            x = mul(powers[None, :-1], starts[b, None])
-            seg = flat[:, b.start * s : b.stop * s]
-            seg[...] = np.moveaxis(x, (-2, -1), (0, 1)).reshape(D, -1)[:, : seg.shape[1]]
-        return samples.reshape(n, d, d)
+            hs = mul(powers[None, :-1], starts[b, None])
+            seg = x[..., b.start * s : b.stop * s]
+            hs = np.moveaxis(hs, (-2, -1), (0, 1)).reshape(D, -1)
+            _write_hermitian(hs[:, : seg.shape[-1]], seg)
+        return X
 
-    samples = stack_last((n, D, 1))
-    samples[0] = X0.reshape(D, 1)
+    _write_hermitian(h, x[..., :1])
     for b in sample_blocks(n - 1, D * D):
         lo, hi = b.start, b.stop
-        samples[lo : hi + 1] = ordered_product(step_matrices(lo, hi), samples[lo])
-    return samples.reshape(n, d, d)
+        hs = ordered_product(step_matrices(lo, hi), h)
+        _write_hermitian(np.moveaxis(hs[1:], 0, -1).reshape(D, -1), x[..., lo + 1 : hi + 1])
+        h = hs[-1]
+    return X
 
 
 def _is_constant(stages: Stages, closed: bool, grid: TimeGrid, size: int) -> bool:
@@ -566,10 +662,9 @@ def _integrate(
     run (H alone when closed, else H, G and g; `_is_constant`) takes one
     step map.
 
-    The raw samples then pass one tail, a block of samples at a time
-    (`sample_blocks`).  They are Hermitized, which is exact because both
-    step maps commute with the adjoint, so the anti-Hermitian rounding
-    never feeds the Hermitian part.  The first
+    Each flow returns samples that are Hermitian to the bit (see the
+    module docstring), and they pass one tail, a block of samples at a
+    time (`sample_blocks`), that checks them.  The first
     NaN/Inf sample aborts with the last valid time in the message.  If all
     are finite, the first density sample with an entry of modulus above
     1 + DENSITY_ENTRY_TOL aborts the run as diverged: no density matrix has
@@ -591,8 +686,6 @@ def _integrate(
         bad, entry = [], []
         for b in sample_blocks(grid.n_steps, X0.size):
             x = X[b]
-            x += np.conj(np.swapaxes(x, -1, -2))
-            x *= 0.5
             bad.append(~np.all(np.isfinite(x), axis=(1, 2)))
             entry.append(np.max(np.abs(x), axis=(1, 2)) if kind == "density" else np.zeros(len(x)))
         bad, entry = (np.concatenate(v)[1:] for v in (bad, entry))
@@ -692,7 +785,7 @@ def propagate_coefficients(
             return mul(mul(vh, X, VhX, tmp), v, out, tmp)
 
         HV = sandwich(H[s])
-        HV -= connection_block(V, s.start, s.stop, fine.dt)
+        HV -= connection_block(V, s.start, s.stop, fine.dt, Vh=vh)
         # G_i -> V^dag G_i V, laid out as liouvillian reads the jump operators
         GV = np.empty((G.shape[1],) + VhX.shape[1:] + VhX.shape[:1], dtype=complex)
         for i, out in enumerate(GV):

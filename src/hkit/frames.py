@@ -237,18 +237,20 @@ def connection(frames: FrameTrajectory) -> ConnectionSeries:
 
 
 def connection_block(
-    V: np.ndarray, lo: int, hi: int, dt: float, out=None, devs: list | None = None
+    V: np.ndarray, lo: int, hi: int, dt: float, out=None, devs: list | None = None, Vh=None
 ) -> np.ndarray:
     """The connection samples lo .. hi - 1 of frame vectors V (n >= 3
     samples, spacing dt), written into out when given.  The derivative
     reads the frames' `halo_window` around the samples, so every sample
-    equals its whole-series form bit for bit.  When a list devs is given,
-    the largest anti-Hermitian entry of the samples' raw finite-difference
-    form is appended to it.
+    equals its whole-series form bit for bit.  Vh, when given, is
+    V[lo:hi]^dag as the caller has already formed it.  When a list devs is
+    given, the largest anti-Hermitian entry of the samples' raw
+    finite-difference form is appended to it.
     """
     ext, own = halo_window(lo, hi, len(V))
-    x = V[ext]
-    a = mul(x[own].conj().swapaxes(1, 2), series_derivative(x, dt)[own], out)
+    if Vh is None:
+        Vh = V[lo:hi].conj().swapaxes(1, 2)
+    a = mul(Vh, series_derivative(V[ext], dt, own), out)
     a *= 1j
     ah = np.conj(np.swapaxes(a, 1, 2))
     if devs is not None:

@@ -267,7 +267,7 @@ def parallel_residual(frames: FrameTrajectory, holo: HolonomyResult) -> float:
     for ext, own in sample_blocks(frames.n_steps, frames.dim**2, halo=True):
         for g, Tg in series:
             T = mul(V[ext][:, :, g[0] : g[-1] + 1], Tg[ext])  # the group's columns of T
-            dT = series_derivative(T, frames.grid.dt)[own]
+            dT = series_derivative(T, frames.grid.dt, own)
             worst.append(np.max(np.abs(mul(T[own].conj().swapaxes(1, 2), dT))))
     return float(np.max(worst))
 

@@ -79,8 +79,8 @@ def halo_window(lo: int, hi: int, n: int) -> tuple[slice, slice]:
     """The window (ext, own) of samples lo .. hi - 1 of an n-sample series,
     n >= 3: ext widens the range by one sample on each side where the
     series goes on, and to three samples at least, and own is the range's
-    place in ext.  series_derivative(x[ext])[own] is then
-    series_derivative(x)[lo:hi], bit for bit: inside the series each sample
+    place in ext.  series_derivative(x[ext], dt, own) is then
+    series_derivative(x, dt)[lo:hi], bit for bit: inside the series each sample
     takes the central difference of the same two neighbours, and at either
     end the one-sided stencil of the same three samples.
     """
@@ -458,6 +458,10 @@ def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
     has shape (n + 1, d, k), X0 first, and is stack-last: a view of a
     contiguous (d, k, n + 1) array.
 
+    The result has the dtype of the product of F and X0: a real stack
+    from a real start stays real, and every level and step of the scan
+    runs in that dtype.
+
     A 1x1 stack is a running product of scalars, np.cumprod.  Larger
     stacks take a pairwise scan (Blelloch, CMU-CS-90-190, 1990): one `mul`
     pairs the factors, P_j = F_(2j+1) F_(2j), the scan of the n // 2
@@ -470,9 +474,9 @@ def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
     """
     F = np.asarray(F)
     n, d = F.shape[0], F.shape[-1]
-    X0 = np.eye(d, dtype=complex) if X0 is None else np.asarray(X0, dtype=complex)
-    k = X0.shape[-1]
-    out = stack_last((n + 1,) + X0.shape)
+    X0 = np.eye(d, dtype=F.dtype) if X0 is None else np.asarray(X0)
+    k, dtype = X0.shape[-1], np.promote_types(F.dtype, X0.dtype)
+    out = stack_last((n + 1,) + X0.shape, dtype=dtype)
     out[0] = X0
     if d == 1:
         out[1:] = F
@@ -484,7 +488,7 @@ def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
         G = levels[-1]
         m = len(G) // 2
         levels.append(mul(G[1 : 2 * m : 2], G[0 : 2 * m : 2]))
-    top = np.empty((len(levels[-1]) + 1, d, k), dtype=complex)
+    top = np.empty((len(levels[-1]) + 1, d, k), dtype=dtype)
     top[0] = X0
     xs = list(top)
     for f, a, b in zip(np.ascontiguousarray(levels[-1]), xs, xs[1:]):
@@ -497,20 +501,29 @@ def ordered_product(F: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def series_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative of a sampled series of arrays.
+def series_derivative(samples: np.ndarray, dt: float, own: slice = slice(None)) -> np.ndarray:
+    """Second-order time derivative of a sampled series of arrays, at the
+    samples `own` (a slice of step 1; all of them by default).
 
     Central differences inside, one-sided three-point stencils at the ends,
     so every point carries an O(dt^2) error and none a first-order one.
+    An end's stencil is formed only when `own` reaches that end, as the
+    `halo_window` of a range inside the series does not.
     """
     samples = np.asarray(samples)
-    if samples.shape[0] < 3:
+    n = samples.shape[0]
+    if n < 3:
         raise ValueError("need at least 3 samples for a second-order derivative")
-    out = np.empty_like(samples)
-    np.subtract(samples[2:], samples[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * dt
-    out[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2.0 * dt)
-    out[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2.0 * dt)
+    lo, hi, _ = own.indices(n)
+    out = np.empty_like(samples[lo:hi])
+    a, b = max(lo, 1), min(hi, n - 1)  # the central differences
+    if a < b:
+        np.subtract(samples[a + 1 : b + 1], samples[a - 1 : b - 1], out=out[a - lo : b - lo])
+        out[a - lo : b - lo] /= 2.0 * dt
+    if lo == 0 < hi:
+        out[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2.0 * dt)
+    if hi == n > lo:
+        out[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2.0 * dt)
     return out
 
 

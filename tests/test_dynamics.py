@@ -206,6 +206,52 @@ def test_liouvillian_matches_its_kronecker_formula(d, m, varying):
     assert np.array_equal(models.SIGMA_MINUS, sigma_minus)
 
 
+def _hermitian_coordinates(X):
+    """y[a d + b] = Re X_ab (a <= b) and y[b d + a] = Im X_ab (a < b), entry
+    by entry."""
+    d = X.shape[-1]
+    y = np.empty(d * d)
+    for a in range(d):
+        for b in range(a, d):
+            y[a * d + b] = X[a, b].real
+            if a < b:
+                y[b * d + a] = X[a, b].imag
+    return y
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_real_generator_acts_on_hermitian_operators_as_the_liouvillian(d):
+    """With two jump operators and off-diagonal rates, the real generator of
+    L, and of -L^dag, maps the real coordinates of random Hermitian X to
+    those of L(X), and of -L^dag(X), and has the spectrum of L, and of
+    -L^dag."""
+    rng = np.random.default_rng(40 + d)
+    n, m = 3, 2
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    H = cplx(n, d, d)
+    H = H + np.conj(np.swapaxes(H, -1, -2))
+    g = rng.uniform(0.1, 0.5, size=(n, m, m))
+    L = dynamics.liouvillian(H, cplx(n, m, d, d), g + np.swapaxes(g, -1, -2))
+    for adjoint in (False, True):
+        M = -np.conj(np.swapaxes(L, -1, -2)) if adjoint else L
+        Lr = dynamics._real_generator(L, adjoint)
+        assert Lr.dtype == np.float64 and Lr.shape == L.shape
+        for k in range(n):
+            scale = np.max(np.abs(M[k]))
+            for _ in range(5):
+                X = cplx(d, d)
+                X = 0.5 * (X + X.conj().T)
+                want = _hermitian_coordinates(_apply(M[k], X))
+                got = Lr[k] @ _hermitian_coordinates(X)
+                assert np.max(np.abs(got - want)) < 1e-14 * scale, (adjoint, k)
+            lam, lam_r = np.linalg.eigvals(M[k]), np.linalg.eigvals(Lr[k])
+            gap = np.abs(lam[:, None] - lam_r[None, :])
+            assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < 1e-12 * scale
+
+
 def test_invariant_generator_reduces_to_commutator_when_closed():
     model = models.two_level_model(_decay(gamma=0.0))
     I = np.array([[0.2, 0.3 - 0.1j], [0.3 + 0.1j, -0.2]])
@@ -344,7 +390,9 @@ def test_time_dependent_open_flow_calls_no_einsum_or_matmul(monkeypatch):
     (`mul`), and the scan's stepwise level takes np.dot one factor at a
     time: one 8001-step propagate_coefficients on the decay qubit calls
     neither np.einsum nor np.matmul (stacked einsum and matmul forms called
-    them 32 and 245 times)."""
+    them 32 and 245 times).  The flow steps real coordinates, so every
+    stacked product of the step matrices and the scan, and every step
+    matrix and sample coordinate they give, is float64."""
     params = _decay(gamma=4e-3, theta0=1.1)
     model = models.two_level_model(params)
     grid = TimeGrid(0.0, 2.0 * np.pi, 8001)
@@ -357,8 +405,32 @@ def test_time_dependent_open_flow_calls_no_einsum_or_matmul(monkeypatch):
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
+    in_flow, products, results = [False], [], []
+
+    def watched_mul(A, B, *args, kernel=matlib.mul, **kwargs):
+        if in_flow[0]:
+            products.append((np.asarray(A).dtype, np.asarray(B).dtype))
+        return kernel(A, B, *args, **kwargs)
+
+    for module in (matlib, dynamics):  # ordered_product calls matlib's own name
+        monkeypatch.setattr(module, "mul", watched_mul)
+    for name in ("_rk4_matrices", "ordered_product"):
+
+        def flow(*args, kernel=getattr(dynamics, name), **kwargs):
+            in_flow[0] = True
+            try:
+                out = kernel(*args, **kwargs)
+            finally:
+                in_flow[0] = False
+            results.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(dynamics, name, flow)
     dynamics.propagate_coefficients(model, fr, np.diag([0.7, 0.3]), grid)
     assert calls == {"einsum": 0, "matmul": 0}
+    assert len(results) == 16 and len(products) > len(results)
+    assert set(results) == {np.dtype(np.float64)}
+    assert set(products) == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 
 def test_open_flows_step_through_the_one_ordered_product(monkeypatch):
@@ -1125,9 +1197,11 @@ def test_identity_frames_give_the_density_route_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("kind", ["density", "invariant"])
 @pytest.mark.parametrize("n_steps", [8001, 16001, 20001])
 def test_constant_open_flow_groups_its_samples_bit_for_bit(kind, n_steps):
-    """The constant open branch writes x_(js+i) = P^i x_(js) one group of
-    block starts at a time; the whole (ceil(n/s), s, D, 1) product, formed
-    at once and copied, gives the same raw samples bit for bit."""
+    """The constant open branch writes h_(js+i) = P^i h_(js), the real
+    coordinates of X + X^dag, one group of block starts at a time; the
+    whole (ceil(n/s), s, D, 1) product, formed at once and written as
+    Hermitian matrices X entry by entry, gives the same samples bit for
+    bit."""
     params = _decay(gamma=4e-3, theta0=1.1)
     model = models.two_level_model(params)
     grid = TimeGrid(0.0, 2.0 * np.pi, n_steps)
@@ -1135,19 +1209,56 @@ def test_constant_open_flow_groups_its_samples_bit_for_bit(kind, n_steps):
     if kind == "density":
         X0 = 0.5 * (np.eye(2) + X0)
     stages = dynamics._sampled(*model.operators(grid.refined().times))
-    L = dynamics.liouvillian(*stages(0, 1))
-    if kind == "invariant":
-        L = -np.conj(np.swapaxes(L, -1, -2))
+    L = dynamics._real_generator(dynamics.liouvillian(*stages(0, 1)), kind == "invariant")
     P = dynamics._rk4_matrices(L, grid.dt)[0]
-    n, D, s = n_steps, 4, int(np.ceil(np.sqrt(n_steps - 1)))
+    n, d, D, s = n_steps, 2, 4, int(np.ceil(np.sqrt(n_steps - 1)))
     powers = matlib.ordered_product(np.broadcast_to(P, (s, D, D)))
-    starts = matlib.ordered_product(
-        np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), X0.reshape(D, 1)
-    )
-    ref = matlib.mul(powers[None, :-1], starts[:, None]).reshape(-1, 2, 2)[:n]
+    # the coordinates of X0 + X0^dag, the flow's start
+    h0 = 2.0 * _hermitian_coordinates(X0).reshape(D, 1)
+    starts = matlib.ordered_product(np.broadcast_to(powers[-1], (-(-n // s) - 1, D, D)), h0)
+    h = matlib.mul(powers[None, :-1], starts[:, None]).reshape(-1, D)[:n]
+    ref = np.zeros((n, d, d), dtype=complex)
+    for a in range(d):
+        ref[:, a, a].real = 0.5 * h[:, a * d + a]
+        for b in range(a + 1, d):
+            ref[:, a, b].real = ref[:, b, a].real = 0.5 * h[:, a * d + b]
+            ref[:, a, b].imag = 0.5 * h[:, b * d + a]
+            ref[:, b, a].imag = -0.5 * h[:, b * d + a]
     assert len(starts) > matlib._BLOCK_ENTRIES // (s * D)  # more than one group
     got = dynamics._rk4_flow(stages, X0.astype(complex), grid, kind, True)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("closed", [True, False])
+def test_every_branch_returns_samples_hermitian_to_the_bit(closed, constant):
+    """Each branch owns the Hermiticity of its samples: the constant closed
+    flow and both RK4 branches write them Hermitian, and the time-dependent
+    closed flow Hermitizes its own.  Density, invariant and coefficient
+    samples are equal to their conjugate transposes bit for bit, on a
+    3-level model (an H(t) = H0 + cos(t) H1 or H0 alone, with or without a
+    jump operator) and on the decay qubit's coefficients in eigenframes
+    (time-dependent) or identity frames (constant)."""
+    rng = np.random.default_rng(20 + 2 * closed + constant)
+    M = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    H0, H1 = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
+    J = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    model = LindbladModel(
+        dim=3,
+        hamiltonian=(lambda t: H0) if constant else (lambda t: H0 + np.cos(t)[:, None, None] * H1),
+        jump_ops=[] if closed else [lambda t: J],
+        couplings=None if closed else (lambda t: np.array([[0.1]])),
+    )
+    grid = TimeGrid(0.0, 3.0, 1501)
+    runs = [
+        dynamics.propagate(model, X0, grid, kind).samples for kind, X0 in _random_starts(rng, 3)
+    ]
+    gamma = 0.0 if closed else 4e-3
+    cmodel, fr, c0, cgrid = _coefficient_case(gamma, 1501, "identity" if constant else "eigen")
+    runs.append(dynamics.propagate_coefficients(cmodel, fr, c0, cgrid).samples)
+    for X in runs:
+        assert np.all(np.isfinite(X))
+        assert np.array_equal(X, X.conj().swapaxes(1, 2))
 
 
 def test_coefficient_route_holds_no_full_length_generator(monkeypatch):

@@ -463,9 +463,10 @@ def test_series_derivative_is_second_order():
 
 def test_halo_window_gives_the_whole_series_derivative_of_any_range():
     """For every sample range of short series, the derivative of its halo
-    window, cut to the range, equals the whole series' derivative on the
-    range bit for bit: the rule that blocked connections, residuals and the
-    coefficient route's stepper blocks rely on."""
+    window, cut to the range or formed on the range alone, equals the whole
+    series' derivative on the range bit for bit: the rule that blocked
+    connections, residuals and the coefficient route's stepper blocks rely
+    on."""
     rng = np.random.default_rng(5)
     for n in range(3, 9):
         x = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
@@ -475,6 +476,8 @@ def test_halo_window_gives_the_whole_series_derivative_of_any_range():
                 ext, own = matlib.halo_window(lo, hi, n)
                 assert ext.stop - ext.start >= 3 and own.stop - own.start == hi - lo
                 got = matlib.series_derivative(x[ext], 0.3)[own]
+                assert np.array_equal(got, whole[lo:hi]), (n, lo, hi)
+                got = matlib.series_derivative(x[ext], 0.3, own)
                 assert np.array_equal(got, whole[lo:hi]), (n, lo, hi)
 
 
